@@ -17,7 +17,6 @@ from .graph_model import (
 from .thresholds import (
     DivergenceReport,
     ParameterError,
-    RegimeConstants,
     bm_dominates,
     ch_divergence_closed_form,
     ch_divergence_numeric,

@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import helmert
 
 from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
-from .sdp import centered_partition_matrix
 from .thresholds import ParameterError, compute_omega
 
 
@@ -87,20 +85,25 @@ def edge_counts(g: Graph, truth: PartitionLabels) -> tuple[np.ndarray, np.ndarra
     """(E_vj, E_ij): per-vertex and per-community-pair edge count tables.
 
     E_vj[v, j] is the number of neighbors of v in community j; E_ij[i, j] is
-    1_i^T A 1_j (twice the intra count when i == j).
+    1_i^T A 1_j (twice the intra count when i == j).  Both are counted from
+    the edge list, without the dense adjacency.
     """
-    a = g.adjacency()
-    m = truth.indicator_matrix()
-    e_vj = a @ m
-    e_ij = m.T @ a @ m
+    lab = truth.as_array()
+    n, r = g.n, truth.r
+    e = g.edge_array()
+    u, v = e[:, 0], e[:, 1]
+    hits = np.concatenate([u * r + lab[v], v * r + lab[u]])
+    e_vj = np.bincount(hits, minlength=n * r).reshape(n, r).astype(float)
+    e_ij = truth.indicator_matrix().T @ e_vj
     return e_vj, e_ij
 
 
-def _construct(g, truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
+def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
+    """The per-vertex and per-community quantities of one construction pass."""
     lab = truth.as_array()
     sizes = truth.sizes().astype(float)
     r = truth.r
-    n = g.n
+    n = truth.n
     s_v = sizes[lab]
     e_own = e_vj[np.arange(n), lab]
 
@@ -139,6 +142,28 @@ def _construct(g, truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     t_mat = omega * np.outer(sizes, sizes) - e_ij - c
     np.fill_diagonal(t_mat, 0.0)
 
+    return {
+        "alpha_v": alpha_v,
+        "beta_v": beta_v,
+        "gamma_prime": gamma_prime,
+        "gamma_v": gamma_v,
+        "delta": delta,
+        "kappa": kappa,
+        "alpha_bar": alpha_bar,
+        "beta_bar": beta_bar,
+        "nu": nu,
+        "R": big_r,
+        "T": t_mat,
+        "c": c,
+        "intervals_nonempty": bool(np.all(nonempty)),
+    }
+
+
+def _assemble(a, truth, omega, nu, big_r, t_mat):
+    """Dense (Gamma, Lambda, construction_ok).  Each off-diagonal block of
+    Gamma is the rank-one matrix with row sums R and total T; Lambda =
+    diag(nu) + omega J - A - Gamma is assembled in the memory of `a`."""
+    n, r = truth.n, truth.r
     gamma_mat = np.zeros((n, n))
     construction_ok = True
     for i in range(r):
@@ -152,25 +177,10 @@ def _construct(g, truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
             gamma_mat[np.ix_(vi, vj)] = block
             gamma_mat[np.ix_(vj, vi)] = block.T
 
-    lam = np.diag(nu) + omega - g.adjacency() - gamma_mat
-    return {
-        "alpha_v": alpha_v,
-        "beta_v": beta_v,
-        "gamma_prime": gamma_prime,
-        "gamma_v": gamma_v,
-        "delta": delta,
-        "kappa": kappa,
-        "alpha_bar": alpha_bar,
-        "beta_bar": beta_bar,
-        "nu": nu,
-        "R": big_r,
-        "T": t_mat,
-        "Gamma": gamma_mat,
-        "Lambda": lam,
-        "c": c,
-        "intervals_nonempty": bool(np.all(nonempty)),
-        "construction_ok": construction_ok,
-    }
+    lam = np.subtract(omega, a, out=a)
+    lam -= gamma_mat
+    lam.flat[:: n + 1] += nu
+    return gamma_mat, lam, construction_ok
 
 
 def build_certificate(
@@ -185,6 +195,7 @@ def build_certificate(
     The error terms eps1, eps2 depend on the per-community corrections
     delta_i, which in turn depend on eps1, eps2; the first pass uses the
     delta-free baselines, the second re-runs with max |delta_i| folded in.
+    Only the second pass assembles the dense Gamma and Lambda.
     """
     if truth.r < 2:
         raise ParameterError("need at least two communities")
@@ -196,33 +207,63 @@ def build_certificate(
     base = math.log(n) / math.log(math.log(n))
     e_vj, e_ij = edge_counts(g, truth)
     p, q = params.p, params.q
-    pass1 = _construct(g, truth, omega, p, q, e_vj, e_ij, omega + base, 1.0, c)
+    pass1 = _construct(truth, omega, p, q, e_vj, e_ij, omega + base, 1.0, c)
     dmax = float(np.max(np.abs(pass1["delta"])))
     eps1 = dmax + omega + base
     eps2 = dmax + 1.0
-    out = _construct(g, truth, omega, p, q, e_vj, e_ij, eps1, eps2, c)
-    return DualCertificate(omega=omega, eps1=eps1, eps2=eps2, **out)
+    out = _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c)
+    gamma_mat, lam, construction_ok = _assemble(
+        g.adjacency(), truth, omega, out["nu"], out["R"], out["T"]
+    )
+    return DualCertificate(
+        omega=omega,
+        eps1=eps1,
+        eps2=eps2,
+        Gamma=gamma_mat,
+        Lambda=lam,
+        construction_ok=construction_ok,
+        **out,
+    )
 
 
-def _complement_basis(truth: PartitionLabels) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span{1_i - 1_j}:
-    block zero-sum vectors plus the normalized vector sum_i (1/s_i) 1_i."""
-    n = truth.n
-    sizes = truth.sizes()
-    cols = []
-    for i in range(truth.r):
-        vi = truth.members(i)
-        if len(vi) > 1:
-            h = helmert(len(vi))  # (s-1) x s orthonormal rows, each sums to 0
-            for row in h:
-                col = np.zeros(n)
-                col[vi] = row
-                cols.append(col)
-    y = np.zeros(n)
-    for i in range(truth.r):
-        y[truth.members(i)] = 1.0 / sizes[i]
-    cols.append(y / np.linalg.norm(y))
-    return np.column_stack(cols)
+def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric part of Lambda compressed
+    onto the orthogonal complement of span{1_i - 1_j}.
+
+    U is an orthonormal basis of the span and P = I - U U^T.  The matrix
+    P Lambda P + s U U^T has the n - r + 1 compressed eigenvalues plus s,
+    r - 1 times.  s exceeds the largest absolute row and column sum of
+    Lambda, which bound its spectral norm, so the copies of s are the top
+    r - 1 eigenvalues; they are dropped.  The shift costs rank-(r - 1)
+    updates, O(n^2 r), and one dense eigvalsh.
+    """
+    n, r = truth.n, truth.r
+    ind = truth.indicator_matrix()
+    u, _ = np.linalg.qr(ind[:, :-1] - ind[:, -1:])
+    abs_lam = np.abs(lam)
+    s = 1.0 + max(float(abs_lam.sum(axis=0).max()), float(abs_lam.sum(axis=1).max()))
+    del abs_lam
+    m = lam + lam.T
+    m *= 0.5
+    w = m @ u
+    k = u.T @ w
+    # P m P + s U U^T = m - B U^T - U B^T, with B = m U - U (U^T m U + s I) / 2
+    b = w - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(r - 1))
+    m -= b @ u.T
+    m -= u @ b.T
+    return np.linalg.eigvalsh(m)[: n - r + 1]
+
+
+def _partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
+    """<A, X> - omega <J, X> at the centered partition matrix X (1 within a
+    community, -1/(r-1) across), from the block edge totals and the sizes."""
+    r = len(sizes)
+    within = float(np.trace(e_ij))
+    across = float(np.sum(e_ij)) - within
+    sizes = sizes.astype(float)
+    n = float(np.sum(sizes))
+    same = float(np.sum(sizes**2))
+    return within - across / (r - 1) - omega * (same - (n * n - same) / (r - 1))
 
 
 def verify_certificate(
@@ -263,15 +304,14 @@ def verify_certificate(
             )
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
 
-    p_basis = _complement_basis(truth)
-    reduced = p_basis.T @ lam @ p_basis
-    reduced = 0.5 * (reduced + reduced.T)
-    psd_margin = float(np.min(np.linalg.eigvalsh(reduced)))
-    lam_2 = float(np.max(np.abs(np.linalg.eigvalsh(lam))))
+    spectrum = _compressed_spectrum(lam, truth)
+    psd_margin = float(spectrum[0])
+    # the compressed spectral norm, at most ||Lambda||_2 by interlacing
+    lam_2 = float(np.max(np.abs(spectrum)))
     psd_ok = psd_margin >= -1e-8 * max(lam_2, 1.0)
 
-    x_hat = centered_partition_matrix(truth)
-    primal = float(np.sum(g.adjacency() * x_hat)) - cert.omega * float(np.sum(x_hat))
+    _, e_ij = edge_counts(g, truth)
+    primal = _partition_objective(e_ij, sizes, cert.omega)
     dual = float(np.sum(cert.nu)) + float(np.sum(cert.Gamma)) / (r - 1)
     slackness_gap = abs(primal - dual)
     scale = 1.0 + n * math.log(n)
@@ -347,7 +387,7 @@ def algebraic_identity_suite(
     worst = float(np.max(np.abs(lhs_vec - rhs_vec)))
     results.append(("lambda_y_prime", worst, 0.0, worst <= rel_tol * scale))
 
-    _, e_ij = edge_counts(g, truth)
+    e_vj, e_ij = edge_counts(g, truth)
     for i in range(r):
         for j in range(i + 1, r):
             row = float(np.sum(cert.R[truth.members(i), j]))
@@ -363,7 +403,6 @@ def algebraic_identity_suite(
             cert.c,
         )
 
-    e_vj, _ = edge_counts(g, truth)
     nu_formula = (
         e_vj[np.arange(n), lab] - cert.omega * sizes[lab] + cert.gamma_v
     )

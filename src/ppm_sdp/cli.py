@@ -2,7 +2,9 @@
 
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
-verifies.
+verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
+a flag its mode needs left out, invalid parameters or a malformed graph or
+label file.  A one-line message goes to standard error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from . import certificate, harness, oracle, sdp, thresholds
 from .graph_model import (
     AdversarySpec,
+    GraphFormatError,
     PlantedPartitionParams,
     apply_adversary,
     read_graph,
@@ -24,13 +27,41 @@ from .graph_model import (
     write_graph,
     write_labels,
 )
+from .thresholds import ParameterError
 
 EXIT_OK = 0
+EXIT_NOT_VERIFIED = 1
 EXIT_ROUNDING_FAILURE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_USAGE = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_USAGE with one line; argparse's own code, 2,
+    is the rounding-failure code here."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _require(args, *flags):
+    """Raise ParameterError naming the flags in `flags` left unset."""
+    missing = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is None]
+    if missing:
+        raise ParameterError(f"{args.command} needs {', '.join(missing)}")
+
+
+def _require_mode_args(args):
+    """The flags each --mode of solve/oracle needs: known needs --sizes;
+    unknown needs --omega, and --r unless --sizes gives it."""
+    if args.mode == "known":
+        _require(args, "--sizes")
+    else:
+        _require(args, "--omega", *(() if args.sizes else ("--r",)))
 
 
 def _params_from_args(args) -> PlantedPartitionParams:
+    _require(args, "--n", "--pi", "--p-tilde", "--q-tilde")
     pi = tuple(float(x) for x in args.pi.split(","))
     return PlantedPartitionParams(
         n=args.n, r=len(pi), pi=pi, p_tilde=args.p_tilde, q_tilde=args.q_tilde
@@ -102,6 +133,7 @@ def _solve_common(args, g, r):
 
 
 def cmd_solve(args) -> int:
+    _require_mode_args(args)
     g = read_graph(args.graph)
     r = args.r if args.r else len(args.sizes.split(","))
     sol, opts = _solve_common(args, g, r)
@@ -126,12 +158,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_mode_args(args)
     g = read_graph(args.graph)
     if args.mode == "known":
         sizes = [int(x) for x in args.sizes.split(",")]
         result = oracle.mle_known_sizes(g, sizes, max_n=args.max_n)
     else:
-        result = oracle.mle_unknown_sizes(g, args.r, args.omega, max_n=args.max_n)
+        r = args.r if args.r else len(args.sizes.split(","))
+        result = oracle.mle_unknown_sizes(g, r, args.omega, max_n=args.max_n)
     info = {
         "objective": result.best_objective,
         "is_unique": result.is_unique,
@@ -154,7 +188,7 @@ def cmd_certify(args) -> int:
     cert = certificate.build_certificate(g, truth, params, omega=args.omega)
     report = certificate.verify_certificate(g, truth, cert)
     print(json.dumps(report.to_dict(), indent=2))
-    return EXIT_OK if report.verified else 1
+    return EXIT_OK if report.verified else EXIT_NOT_VERIFIED
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
@@ -221,7 +255,7 @@ def cmd_omega_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ppm-sdp")
+    parser = _Parser(prog="ppm-sdp")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a planted partition graph")
@@ -306,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParameterError, GraphFormatError) as exc:
+        print(f"ppm-sdp: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

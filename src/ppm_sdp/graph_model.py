@@ -7,6 +7,7 @@ across platforms and safe to generate concurrently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -94,12 +95,16 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int64 array of the edges, in no particular order."""
+        flat = itertools.chain.from_iterable(self.edges)
+        return np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
+
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        if self.edges:
-            e = np.asarray(self.sorted_edges())
-            a[e[:, 0], e[:, 1]] = 1.0
-            a[e[:, 1], e[:, 0]] = 1.0
+        e = self.edge_array()
+        a[e[:, 0], e[:, 1]] = 1.0
+        a[e[:, 1], e[:, 0]] = 1.0
         return a
 
     @classmethod

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -259,7 +259,7 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
     """
     if cfg.adversary is None:
         raise ParameterError("robustness suite requires an adversary spec")
-    clean_cfg = ExperimentConfig(**{**asdict_config(cfg), "adversary": None})
+    clean_cfg = replace(cfg, adversary=None)
     rows = []
     clean_ok = adv_ok = violations = 0
     for n, pt, qt in cfg.cells():
@@ -299,11 +299,6 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
             writer.writeheader()
             writer.writerows(rows)
     return result
-
-
-def asdict_config(cfg: ExperimentConfig) -> dict:
-    d = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    return d
 
 
 @dataclass

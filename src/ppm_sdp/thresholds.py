@@ -8,7 +8,7 @@ q_tilde, pi) and a general block model by a rate matrix Q_tilde and pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,6 @@ def compute_omega(p: float, q: float) -> float:
     beta = math.log1p(-q) - math.log1p(-p)
     alpha = math.log(p) - math.log(q) + beta
     return beta / alpha
-
-
-def mle_coefficients(p: float, q: float) -> tuple[float, float]:
-    """(alpha, beta) log-ratio coefficients of the likelihood expansion."""
-    if not (0.0 < q < p < 1.0):
-        raise ParameterError(f"need 0 < q < p < 1, got p={p}, q={q}")
-    beta = math.log1p(-q) - math.log1p(-p)
-    alpha = math.log(p) - math.log(q) + beta
-    return alpha, beta
 
 
 def rate_constant_tau(p_tilde: float, q_tilde: float) -> float:
@@ -181,33 +172,6 @@ def bm_dominates(q_high: np.ndarray, q_low: np.ndarray) -> bool:
     return bool(
         np.all(np.diag(q_high) >= np.diag(q_low)) and np.all(q_high[off] <= q_low[off])
     )
-
-
-@dataclass
-class RegimeConstants:
-    """Derived constants for a planted partition model at finite n."""
-
-    alpha: float
-    beta: float
-    omega: float
-    tau: float
-    gamma_ij: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_params(cls, params) -> "RegimeConstants":
-        alpha, beta = mle_coefficients(params.p, params.q)
-        omega = beta / alpha
-        tau = rate_constant_tau(params.p_tilde, params.q_tilde)
-        pi = np.asarray(params.pi, dtype=float)
-        r = len(pi)
-        gamma = np.zeros((r, r))
-        for i in range(r):
-            for j in range(r):
-                gamma[i, j] = math.sqrt(
-                    tau**2 * (pi[i] - pi[j]) ** 2
-                    + 4.0 * pi[i] * pi[j] * params.p_tilde * params.q_tilde
-                )
-        return cls(alpha=alpha, beta=beta, omega=omega, tau=tau, gamma_ij=gamma)
 
 
 @dataclass

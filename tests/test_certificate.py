@@ -5,8 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import helmert
 
 from ppm_sdp.certificate import (
+    _compressed_spectrum,
+    _partition_objective,
     algebraic_identity_suite,
     build_certificate,
     edge_counts,
@@ -39,7 +42,29 @@ def complete_blocks(*blocks):
     return Graph(n=n, edges=frozenset(edges))
 
 
+def complement_basis(truth):
+    """Reference orthonormal basis of the orthogonal complement of
+    span{1_i - 1_j}: Helmert zero-sum vectors within each community plus the
+    normalized vector sum_i (1/s_i) 1_i."""
+    n = truth.n
+    sizes = truth.sizes()
+    cols = []
+    for i in range(truth.r):
+        vi = truth.members(i)
+        if len(vi) > 1:
+            for row in helmert(len(vi)):  # (s-1) x s orthonormal rows, each sums to 0
+                col = np.zeros(n)
+                col[vi] = row
+                cols.append(col)
+    y = np.zeros(n)
+    for i in range(truth.r):
+        y[truth.members(i)] = 1.0 / sizes[i]
+    cols.append(y / np.linalg.norm(y))
+    return np.column_stack(cols)
+
+
 STRONG = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+UNEQUAL_PI = [(0.6, 0.4), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +83,14 @@ class TestEdgeCounts:
         assert e_vj[2].tolist() == [2.0, 1.0]
         assert e_ij[0, 1] == 1.0
         assert e_ij[0, 0] == 6.0  # twice the intra edge count
+
+    def test_matches_dense_products(self, strong_instance):
+        g, truth, _ = strong_instance
+        a = g.adjacency()
+        m = truth.indicator_matrix()
+        e_vj, e_ij = edge_counts(g, truth)
+        assert np.array_equal(e_vj, a @ m)
+        assert np.array_equal(e_ij, m.T @ a @ m)
 
 
 class TestConstruction:
@@ -159,6 +192,55 @@ class TestVerification:
         g, truth, cert = strong_instance
         text = json.dumps(verify_certificate(g, truth, cert).to_dict())
         assert "verified" in text
+
+
+class TestCompressedPsd:
+    @pytest.mark.parametrize("pi", UNEQUAL_PI)
+    def test_spectrum_matches_helmert_reference(self, pi):
+        par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        cert = build_certificate(g, truth, par)
+        # a symmetric perturbation that does not vanish on span{1_i - 1_j},
+        # so the compression itself, not the kernel property, is exercised
+        noise = np.random.default_rng(0).normal(size=cert.Lambda.shape)
+        perturbed = dataclasses.replace(cert, Lambda=cert.Lambda + noise + noise.T)
+        basis = complement_basis(truth)
+        for c in (cert, perturbed):
+            reduced = basis.T @ c.Lambda @ basis
+            expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            spectrum = _compressed_spectrum(c.Lambda, truth)
+            assert np.max(np.abs(spectrum - expected)) <= 1e-9 * scale
+            report = verify_certificate(g, truth, c)
+            assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
+            assert report.psd_ok == (expected[0] >= -1e-8 * scale)
+
+    def test_negative_direction_in_complement_flips_psd_ok(self, strong_instance):
+        g, truth, cert = strong_instance
+        assert verify_certificate(g, truth, cert).psd_ok
+        # zero-sum within community 0, hence orthogonal to every 1_i - 1_j
+        w = np.zeros(g.n)
+        a, b = truth.members(0)[:2]
+        w[a], w[b] = 1.0, -1.0
+        w /= np.linalg.norm(w)
+        t = float(w @ cert.Lambda @ w) + 1.0  # w^T Lambda' w = -1 afterwards
+        bad = dataclasses.replace(cert, Lambda=cert.Lambda - t * np.outer(w, w))
+        report = verify_certificate(g, truth, bad)
+        assert report.psd_margin <= -1.0 + 1e-9
+        assert report.kernel_ok
+        assert not report.psd_ok
+        assert not report.verified
+
+    @pytest.mark.parametrize("pi", UNEQUAL_PI)
+    def test_closed_form_primal_matches_dense(self, pi):
+        par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        omega = compute_omega(par.p, par.q)
+        x_hat = centered_partition_matrix(truth)
+        dense = float(np.sum(g.adjacency() * x_hat)) - omega * float(np.sum(x_hat))
+        _, e_ij = edge_counts(g, truth)
+        closed = _partition_objective(e_ij, truth.sizes(), omega)
+        assert closed == pytest.approx(dense, rel=1e-12, abs=1e-9)
 
 
 class TestAlgebraicIdentities:

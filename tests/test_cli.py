@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from ppm_sdp.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_ROUNDING_FAILURE, main
+from ppm_sdp.cli import (
+    EXIT_NO_CONVERGENCE,
+    EXIT_NOT_VERIFIED,
+    EXIT_OK,
+    EXIT_ROUNDING_FAILURE,
+    EXIT_USAGE,
+    main,
+)
 from ppm_sdp.graph_model import (
     Graph,
     PartitionLabels,
@@ -220,7 +227,7 @@ class TestCertify:
             "certify", "--graph", str(gp), "--labels", str(lp),
             "--p-tilde", "21", "--q-tilde", "2", "--omega", "0.01",
         )
-        assert code == 1
+        assert code == EXIT_NOT_VERIFIED
         assert json.loads(out)["verified"] is False
 
 
@@ -269,3 +276,64 @@ class TestPhaseAndSweep:
         assert code == EXIT_OK
         entries = json.loads(out)
         assert len(entries) == 1 and "is_partition" in entries[0]
+
+
+class TestUsageErrors:
+    """Bad input exits EXIT_USAGE with one line on stderr, never a traceback
+    or a code that means something else."""
+
+    @staticmethod
+    def usage_error(capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ppm-sdp")
+        return lines[0]
+
+    def test_argparse_error(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp))
+        assert "--mode" in line
+
+    def test_solve_unknown_without_omega(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "unknown", "--r", "2")
+        assert "--omega" in line
+
+    def test_solve_unknown_without_r(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "unknown", "--omega", "0.2")
+        assert "--r" in line
+
+    def test_solve_known_without_sizes(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "known")
+        assert "--sizes" in line
+
+    def test_oracle_unknown_without_r(self, tmp_path, capsys):
+        gp = tmp_path / "g.txt"
+        write_graph(Graph(n=2, edges=frozenset({(0, 1)})), gp)
+        line = self.usage_error(capsys, "oracle", "--graph", str(gp), "--mode", "unknown", "--omega", "0.5")
+        assert "--r" in line
+
+    def test_threshold_without_model_or_flags(self, capsys):
+        line = self.usage_error(capsys, "threshold", "--n", "300")
+        assert "--pi" in line
+
+    def test_parameter_error(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "known", "--sizes", "50,50")
+        assert "do not sum" in line
+
+    def test_graph_format_error(self, tmp_path, capsys, sampled):
+        _, lp = sampled
+        gp = tmp_path / "bad.txt"
+        gp.write_text("120 1\n5 3\n")
+        line = self.usage_error(
+            capsys, "certify", "--graph", str(gp), "--labels", str(lp), "--p-tilde", "16", "--q-tilde", "2"
+        )
+        assert "line 2" in line
