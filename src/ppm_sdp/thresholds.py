@@ -7,8 +7,10 @@ q_tilde, pi) and a general block model by a rate matrix Q_tilde and pi.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -17,17 +19,34 @@ class ParameterError(ValueError):
     """Raised when model parameters are outside their domain."""
 
 
+def _ln1p(u: Decimal) -> Decimal:
+    """log(1 + u) for u > -1, without losing a tiny u to the rounding of 1 + u."""
+    if abs(u) < Decimal("1e-12"):
+        # the first omitted term is below 1e-48 relative
+        return u - u**2 / 2 + u**3 / 3 - u**4 / 4
+    return (1 + u).ln()
+
+
 def compute_omega(p: float, q: float) -> float:
     """Regularizer omega = beta / alpha for edge probabilities 0 < q < p < 1.
 
-    alpha = log(p(1-q)/(q(1-p))), beta = log((1-q)/(1-p)).  Always satisfies
-    q < omega < p.
+    alpha = log(p(1-q)/(q(1-p))), beta = log((1-q)/(1-p)).  Mathematically
+    q < omega < p.  In double precision both logarithms cancel when p and q
+    are close (omega lands outside [q, p], or 0/0 when they are adjacent), so
+    the ratio is formed from the gap p - q in 40-digit decimal arithmetic and
+    rounded once.  The result is the double nearest omega: q < omega < p
+    whenever some double lies strictly between q and p, and q <= omega <= p
+    when p is the double right after q.
     """
     if not (0.0 < q < p < 1.0):
         raise ParameterError(f"need 0 < q < p < 1, got p={p}, q={q}")
-    beta = math.log1p(-q) - math.log1p(-p)
-    alpha = math.log(p) - math.log(q) + beta
-    return beta / alpha
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dp, dq = Decimal(p), Decimal(q)
+        gap = dp - dq
+        beta = _ln1p(gap / (1 - dp))
+        alpha = _ln1p(gap / dq) + beta
+        return float(beta / alpha)
 
 
 def rate_constant_tau(p_tilde: float, q_tilde: float) -> float:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppm_sdp import thresholds
@@ -46,16 +46,32 @@ class TestOmega:
             w = compute_omega(p, q)
             assert q < w < p
 
+    def test_sandwich_a_few_ulps_apart(self):
+        # double-precision logarithms cancel here; see compute_omega
+        for q in (1e-300, 1e-4, 0.0001, 0.2779662139503395, 0.5, 1 - 1e-9):
+            p = math.nextafter(q, 1.0)
+            assert q <= compute_omega(p, q) <= p
+            for _ in range(63):
+                p = math.nextafter(p, 1.0)
+                assert q < compute_omega(p, q) < p
+
     @given(
         st.floats(1e-4, 1 - 1e-4),
         st.floats(1e-4, 1 - 1e-4),
     )
+    @example(a=0.00010000000000000002, b=0.0001)
+    @example(a=0.2779662139503395, b=0.27796621395033944)
     @settings(max_examples=200)
     def test_sandwich_property(self, a, b):
         q, p = sorted((a, b))
         if p <= q:
             return
-        assert q < compute_omega(p, q) < p
+        w = compute_omega(p, q)
+        if math.nextafter(q, p) == p:
+            # adjacent doubles: none lies strictly between them
+            assert q <= w <= p
+        else:
+            assert q < w < p
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
