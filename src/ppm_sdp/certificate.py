@@ -63,6 +63,7 @@ class CertificateReport:
     kernel_residual: float
     kernel_ok: bool
     psd_margin: float
+    psd_tol: float  # psd_ok allows psd_margin down to -psd_tol
     psd_ok: bool
     slackness_gap: float
     slackness_ok: bool
@@ -254,7 +255,7 @@ def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
     return np.linalg.eigvalsh(m)[: n - r + 1]
 
 
-def _partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
+def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
     """<A, X> - omega <J, X> at the centered partition matrix X (1 within a
     community, -1/(r-1) across), from the block edge totals and the sizes."""
     r = len(sizes)
@@ -308,10 +309,11 @@ def verify_certificate(
     psd_margin = float(spectrum[0])
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = float(np.max(np.abs(spectrum)))
-    psd_ok = psd_margin >= -1e-8 * max(lam_2, 1.0)
+    psd_tol = 1e-8 * max(lam_2, 1.0)
+    psd_ok = psd_margin >= -psd_tol
 
     _, e_ij = edge_counts(g, truth)
-    primal = _partition_objective(e_ij, sizes, cert.omega)
+    primal = partition_objective(e_ij, sizes, cert.omega)
     dual = float(np.sum(cert.nu)) + float(np.sum(cert.Gamma)) / (r - 1)
     slackness_gap = abs(primal - dual)
     scale = 1.0 + n * math.log(n)
@@ -350,6 +352,7 @@ def verify_certificate(
         kernel_residual=kernel_residual,
         kernel_ok=kernel_ok,
         psd_margin=psd_margin,
+        psd_tol=psd_tol,
         psd_ok=psd_ok,
         slackness_gap=slackness_gap,
         slackness_ok=slackness_ok,

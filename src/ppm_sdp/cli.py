@@ -1,10 +1,17 @@
 """Command-line interface: `ppm-sdp <subcommand>`.
 
+`solve` tries the dual certificate first: it builds and verifies the
+certificate for a spectral candidate partition, and when that proves the
+candidate the unique SDP optimum it reports the candidate without running
+ADMM ("method": "certificate", iterations 0).  Otherwise it runs ADMM and
+rounds ("method": "admm").
+
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
-a flag its mode needs left out, invalid parameters or a malformed graph or
-label file.  A one-line message goes to standard error.
+a flag its mode needs left out, invalid parameters, a malformed graph or
+label file, malformed JSON, or a file that cannot be read or written.  A
+one-line message goes to standard error.
 """
 
 from __future__ import annotations
@@ -121,26 +128,18 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(args, g, r):
+def _solve_admm(args, g, r, sizes) -> int:
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
-    if args.mode == "known":
-        sizes = [int(x) for x in args.sizes.split(",")]
+    if sizes is not None:
         prob = sdp.build_known_sizes(g, sizes)
     else:
         prob = sdp.build_unknown_sizes(g, r, args.omega)
     sol = sdp.solve(prob, opts)
-    return sol, opts
-
-
-def cmd_solve(args) -> int:
-    _require_mode_args(args)
-    g = read_graph(args.graph)
-    r = args.r if args.r else len(args.sizes.split(","))
-    sol, opts = _solve_common(args, g, r)
     rounding = sdp.round_to_partition(sol, r, opts.round_tol)
     if args.out_matrix:
         np.savetxt(args.out_matrix, sol.X)
     info = {
+        "method": "admm",
         "objective": sol.objective,
         "iterations": sol.iterations,
         "converged": sol.converged,
@@ -154,6 +153,36 @@ def cmd_solve(args) -> int:
         return EXIT_ROUNDING_FAILURE
     if args.out_labels:
         write_labels(rounding.labels, args.out_labels)
+    return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    _require_mode_args(args)
+    g = read_graph(args.graph)
+    r = args.r if args.r else len(args.sizes.split(","))
+    known = args.mode == "known"
+    sizes = [int(x) for x in args.sizes.split(",")] if known else None
+    omega = None if known else args.omega
+    certified = sdp.certified_partition(g, r, omega=omega, sizes=sizes)
+    if certified is None:
+        return _solve_admm(args, g, r, sizes)
+    labels, _ = certified
+    if args.out_matrix:
+        np.savetxt(args.out_matrix, sdp.centered_partition_matrix(labels))
+    _, e_ij = certificate.edge_counts(g, labels)
+    # the known-sizes objective is <A, X>; the unknown-sizes one <A - omega J, X>
+    objective = certificate.partition_objective(e_ij, labels.sizes(), 0.0 if known else omega)
+    info = {
+        "method": "certificate",
+        "objective": objective,
+        "iterations": 0,
+        "converged": True,
+        "rounded": True,
+        "max_deviation": 0.0,
+    }
+    print(json.dumps(info, indent=2))
+    if args.out_labels:
+        write_labels(labels, args.out_labels)
     return EXIT_OK
 
 
@@ -342,8 +371,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, GraphFormatError) as exc:
+    except (ParameterError, GraphFormatError, OSError) as exc:
         print(f"ppm-sdp: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except json.JSONDecodeError as exc:
+        print(f"ppm-sdp: error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -184,7 +184,12 @@ class AdversarySpec:
 
     @classmethod
     def from_json(cls, text: str) -> "AdversarySpec":
-        obj = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, obj) -> "AdversarySpec":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ParameterError('an adversary spec is a JSON object with a "kind"')
         return cls(kind=obj["kind"], params=obj.get("params", {}))
 
     def to_json(self) -> str:
@@ -432,6 +437,44 @@ def write_graph(g: Graph, path) -> None:
             f.write(f"{u} {v}\n")
 
 
+def _edge_rows(body: list, n: int) -> np.ndarray | None:
+    """The edge lines as an (m, 2) int64 array, parsed by one numpy call and
+    checked with array operations; None when any line is not two integers or
+    any edge is out of range, unordered or repeated."""
+    if not body:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        e = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if e.shape != (len(body), 2):  # loadtxt skips blank lines
+        return None
+    u, v = e[:, 0], e[:, 1]
+    if not np.all((0 <= u) & (u < v) & (v < n)):
+        return None
+    s = e[np.lexsort((v, u))]
+    if np.any(np.all(s[1:] == s[:-1], axis=1)):
+        return None
+    return e
+
+
+def _edges_by_line(body: list, n: int) -> set:
+    """The edge lines parsed one at a time; raises GraphFormatError at the
+    first bad line."""
+    edges = set()
+    for k, line in enumerate(body, start=2):
+        try:
+            u, v = (int(x) for x in line.split())
+        except ValueError:
+            raise GraphFormatError(f"bad edge line {line!r}", line=k) from None
+        if not (0 <= u < v < n):
+            raise GraphFormatError(f"out-of-range or unordered edge ({u}, {v})", line=k)
+        if (u, v) in edges:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})", line=k)
+        edges.add((u, v))
+    return edges
+
+
 def read_graph(path) -> Graph:
     with open(path) as f:
         lines = f.read().splitlines()
@@ -443,18 +486,12 @@ def read_graph(path) -> Graph:
         raise GraphFormatError(f"bad header {lines[0]!r}", line=1) from None
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", line=1)
-    edges = set()
-    for k, line in enumerate(lines[1:], start=2):
-        try:
-            u, v = (int(x) for x in line.split())
-        except ValueError:
-            raise GraphFormatError(f"bad edge line {line!r}", line=k) from None
-        if not (0 <= u < v < n):
-            raise GraphFormatError(f"out-of-range or unordered edge ({u}, {v})", line=k)
-        if (u, v) in edges:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", line=k)
-        edges.add((u, v))
-    return Graph(n=n, edges=frozenset(edges))
+    e = _edge_rows(lines[1:], n)
+    if e is None:
+        # the per-line parse names the first bad line, and accepts the few
+        # integer spellings loadtxt does not (such as 1_000)
+        return Graph(n=n, edges=frozenset(_edges_by_line(lines[1:], n)))
+    return Graph(n=n, edges=frozenset(zip(e[:, 0].tolist(), e[:, 1].tolist())))
 
 
 def write_labels(labels: PartitionLabels, path) -> None:

@@ -71,10 +71,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ParameterError("an experiment config is a JSON object")
         adv = obj.pop("adversary", None)
         if adv is not None:
-            adv = AdversarySpec(kind=adv["kind"], params=adv.get("params", {}))
-        return cls(adversary=adv, **obj)
+            adv = AdversarySpec.from_dict(adv)
+        try:
+            return cls(adversary=adv, **obj)
+        except TypeError as exc:  # a missing or unknown field
+            raise ParameterError(f"bad experiment config: {exc}") from None
 
     def cells(self) -> list:
         out = []

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import Graph, PartitionLabels
-from .thresholds import ParameterError
+from . import certificate
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .thresholds import ParameterError, compute_omega
 
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
@@ -76,25 +77,36 @@ def j_constraint_target(sizes) -> float:
     return r / (r - 1) * float(np.sum(sizes**2)) - n**2 / (r - 1)
 
 
-def build_known_sizes(g: Graph, sizes) -> SdpProblem:
-    """Known-sizes program: maximize <A, X> subject to the sum constraint."""
+def _check_r(r: int) -> None:
+    if r < 2:
+        raise ParameterError("need r >= 2")
+
+
+def _check_sizes(g: Graph, sizes) -> list:
     sizes = [int(s) for s in sizes]
     if sum(sizes) != g.n or any(s < 1 for s in sizes):
         raise ParameterError(f"sizes {sizes} do not sum to n={g.n}")
-    r = len(sizes)
-    if r < 2:
-        raise ParameterError("need r >= 2")
+    _check_r(len(sizes))
+    return sizes
+
+
+def _check_omega(omega: float) -> None:
+    if not (0.0 < omega < 1.0):
+        raise ParameterError(f"need 0 < omega < 1, got {omega}")
+
+
+def build_known_sizes(g: Graph, sizes) -> SdpProblem:
+    """Known-sizes program: maximize <A, X> subject to the sum constraint."""
+    sizes = _check_sizes(g, sizes)
     return SdpProblem(
-        n=g.n, r=r, objective=g.adjacency(), j_target=j_constraint_target(sizes)
+        n=g.n, r=len(sizes), objective=g.adjacency(), j_target=j_constraint_target(sizes)
     )
 
 
 def build_unknown_sizes(g: Graph, r: int, omega: float) -> SdpProblem:
     """Unknown-sizes program: maximize <A - omega J, X>."""
-    if r < 2:
-        raise ParameterError("need r >= 2")
-    if not (0.0 < omega < 1.0):
-        raise ParameterError(f"need 0 < omega < 1, got {omega}")
+    _check_r(r)
+    _check_omega(omega)
     c = g.adjacency() - omega
     return SdpProblem(n=g.n, r=r, objective=c, omega=omega)
 
@@ -210,23 +222,47 @@ def _labels_from_components(same: np.ndarray, r: int) -> PartitionLabels | None:
     return PartitionLabels(labels=tuple(labels.tolist()), r=r)
 
 
-def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
-    from scipy.cluster.vq import kmeans2
+def _kmeans(rows: np.ndarray, r: int) -> np.ndarray | None:
+    """Lloyd's k-means on the rows, seeded deterministically: the row of
+    largest norm, then each next seed the row farthest from the seeds so far.
+    Stops when the assignment repeats, or after 100 rounds.  Returns the
+    cluster of each row, or None when a cluster is empty."""
 
+    def sq_dist(center):
+        return np.sum((rows - center) ** 2, axis=1)
+
+    seeds = [int(np.argmax(np.sum(rows**2, axis=1)))]
+    nearest = sq_dist(rows[seeds[0]])
+    for _ in range(1, r):
+        seeds.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, sq_dist(rows[seeds[-1]]))
+    centers = rows[seeds]
+    assign = None
+    for _ in range(100):
+        dist = np.stack([sq_dist(c) for c in centers], axis=1)
+        new = np.argmin(dist, axis=1)
+        counts = np.bincount(new, minlength=r)
+        if np.any(counts == 0):
+            return None
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        centers = (np.eye(r)[assign].T @ rows) / counts[:, None]
+    return assign
+
+
+def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
+    """Cluster the rows of the top r-1 eigenvectors of X, scaled by their
+    eigenvalues; None when a cluster comes out empty."""
     w, v = np.linalg.eigh(X)
     rows = v[:, -(r - 1):] * w[-(r - 1):]
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    _, assign = kmeans2(rows, r, minit="++", seed=12345)
-    if len(set(assign.tolist())) != r:
+    assign = _kmeans(rows, r)
+    if assign is None:
         return None
     # canonical first-occurrence relabeling
-    remap, labels = {}, []
-    for a in assign.tolist():
-        if a not in remap:
-            remap[a] = len(remap)
-        labels.append(remap[a])
-    return PartitionLabels(labels=tuple(labels), r=r)
+    _, first = np.unique(assign, return_index=True)
+    relabel = np.argsort(np.argsort(first))
+    return PartitionLabels(labels=tuple(relabel[assign].tolist()), r=r)
 
 
 def round_to_partition(
@@ -255,3 +291,61 @@ def round_to_partition(
     if deviation > round_tol:
         return RoundingResult(labels=None, success=False, max_deviation=deviation)
     return RoundingResult(labels=labels, success=True, max_deviation=deviation)
+
+
+def certified_partition(
+    g: Graph, r: int, omega: float | None = None, sizes=None
+) -> tuple[PartitionLabels, certificate.CertificateReport] | None:
+    """A partition that the dual certificate proves to be the unique optimum
+    of the SDP, with its certificate report, or None.
+
+    The candidate clusters the top r-1 eigenvectors of A - w J, where w is
+    `omega`, or the edge density 2m/n^2 when no omega is given.  With `sizes`
+    (known sizes) the candidate must have those sizes.  The edge densities
+    p_hat, q_hat within and across its communities must satisfy
+    0 < q_hat < p_hat < 1; without `omega` the certificate uses
+    omega(p_hat, q_hat).  The candidate is accepted only when the certificate
+    verifies with a PSD margin above the verifier's tolerance: uniqueness
+    needs Lambda strictly positive on the complement of span{1_i - 1_j}.
+
+    Raises ParameterError on the inputs build_known_sizes and
+    build_unknown_sizes reject; a candidate that fails any check above
+    returns None.
+    """
+    if sizes is not None:
+        sizes = sorted(_check_sizes(g, sizes))
+    _check_r(r)
+    if omega is not None:
+        _check_omega(omega)
+    n = g.n
+    c = g.adjacency()
+    c -= 2.0 * g.m / n**2 if omega is None else omega
+    labels = _spectral_labels(c, r)
+    del c
+    if labels is None:
+        return None
+    cand = labels.sizes()
+    if sizes is not None and sorted(cand.tolist()) != sizes:
+        return None
+    within_pairs = float(np.sum(cand * (cand - 1))) / 2.0
+    if within_pairs == 0.0:
+        return None
+    across_pairs = (n * n - float(np.sum(cand**2))) / 2.0
+    _, e_ij = certificate.edge_counts(g, labels)
+    within = float(np.trace(e_ij)) / 2.0
+    p_hat = within / within_pairs
+    q_hat = (float(np.sum(e_ij)) / 2.0 - within) / across_pairs
+    if not (0.0 < q_hat < p_hat < 1.0):
+        return None
+    scale = n / math.log(n)
+    params = PlantedPartitionParams(
+        n=n, r=r, pi=tuple((cand / n).tolist()),
+        p_tilde=p_hat * scale, q_tilde=q_hat * scale,
+    )
+    if omega is None:
+        omega = compute_omega(p_hat, q_hat)
+    cert = certificate.build_certificate(g, labels, params, omega=omega)
+    report = certificate.verify_certificate(g, labels, cert)
+    if not (report.verified and report.psd_margin > report.psd_tol):
+        return None
+    return labels, report

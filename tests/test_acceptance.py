@@ -26,6 +26,7 @@ from ppm_sdp.sdp import (
     build_known_sizes,
     build_unknown_sizes,
     centered_partition_matrix,
+    certified_partition,
     objective_value,
     round_to_partition,
     solve,
@@ -65,6 +66,11 @@ def desk_runs():
         sol_u = solve(build_unknown_sizes(g, truth.r, omega), DESK_OPTS)
         ru = round_to_partition(sol_u, truth.r, DESK_OPTS.round_tol)
         out["unknown"] = ru.success and labels_agree(ru.labels, truth)
+        out["admm_labels"] = {"known": rk.labels, "unknown": ru.labels}
+        out["certified"] = {
+            "known": certified_partition(g, truth.r, sizes=truth.sizes()),
+            "unknown": certified_partition(g, truth.r, omega=omega),
+        }
         cert = build_certificate(g, truth, DESK_PARAMS)
         out["verified"] = verify_certificate(g, truth, cert).verified
         runs.append(out)
@@ -181,6 +187,21 @@ def test_criterion_5_desk_scale_recovery(desk_runs):
         f"minD={min_div:.3f}, known={known_rate:.2f}, unknown={unknown_rate:.2f}, "
         f"verified={verified_rate:.2f} over {DESK_SEEDS} seeds",
     )
+
+
+def test_criterion_5_certified_labels_match_admm(desk_runs):
+    """The certificate-first solve and ADMM give the same partition wherever
+    both give one, in both modes."""
+    compared = mismatches = 0
+    for run in desk_runs:
+        for mode in ("known", "unknown"):
+            admm, certified = run["admm_labels"][mode], run["certified"][mode]
+            if admm is None or certified is None:
+                continue
+            compared += 1
+            mismatches += not labels_agree(certified[0], admm)
+    ok = mismatches == 0 and compared >= 0.9 * 2 * DESK_SEEDS
+    verdict(5, ok, f"{compared} certified/ADMM pairs over both modes, {mismatches} disagree")
 
 
 def test_criterion_6_semirandom_robustness(desk_runs):

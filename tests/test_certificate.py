@@ -9,11 +9,11 @@ from scipy.linalg import helmert
 
 from ppm_sdp.certificate import (
     _compressed_spectrum,
-    _partition_objective,
     algebraic_identity_suite,
     build_certificate,
     edge_counts,
     interval_margins,
+    partition_objective,
     verify_certificate,
 )
 from ppm_sdp.graph_model import (
@@ -239,7 +239,7 @@ class TestCompressedPsd:
         x_hat = centered_partition_matrix(truth)
         dense = float(np.sum(g.adjacency() * x_hat)) - omega * float(np.sum(x_hat))
         _, e_ij = edge_counts(g, truth)
-        closed = _partition_objective(e_ij, truth.sizes(), omega)
+        closed = partition_objective(e_ij, truth.sizes(), omega)
         assert closed == pytest.approx(dense, rel=1e-12, abs=1e-9)
 
 

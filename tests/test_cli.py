@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ppm_sdp
 
 from ppm_sdp.cli import (
     EXIT_NO_CONVERGENCE,
@@ -14,11 +20,14 @@ from ppm_sdp.cli import (
 from ppm_sdp.graph_model import (
     Graph,
     PartitionLabels,
+    PlantedPartitionParams,
     read_graph,
     read_labels,
     write_graph,
     write_labels,
 )
+from ppm_sdp.sdp import centered_partition_matrix, objective_value
+from ppm_sdp.thresholds import compute_omega
 
 
 def run(capsys, *argv):
@@ -27,23 +36,21 @@ def run(capsys, *argv):
     return code, out
 
 
-@pytest.fixture()
-def sampled(tmp_path, capsys):
-    gp = tmp_path / "graph.txt"
-    lp = tmp_path / "labels.txt"
+def sample_files(capsys, tmp_path, n, pi, p_tilde, seed):
+    gp = tmp_path / f"g-{p_tilde}-{seed}.txt"
+    lp = tmp_path / f"l-{p_tilde}-{seed}.txt"
     code, _ = run(
         capsys,
-        "sample",
-        "--n", "120",
-        "--pi", "0.5,0.5",
-        "--p-tilde", "16",
-        "--q-tilde", "2",
-        "--seed", "3",
-        "--out-graph", str(gp),
-        "--out-labels", str(lp),
+        "sample", "--n", str(n), "--pi", pi, "--p-tilde", str(p_tilde),
+        "--q-tilde", "2", "--seed", str(seed), "--out-graph", str(gp), "--out-labels", str(lp),
     )
     assert code == EXIT_OK
     return gp, lp
+
+
+@pytest.fixture()
+def sampled(tmp_path, capsys):
+    return sample_files(capsys, tmp_path, 120, "0.5,0.5", 16, 3)
 
 
 class TestSample:
@@ -101,6 +108,10 @@ class TestThreshold:
         assert json.loads(out)["feasible"] is True
 
 
+def blocks(lab):
+    return {frozenset(lab.members(i).tolist()) for i in range(lab.r)}
+
+
 class TestSolve:
     def test_known_mode_recovers(self, tmp_path, capsys, sampled):
         gp, lp = sampled
@@ -117,41 +128,95 @@ class TestSolve:
         )
         assert code == EXIT_OK
         info = json.loads(out)
-        assert info["converged"] and info["rounded"]
+        assert info["method"] == "certificate"
+        assert info["converged"] and info["rounded"] and info["iterations"] == 0
         truth = read_labels(lp)
         got = read_labels(out_labels)
-        blocks = lambda lab: {frozenset(lab.members(i).tolist()) for i in range(lab.r)}
         assert blocks(got) == blocks(truth)
+        # the known-sizes objective is <A, X> at the partition
+        x_hat = centered_partition_matrix(truth)
+        assert info["objective"] == pytest.approx(objective_value(read_graph(gp), x_hat), abs=1e-9)
+
+    def test_unknown_mode_certified(self, tmp_path, capsys):
+        gp, lp = sample_files(capsys, tmp_path, 300, "0.5,0.3,0.2", 21, 0)
+        out_labels = tmp_path / "out.txt"
+        par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        omega = compute_omega(par.p, par.q)
+        code, out = run(
+            capsys,
+            "solve", "--graph", str(gp), "--mode", "unknown", "--r", "3",
+            "--omega", str(omega), "--out-labels", str(out_labels),
+        )
+        assert code == EXIT_OK
+        info = json.loads(out)
+        assert info["method"] == "certificate" and info["max_deviation"] == 0.0
+        truth = read_labels(lp)
+        assert blocks(read_labels(out_labels)) == blocks(truth)
+        x_hat = centered_partition_matrix(truth)
+        expected = objective_value(read_graph(gp), x_hat, omega)
+        assert info["objective"] == pytest.approx(expected, abs=1e-9)
 
     def test_unknown_mode_rounding_failure_exit_code(self, tmp_path, capsys):
         gp = tmp_path / "empty.txt"
         write_graph(Graph(n=8, edges=frozenset()), gp)
-        code, _ = run(
+        code, out = run(
             capsys,
             "solve", "--graph", str(gp), "--mode", "unknown",
             "--omega", "0.3", "--r", "2",
         )
         assert code == EXIT_ROUNDING_FAILURE
+        assert json.loads(out)["method"] == "admm"
 
-    def test_non_convergence_exit_code(self, tmp_path, capsys, sampled):
-        gp, _ = sampled
-        code, _ = run(
+    def test_non_convergence_exit_code(self, tmp_path, capsys):
+        # below the recovery threshold, so the certificate rejects the
+        # spectral candidate and ADMM runs
+        gp, _ = sample_files(capsys, tmp_path, 120, "0.5,0.5", 4, 3)
+        code, out = run(
             capsys,
             "solve", "--graph", str(gp), "--mode", "known", "--sizes", "60,60",
             "--max-iters", "2",
         )
         assert code == EXIT_NO_CONVERGENCE
+        assert json.loads(out)["method"] == "admm"
+
+    def test_sizes_the_candidate_cannot_match_fall_back(self, capsys, sampled):
+        gp, _ = sampled
+        code, out = run(
+            capsys,
+            "solve", "--graph", str(gp), "--mode", "known", "--sizes", "40,80",
+            "--max-iters", "2",
+        )
+        assert code == EXIT_NO_CONVERGENCE
+        assert json.loads(out)["method"] == "admm"
 
     def test_out_matrix(self, tmp_path, capsys, sampled):
-        gp, _ = sampled
+        gp, lp = sampled
         mat = tmp_path / "X.txt"
-        run(
+        code, _ = run(
             capsys,
             "solve", "--graph", str(gp), "--mode", "known", "--sizes", "60,60",
             "--tol", "1e-5", "--max-iters", "4000", "--out-matrix", str(mat),
         )
+        assert code == EXIT_OK
         x = np.loadtxt(mat)
-        assert x.shape == (120, 120)
+        assert np.array_equal(x, centered_partition_matrix(read_labels(lp)))
+
+    def test_certified_solve_does_not_import_scipy(self, capsys, sampled):
+        gp, _ = sampled
+        src = str(Path(ppm_sdp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        script = (
+            "import json, sys\n"
+            "from ppm_sdp.cli import main\n"
+            f"code = main(['solve', '--graph', {str(gp)!r}, '--mode', 'known', '--sizes', '60,60'])\n"
+            "print(json.dumps({'code': code, 'scipy': 'scipy' in sys.modules}), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["method"] == "certificate"
+        assert json.loads(proc.stderr.splitlines()[-1]) == {"code": EXIT_OK, "scipy": False}
 
 
 class TestOracle:
@@ -337,3 +402,43 @@ class TestUsageErrors:
             capsys, "certify", "--graph", str(gp), "--labels", str(lp), "--p-tilde", "16", "--q-tilde", "2"
         )
         assert "line 2" in line
+
+    def test_missing_graph_file(self, tmp_path, capsys, sampled):
+        _, lp = sampled
+        missing = tmp_path / "missing.txt"
+        line = self.usage_error(
+            capsys, "certify", "--graph", str(missing), "--labels", str(lp), "--p-tilde", "21", "--q-tilde", "2"
+        )
+        assert "missing.txt" in line
+
+    def test_malformed_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 1,')
+        line = self.usage_error(capsys, "robustness", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert "malformed JSON" in line
+
+    def test_config_with_unknown_field(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "colour": "red"}))
+        line = self.usage_error(capsys, "robustness", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert "colour" in line
+
+    def test_malformed_adversary_spec(self, tmp_path, capsys, sampled):
+        gp, lp = sampled
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "scripted", "params": {')
+        line = self.usage_error(
+            capsys, "adversary", "--graph", str(gp), "--labels", str(lp),
+            "--spec", str(spec), "--out-graph", str(tmp_path / "out.txt"),
+        )
+        assert "malformed JSON" in line
+
+    def test_adversary_spec_without_kind(self, tmp_path, capsys, sampled):
+        gp, lp = sampled
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"params": {}}))
+        line = self.usage_error(
+            capsys, "adversary", "--graph", str(gp), "--labels", str(lp),
+            "--spec", str(spec), "--out-graph", str(tmp_path / "out.txt"),
+        )
+        assert "kind" in line

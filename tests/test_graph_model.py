@@ -7,6 +7,7 @@ import pytest
 from ppm_sdp import thresholds
 from ppm_sdp.graph_model import (
     AdversarySpec,
+    _edges_by_line,
     Graph,
     GraphFormatError,
     PartitionLabels,
@@ -341,6 +342,35 @@ class TestSerialization:
         path.write_text("3 5\n0 1\n")
         with pytest.raises(GraphFormatError, match="expected 5"):
             read_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("4 4\n0 1\n2 1\n0 1\nx y\n", 3, "unordered"),
+            ("4 3\n0 1\n1 2\n0 1\n", 4, "duplicate"),
+            ("4 3\n0 1\n\n1 2\n", 3, "bad edge line"),
+            ("4 2\n0 1 2\n1 2\n", 2, "bad edge line"),
+            ("4 2\n0 1\n1 9\n", 3, "out-of-range"),
+            ("4 2\n0 1\n-1 2\n", 3, "out-of-range"),
+        ],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, text, line, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match=message) as err:
+            read_graph(path)
+        assert err.value.line == line
+
+    def test_vectorised_parse_matches_per_line_parse(self, tmp_path):
+        par = PlantedPartitionParams(n=200, r=2, pi=(0.5, 0.5), p_tilde=15, q_tilde=2)
+        g, _ = sample_ppm(par, 0)
+        path = tmp_path / "g.txt"
+        write_graph(g, path)
+        lines = path.read_text().splitlines()
+        assert read_graph(path).edges == frozenset(_edges_by_line(lines[1:], g.n)) == g.edges
+        # spellings int() accepts and the vectorised parse does not
+        path.write_text("20 2\n0 1_0\n\t1 +2 \n")
+        assert read_graph(path).edges == frozenset({(0, 10), (1, 2)})
 
     def test_label_parse_errors(self, tmp_path):
         path = tmp_path / "l.txt"

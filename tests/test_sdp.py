@@ -16,8 +16,10 @@ from ppm_sdp.sdp import (
     SdpSolution,
     SolverOptions,
     build_known_sizes,
+    _spectral_labels,
     build_unknown_sizes,
     centered_partition_matrix,
+    certified_partition,
     j_constraint_target,
     objective_value,
     round_to_partition,
@@ -232,3 +234,46 @@ class TestRounding:
         result = round_to_partition(sol, 2, round_tol=0.1)
         assert not result.success
         assert result.max_deviation > 0.1
+
+    @pytest.mark.parametrize("sizes", [(7, 3), (6, 4, 2), (5, 4, 3, 1)])
+    def test_spectral_labels_on_exact_matrix(self, sizes):
+        r = len(sizes)
+        labels = np.repeat(np.arange(r), sizes)
+        np.random.default_rng(r).shuffle(labels)
+        lab = PartitionLabels(labels=tuple(labels.tolist()), r=r)
+        got = _spectral_labels(centered_partition_matrix(lab), r)
+        assert got is not None and labels_agree(got, lab)
+
+
+class TestCertifiedPartition:
+    PARAMS = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+
+    def test_both_modes_certify_the_planted_partition(self):
+        g, truth = sample_ppm(self.PARAMS, 1)
+        omega = compute_omega(self.PARAMS.p, self.PARAMS.q)
+        for kwargs in ({"omega": omega}, {"sizes": truth.sizes()}):
+            labels, report = certified_partition(g, 3, **kwargs)
+            assert labels_agree(labels, truth)
+            assert report.verified and report.psd_margin > report.psd_tol
+
+    def test_sizes_the_candidate_cannot_match(self):
+        g, _ = sample_ppm(self.PARAMS, 1)
+        assert certified_partition(g, 3, sizes=(100, 100, 100)) is None
+
+    def test_no_candidate_on_the_empty_graph(self):
+        g = Graph(n=8, edges=frozenset())
+        assert certified_partition(g, 2, omega=0.3) is None
+        assert certified_partition(g, 2, sizes=(4, 4)) is None
+
+    def test_singleton_communities_give_no_density(self):
+        g, _ = two_triangles()
+        assert certified_partition(g, 6, sizes=(1,) * 6) is None
+
+    def test_bad_inputs_raise_as_the_builders_do(self):
+        g, _ = two_triangles()
+        with pytest.raises(ParameterError, match="do not sum"):
+            certified_partition(g, 2, sizes=(2, 2))
+        with pytest.raises(ParameterError, match="omega"):
+            certified_partition(g, 2, omega=1.5)
+        with pytest.raises(ParameterError, match="r >= 2"):
+            certified_partition(g, 1, omega=0.3)
