@@ -43,7 +43,6 @@ from .certificate import (
     DualCertificate,
     algebraic_identity_suite,
     build_certificate,
-    interval_margins,
     verify_certificate,
 )
 from .oracle import MleResult, loglikelihood, mle_known_sizes, mle_unknown_sizes

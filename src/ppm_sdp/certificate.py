@@ -91,8 +91,7 @@ def edge_counts(g: Graph, truth: PartitionLabels) -> tuple[np.ndarray, np.ndarra
     """
     lab = truth.as_array()
     n, r = g.n, truth.r
-    e = g.edge_array()
-    u, v = e[:, 0], e[:, 1]
+    u, v = g.pairs.T
     hits = np.concatenate([u * r + lab[v], v * r + lab[u]])
     e_vj = np.bincount(hits, minlength=n * r).reshape(n, r).astype(float)
     e_ij = truth.indicator_matrix().T @ e_vj
@@ -423,16 +422,3 @@ def algebraic_identity_suite(
             )
     return results
 
-
-def interval_margins(
-    g: Graph,
-    truth: PartitionLabels,
-    params: PlantedPartitionParams,
-    omega: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-vertex interval endpoints (alpha_v, beta_v) and the worst margin
-    min_v(beta_v - alpha_v); a positive margin is the high-probability event
-    linking the certificate to the divergence condition."""
-    cert = build_certificate(g, truth, params, omega=omega)
-    margin = float(np.min(cert.beta_v - cert.alpha_v))
-    return cert.alpha_v, cert.beta_v, margin

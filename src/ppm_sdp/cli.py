@@ -9,9 +9,9 @@ rounds ("method": "admm").
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
-a flag its mode needs left out, invalid parameters, a malformed graph or
-label file, malformed JSON, or a file that cannot be read or written.  A
-one-line message goes to standard error.
+a flag its mode needs left out, an --r that disagrees with --sizes, invalid
+parameters, a malformed graph or label file, malformed JSON, or a file that
+cannot be read or written.  A one-line message goes to standard error.
 """
 
 from __future__ import annotations
@@ -58,13 +58,22 @@ def _require(args, *flags):
         raise ParameterError(f"{args.command} needs {', '.join(missing)}")
 
 
-def _require_mode_args(args):
-    """The flags each --mode of solve/oracle needs: known needs --sizes;
-    unknown needs --omega, and --r unless --sizes gives it."""
+def _require_mode_args(args) -> int:
+    """Check the flags each --mode of solve/oracle needs and return r: known
+    needs --sizes; unknown needs --omega, and --r unless --sizes gives it.
+    An --r that disagrees with the number of --sizes is rejected."""
     if args.mode == "known":
         _require(args, "--sizes")
     else:
         _require(args, "--omega", *(() if args.sizes else ("--r",)))
+    if args.sizes and args.r is not None and args.r != len(args.sizes):
+        raise ParameterError(f"--r {args.r} disagrees with the {len(args.sizes)} --sizes")
+    return args.r if args.r is not None else len(args.sizes)
+
+
+def int_list(text: str) -> list:
+    """A comma-separated list of integers, such as --sizes 60,40,20."""
+    return [int(x) for x in text.split(",")]
 
 
 def _params_from_args(args) -> PlantedPartitionParams:
@@ -157,11 +166,10 @@ def _solve_admm(args, g, r, sizes) -> int:
 
 
 def cmd_solve(args) -> int:
-    _require_mode_args(args)
+    r = _require_mode_args(args)
     g = read_graph(args.graph)
-    r = args.r if args.r else len(args.sizes.split(","))
     known = args.mode == "known"
-    sizes = [int(x) for x in args.sizes.split(",")] if known else None
+    sizes = args.sizes if known else None
     omega = None if known else args.omega
     certified = sdp.certified_partition(g, r, omega=omega, sizes=sizes)
     if certified is None:
@@ -187,13 +195,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require_mode_args(args)
+    r = _require_mode_args(args)
     g = read_graph(args.graph)
     if args.mode == "known":
-        sizes = [int(x) for x in args.sizes.split(",")]
-        result = oracle.mle_known_sizes(g, sizes, max_n=args.max_n)
+        result = oracle.mle_known_sizes(g, args.sizes, max_n=args.max_n)
     else:
-        r = args.r if args.r else len(args.sizes.split(","))
         result = oracle.mle_unknown_sizes(g, r, args.omega, max_n=args.max_n)
     info = {
         "objective": result.best_objective,
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an SDP and round to a partition")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("known", "unknown"), required=True)
-    p.add_argument("--sizes", help="comma-separated community sizes (known mode)")
+    p.add_argument("--sizes", type=int_list, help="comma-separated sizes (known mode)")
     p.add_argument("--omega", type=float, help="regularizer (unknown mode)")
     p.add_argument("--r", type=int)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force MLE on tiny instances")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("known", "unknown"), required=True)
-    p.add_argument("--sizes")
+    p.add_argument("--sizes", type=int_list)
     p.add_argument("--omega", type=float)
     p.add_argument("--r", type=int)
     p.add_argument("--max-n", type=int, default=oracle.MAX_N)

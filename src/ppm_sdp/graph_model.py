@@ -3,11 +3,13 @@
 Randomness is derived from a splitmix64-style hash of (seed, u, v), one
 independent substream per unordered vertex pair, so samples are reproducible
 across platforms and safe to generate concurrently.
+
+Every reader and writer works on one edge form, the sorted int64 pair array
+`Graph.pairs`; one function checks and applies every adversary's change.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,46 +75,74 @@ class PartitionLabels:
         return lab[:, None] == lab[None, :]
 
 
-@dataclass(frozen=True)
+def _pair_index(n: int, e: np.ndarray) -> np.ndarray:
+    """Position of each pair (u, v), u < v, in the row-major upper triangle
+    (the order of np.triu_indices(n, 1)): u n - u(u+1)/2 + v - u - 1."""
+    u, v = e[:, 0], e[:, 1]
+    return u * n - u * (u + 1) // 2 + v - u - 1
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Undirected simple graph; edges are (u, v) tuples with u < v."""
+    """Undirected simple graph on vertices 0..n-1.
+
+    `pairs` is the one edge form every program path reads: a read-only,
+    sorted, duplicate-free int64 (m, 2) array of the edges (u, v), u < v.
+    `Graph(n, edges)` takes (u, v) pairs or an (m, 2) integer array; repeats
+    collapse, and the first pair outside 0 <= u < v < n raises
+    ParameterError.  `edges` and `sorted_edges()` are tuple views built on
+    each call, for callers outside the program.
+    """
 
     n: int
-    edges: frozenset
+    pairs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset((int(u), int(v)) for u, v in self.edges)
-        )
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ParameterError(f"bad edge ({u}, {v}) for n={self.n}")
+    def __init__(self, n: int, edges=()):
+        n = int(n)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if e.size and (e.ndim != 2 or e.shape[1] != 2):
+            raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        e = e.reshape(-1, 2)
+        u, v = e[:, 0], e[:, 1]
+        bad = ~((0 <= u) & (u < v) & (v < n))
+        if bad.any():
+            u0, v0 = e[np.argmax(bad)].tolist()
+            raise ParameterError(f"bad edge ({u0}, {v0}) for n={n}")
+        e = e[np.unique(_pair_index(n, e), return_index=True)[1]]
+        e.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", e)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.pairs, other.pairs)
+
+    def __hash__(self):
+        return hash((self.n, self.pairs.tobytes()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) int64 array of the edges, in no particular order."""
-        flat = itertools.chain.from_iterable(self.edges)
-        return np.fromiter(flat, dtype=np.int64, count=2 * self.m).reshape(-1, 2)
+        return list(zip(*self.pairs.T.tolist()))
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        e = self.edge_array()
-        a[e[:, 0], e[:, 1]] = 1.0
-        a[e[:, 1], e[:, 0]] = 1.0
+        u, v = self.pairs.T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
     @classmethod
     def from_adjacency(cls, a: np.ndarray) -> "Graph":
         a = np.asarray(a)
-        n = a.shape[0]
-        iu, iv = np.nonzero(np.triu(a, 1))
-        return cls(n=n, edges=frozenset(zip(iu.tolist(), iv.tolist())))
+        return cls(a.shape[0], np.argwhere(np.triu(a, 1)))
 
 
 @dataclass(frozen=True)
@@ -257,47 +287,80 @@ def sample_ppm(
     iu, iv = np.triu_indices(params.n, 1)
     probs = np.where(lab[iu] == lab[iv], params.p, params.q)
     hit = pair_uniforms(seed, iu, iv) < probs
-    edges = frozenset(zip(iu[hit].tolist(), iv[hit].tolist()))
-    return Graph(n=params.n, edges=edges), truth
+    return Graph(params.n, np.column_stack((iu[hit], iv[hit]))), truth
 
 
 # ---------------------------------------------------------------------------
 # monotone adversaries
 
 
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
+def _check_monotone(truth: PartitionLabels, added: np.ndarray, removed: np.ndarray) -> None:
+    """Raise ParameterError naming the first added inter pair, or else the
+    first removed intra pair."""
+    lab = truth.as_array()
+    for e, intra, what in (
+        (added, False, "addition of inter"),
+        (removed, True, "removal of intra"),
+    ):
+        bad = (lab[e[:, 0]] == lab[e[:, 1]]) == intra
+        if bad.any():
+            u, v = e[np.argmax(bad)].tolist()
+            raise ParameterError(f"non-monotone {what} edge ({u}, {v})")
+
+
+def _apply_change(
+    g: Graph, truth: PartitionLabels, added: np.ndarray, removed: np.ndarray
+) -> Graph:
+    """The graph with the `added` pairs joined and the `removed` pairs
+    dropped; every adversary goes through here.  Rejects a change that is
+    not monotone with respect to truth."""
+    _check_monotone(truth, added, removed)
+    keep = ~np.isin(_pair_index(g.n, g.pairs), _pair_index(g.n, removed))
+    return Graph(g.n, np.concatenate((g.pairs[keep], added)))
+
+
 def monotone_diff(
     before: Graph, after: Graph, truth: PartitionLabels
-) -> tuple[list, list]:
-    """Change log (added, removed) between two graphs; rejects any
-    non-monotone change with respect to the given truth."""
-    lab = truth.as_array()
-    added = sorted(after.edges - before.edges)
-    removed = sorted(before.edges - after.edges)
-    for u, v in added:
-        if lab[u] != lab[v]:
-            raise ParameterError(f"non-monotone addition of inter edge ({u}, {v})")
-    for u, v in removed:
-        if lab[u] == lab[v]:
-            raise ParameterError(f"non-monotone removal of intra edge ({u}, {v})")
+) -> tuple[np.ndarray, np.ndarray]:
+    """Change log (added, removed) between two graphs, as sorted (k, 2) pair
+    arrays; rejects any non-monotone change with respect to the given
+    truth."""
+    n = max(before.n, after.n)
+    kb, ka = _pair_index(n, before.pairs), _pair_index(n, after.pairs)
+    added = after.pairs[~np.isin(ka, kb)]
+    removed = before.pairs[~np.isin(kb, ka)]
+    _check_monotone(truth, added, removed)
     return added, removed
+
+
+def _pair_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
+    """Per-pair monotone change over every upper-triangle pair (u, v) with
+    labels (i, j): an absent intra pair is added when its add_tag uniform is
+    below add_rate[i, j], a present inter pair removed when its rem_tag
+    uniform is below rem_rate[i, j]."""
+    lab = truth.as_array()
+    iu, iv = np.triu_indices(g.n, 1)
+    li, lj = lab[iu], lab[iv]
+    same = li == lj
+    present = np.zeros(len(iu), dtype=bool)
+    present[_pair_index(g.n, g.pairs)] = True
+    add_u = pair_uniforms(_derive_seed(seed, add_tag), iu, iv)
+    rem_u = add_u if rem_tag == add_tag else pair_uniforms(_derive_seed(seed, rem_tag), iu, iv)
+    add = same & ~present & (add_u < add_rate[li, lj])
+    rem = ~same & present & (rem_u < rem_rate[li, lj])
+    return _apply_change(
+        g, truth, np.column_stack((iu[add], iv[add])), np.column_stack((iu[rem], iv[rem]))
+    )
 
 
 def _random_monotone(g, truth, delta_add, delta_rem, seed):
     if not (0.0 <= delta_add <= 1.0 and 0.0 <= delta_rem <= 1.0):
         raise ParameterError("delta_add and delta_rem must lie in [0, 1]")
-    lab = truth.as_array()
-    iu, iv = np.triu_indices(g.n, 1)
-    same = lab[iu] == lab[iv]
-    a = g.adjacency()
-    present = a[iu, iv] > 0
-    add_u = pair_uniforms(_derive_seed(seed, 0xADD), iu, iv)
-    rem_u = pair_uniforms(_derive_seed(seed, 0x4E), iu, iv)
-    add_mask = same & ~present & (add_u < delta_add)
-    rem_mask = ~same & present & (rem_u < delta_rem)
-    edges = set(g.edges)
-    edges.update(zip(iu[add_mask].tolist(), iv[add_mask].tolist()))
-    edges.difference_update(zip(iu[rem_mask].tolist(), iv[rem_mask].tolist()))
-    return Graph(n=g.n, edges=frozenset(edges))
+    rates = np.ones((truth.r, truth.r))
+    return _pair_kernel(g, truth, delta_add * rates, delta_rem * rates, seed, 0xADD, 0x4E)
 
 
 def _subcommunity_plant(g, truth, community, size, density, seed):
@@ -308,15 +371,13 @@ def _subcommunity_plant(g, truth, community, size, density, seed):
         )
     rng = np.random.default_rng(_derive_seed(seed, 0x5B))
     chosen = np.sort(rng.choice(members, size=int(size), replace=False))
-    edges = set(g.edges)
-    for a_idx in range(len(chosen)):
-        for b_idx in range(a_idx + 1, len(chosen)):
-            u, v = int(chosen[a_idx]), int(chosen[b_idx])
-            if (u, v) in edges:
-                continue
-            if density >= 1.0 or rng.random() < density:
-                edges.add((u, v))
-    return Graph(n=g.n, edges=frozenset(edges))
+    a, b = np.triu_indices(len(chosen), 1)
+    absent = np.column_stack((chosen[a], chosen[b]))
+    absent = absent[~np.isin(_pair_index(g.n, absent), _pair_index(g.n, g.pairs))]
+    if density < 1.0:
+        # one draw per absent pair, in row-major order
+        absent = absent[rng.random(len(absent)) < density]
+    return _apply_change(g, truth, absent, _NO_PAIRS)
 
 
 def _hub_plant(g, truth, community, hubs, degree, seed):
@@ -325,30 +386,18 @@ def _hub_plant(g, truth, community, hubs, degree, seed):
         raise ParameterError("hub count or degree exceeds community size")
     rng = np.random.default_rng(_derive_seed(seed, 0x4B))
     hub_verts = rng.choice(members, size=int(hubs), replace=False)
-    edges = set(g.edges)
+    added = [_NO_PAIRS]
     for h in hub_verts:
-        others = members[members != h]
-        targets = rng.choice(others, size=int(degree), replace=False)
-        for t in targets:
-            u, v = (int(h), int(t)) if h < t else (int(t), int(h))
-            edges.add((u, v))
-    return Graph(n=g.n, edges=frozenset(edges))
+        t = rng.choice(members[members != h], size=int(degree), replace=False)
+        added.append(np.column_stack((np.minimum(h, t), np.maximum(h, t))))
+    return _apply_change(g, truth, np.concatenate(added), _NO_PAIRS)
 
 
 def _scripted(g, truth, add, remove):
-    lab = truth.as_array()
-    edges = set(g.edges)
-    for pair in add:
-        u, v = sorted(int(x) for x in pair)
-        if lab[u] != lab[v]:
-            raise ParameterError(f"non-monotone addition of inter edge ({u}, {v})")
-        edges.add((u, v))
-    for pair in remove:
-        u, v = sorted(int(x) for x in pair)
-        if lab[u] == lab[v]:
-            raise ParameterError(f"non-monotone removal of intra edge ({u}, {v})")
-        edges.discard((u, v))
-    return Graph(n=g.n, edges=frozenset(edges))
+    added, removed = (
+        Graph(g.n, [sorted(map(int, pair)) for pair in e]).pairs for e in (add, remove)
+    )
+    return _apply_change(g, truth, added, removed)
 
 
 def simulate_dominating_sbm(
@@ -375,25 +424,12 @@ def simulate_dominating_sbm(
         raise ParameterError(
             "target must dominate the base model (intra rates up, inter rates down)"
         )
-    scale = math.log(base.n) / base.n
-    p_prime = np.diag(qp) * scale
-    if np.any(p_prime >= 1.0):
+    rate = qp * (math.log(base.n) / base.n)
+    if np.any(np.diag(rate) >= 1.0):
         raise ParameterError("target intra probability reaches 1")
-    lab = truth.as_array()
-    iu, iv = np.triu_indices(g.n, 1)
-    a = g.adjacency()
-    present = a[iu, iv] > 0
-    li, lj = lab[iu], lab[iv]
-    same = li == lj
-    p_add = np.where(same, (qp[li, lj] * scale - base.p) / (1.0 - base.p), 0.0)
-    p_rem = np.where(~same, (base.q - qp[li, lj] * scale) / base.q, 0.0)
-    u01 = pair_uniforms(_derive_seed(seed, 0xD0), iu, iv)
-    add_mask = same & ~present & (u01 < p_add)
-    rem_mask = ~same & present & (u01 < p_rem)
-    edges = set(g.edges)
-    edges.update(zip(iu[add_mask].tolist(), iv[add_mask].tolist()))
-    edges.difference_update(zip(iu[rem_mask].tolist(), iv[rem_mask].tolist()))
-    return Graph(n=g.n, edges=frozenset(edges))
+    add_rate = (rate - base.p) / (1.0 - base.p)
+    rem_rate = (base.q - rate) / base.q
+    return _pair_kernel(g, truth, add_rate, rem_rate, seed, 0xD0, 0xD0)
 
 
 def apply_adversary(
@@ -431,31 +467,9 @@ def apply_adversary(
 
 
 def write_graph(g: Graph, path) -> None:
+    body = "".join(f"{u} {v}\n" for u, v in g.pairs.tolist())
     with open(path, "w", newline="\n") as f:
-        f.write(f"{g.n} {g.m}\n")
-        for u, v in g.sorted_edges():
-            f.write(f"{u} {v}\n")
-
-
-def _edge_rows(body: list, n: int) -> np.ndarray | None:
-    """The edge lines as an (m, 2) int64 array, parsed by one numpy call and
-    checked with array operations; None when any line is not two integers or
-    any edge is out of range, unordered or repeated."""
-    if not body:
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        e = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if e.shape != (len(body), 2):  # loadtxt skips blank lines
-        return None
-    u, v = e[:, 0], e[:, 1]
-    if not np.all((0 <= u) & (u < v) & (v < n)):
-        return None
-    s = e[np.lexsort((v, u))]
-    if np.any(np.all(s[1:] == s[:-1], axis=1)):
-        return None
-    return e
+        f.write(f"{g.n} {g.m}\n{body}")
 
 
 def _edges_by_line(body: list, n: int) -> set:
@@ -484,14 +498,20 @@ def read_graph(path) -> Graph:
         n, m = (int(x) for x in lines[0].split())
     except ValueError:
         raise GraphFormatError(f"bad header {lines[0]!r}", line=1) from None
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}", line=1)
-    e = _edge_rows(lines[1:], n)
-    if e is None:
-        # the per-line parse names the first bad line, and accepts the few
-        # integer spellings loadtxt does not (such as 1_000)
-        return Graph(n=n, edges=frozenset(_edges_by_line(lines[1:], n)))
-    return Graph(n=n, edges=frozenset(zip(e[:, 0].tolist(), e[:, 1].tolist())))
+    body = lines[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}", line=1)
+    # one numpy parse, checked by the constructor; a repeated line, or a
+    # blank one that loadtxt skips, shows as fewer edges than lines
+    try:
+        g = Graph(n, np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2) if body else ())
+        if g.m == m:
+            return g
+    except ValueError:  # ParameterError included
+        pass
+    # the per-line parse names the first bad line, and accepts the few
+    # integer spellings loadtxt does not (such as 1_000)
+    return Graph(n, _edges_by_line(body, n))
 
 
 def write_labels(labels: PartitionLabels, path) -> None:

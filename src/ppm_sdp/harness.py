@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -82,13 +83,8 @@ class ExperimentConfig:
             raise ParameterError(f"bad experiment config: {exc}") from None
 
     def cells(self) -> list:
-        out = []
-        for n in self.n_grid:
-            for pt in self.p_tilde_grid:
-                for qt in self.q_tilde_grid:
-                    if pt > qt:
-                        out.append((int(n), float(pt), float(qt)))
-        return out
+        grid = itertools.product(self.n_grid, self.p_tilde_grid, self.q_tilde_grid)
+        return [(int(n), float(pt), float(qt)) for n, pt, qt in grid if pt > qt]
 
     def work_estimate(self) -> int:
         return len(self.cells()) * self.trials
@@ -122,6 +118,8 @@ class CellResult:
         row["pi"] = "/".join(f"{x:g}" for x in self.pi)
         row["recovery_rate"] = f"{self.recovery_rate:.6g}"
         row["verified_rate"] = f"{self.verified_rate:.6g}"
+        # wall time is excluded from the determinism contract
+        row["wall_time_s"] = f"{self.wall_time_s:.3f}"
         return row
 
 
@@ -142,10 +140,6 @@ def labels_agree(a: PartitionLabels, b: PartitionLabels) -> bool:
     return blocks_a == blocks_b
 
 
-def _solver_options(cfg: ExperimentConfig) -> sdp.SolverOptions:
-    return sdp.SolverOptions(tol=cfg.tol, max_iters=cfg.max_iters)
-
-
 def run_trial(
     cfg: ExperimentConfig, params: PlantedPartitionParams, seed: int
 ) -> dict:
@@ -154,7 +148,7 @@ def run_trial(
     if cfg.adversary is not None:
         g = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
     result = {"recovered": False, "verified": False, "iterations": 0}
-    opts = _solver_options(cfg)
+    opts = sdp.SolverOptions(tol=cfg.tol, max_iters=cfg.max_iters)
     if cfg.algorithm != "certify-only":
         if cfg.algorithm == "solve-known":
             prob = sdp.build_known_sizes(g, truth.sizes())
@@ -174,24 +168,29 @@ def run_trial(
     return result
 
 
+def _sweep(cfg: ExperimentConfig):
+    """(params, per-trial seeds) for each grid cell, in grid order: the one
+    loop behind the phase diagram and the robustness suite."""
+    for n, pt, qt in cfg.cells():
+        params = PlantedPartitionParams(
+            n=n, r=len(cfg.pi), pi=cfg.pi, p_tilde=pt, q_tilde=qt
+        )
+        cell_key = f"n={n},pt={pt},qt={qt}"
+        yield params, [trial_seed(cfg.seed_base, cell_key, t) for t in range(cfg.trials)]
+
+
 def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
     """Sweep the model grid; one CellResult per (n, p_tilde, q_tilde) cell.
 
     Per-trial errors are recorded in the error column, never abort a sweep.
     """
-    cells = cfg.cells()
     results = []
-    for n, pt, qt in cells:
-        params = PlantedPartitionParams(
-            n=n, r=len(cfg.pi), pi=cfg.pi, p_tilde=pt, q_tilde=qt
-        )
+    for params, seeds in _sweep(cfg):
         report = thresholds.feasibility_report(params=params)
-        cell_key = f"n={n},pt={pt},qt={qt}"
         recovered = verified = errors = 0
         iters = []
         t0 = time.perf_counter()
-        for trial in range(cfg.trials):
-            seed = trial_seed(cfg.seed_base, cell_key, trial)
+        for seed in seeds:
             try:
                 out = run_trial(cfg, params, seed)
             except Exception:
@@ -202,11 +201,11 @@ def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
             iters.append(out["iterations"])
         results.append(
             CellResult(
-                n=n,
-                r=len(cfg.pi),
-                pi=tuple(cfg.pi),
-                p_tilde=pt,
-                q_tilde=qt,
+                n=params.n,
+                r=params.r,
+                pi=params.pi,
+                p_tilde=params.p_tilde,
+                q_tilde=params.q_tilde,
                 min_divergence=report.min_value,
                 trials=cfg.trials,
                 recovered=recovered,
@@ -217,19 +216,15 @@ def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
             )
         )
     if csv_path is not None:
-        write_cell_csv(results, csv_path)
+        _write_csv(csv_path, CELL_CSV_FIELDS, [cell.csv_row() for cell in results])
     return results
 
 
-def write_cell_csv(results, path) -> None:
+def _write_csv(path, fields: list, rows: list) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CELL_CSV_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
-        for cell in results:
-            row = cell.csv_row()
-            # wall time is excluded from the determinism contract
-            row["wall_time_s"] = f"{cell.wall_time_s:.3f}"
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 ROBUSTNESS_CSV_FIELDS = [
@@ -267,13 +262,8 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
     clean_cfg = replace(cfg, adversary=None)
     rows = []
     clean_ok = adv_ok = violations = 0
-    for n, pt, qt in cfg.cells():
-        params = PlantedPartitionParams(
-            n=n, r=len(cfg.pi), pi=cfg.pi, p_tilde=pt, q_tilde=qt
-        )
-        cell_key = f"n={n},pt={pt},qt={qt}"
-        for trial in range(cfg.trials):
-            seed = trial_seed(cfg.seed_base, cell_key, trial)
+    for params, seeds in _sweep(cfg):
+        for trial, seed in enumerate(seeds):
             clean = run_trial(clean_cfg, params, seed)
             adv = run_trial(cfg, params, seed)
             violation = clean["recovered"] and not adv["recovered"]
@@ -282,9 +272,9 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
             violations += violation
             rows.append(
                 {
-                    "n": n,
-                    "p_tilde": pt,
-                    "q_tilde": qt,
+                    "n": params.n,
+                    "p_tilde": params.p_tilde,
+                    "q_tilde": params.q_tilde,
                     "trial": trial,
                     "clean_recovered": int(clean["recovered"]),
                     "adversarial_recovered": int(adv["recovered"]),
@@ -299,10 +289,7 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
         violations=violations,
     )
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=ROBUSTNESS_CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(csv_path, ROBUSTNESS_CSV_FIELDS, rows)
     return result
 
 

@@ -30,7 +30,7 @@ class MleResult:
 
 def _adjacency_masks(g: Graph) -> list:
     masks = [0] * g.n
-    for u, v in g.edges:
+    for u, v in g.pairs.tolist():
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -147,7 +147,8 @@ def loglikelihood(g: Graph, labels: PartitionLabels, p: float, q: float) -> floa
     if not (0.0 < q <= p < 1.0):
         raise ParameterError(f"need 0 < q <= p < 1, got p={p}, q={q}")
     lab = labels.as_array()
-    intra = sum(1 for u, v in g.edges if lab[u] == lab[v])
+    u, v = g.pairs.T
+    intra = int(np.count_nonzero(lab[u] == lab[v]))
     inter = g.m - intra
     sizes = labels.sizes()
     intra_pairs = int(np.sum(sizes * (sizes - 1)) // 2)

@@ -12,7 +12,6 @@ from ppm_sdp.certificate import (
     algebraic_identity_suite,
     build_certificate,
     edge_counts,
-    interval_margins,
     partition_objective,
     verify_certificate,
 )
@@ -31,6 +30,14 @@ from ppm_sdp.sdp import (
     solve,
 )
 from ppm_sdp.thresholds import ParameterError, compute_omega
+
+
+def interval_margins(g, truth, params, omega=None):
+    """Per-vertex interval endpoints (alpha_v, beta_v) and the worst margin
+    min_v(beta_v - alpha_v); a positive margin is the high-probability event
+    linking the certificate to the divergence condition."""
+    cert = build_certificate(g, truth, params, omega=omega)
+    return cert.alpha_v, cert.beta_v, float(np.min(cert.beta_v - cert.alpha_v))
 
 
 def complete_blocks(*blocks):

@@ -379,6 +379,19 @@ class TestUsageErrors:
         line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "known")
         assert "--sizes" in line
 
+    def test_solve_known_r_disagreeing_with_sizes(self, capsys, sampled):
+        gp, _ = sampled
+        argv = ("solve", "--graph", str(gp), "--mode", "known", "--sizes", "60,60")
+        line = self.usage_error(capsys, *argv, "--r", "3")
+        assert "--r 3" in line and "--sizes" in line
+        code, out = run(capsys, *argv, "--r", "2")
+        assert code == EXIT_OK and json.loads(out)["rounded"] is True
+
+    def test_sizes_that_are_not_integers(self, capsys, sampled):
+        gp, _ = sampled
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "known", "--sizes", "60,x")
+        assert "--sizes" in line
+
     def test_oracle_unknown_without_r(self, tmp_path, capsys):
         gp = tmp_path / "g.txt"
         write_graph(Graph(n=2, edges=frozenset({(0, 1)})), gp)

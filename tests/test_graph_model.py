@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from ppm_sdp import thresholds
+from ppm_sdp import certificate, cli, oracle, sdp, thresholds
 from ppm_sdp.graph_model import (
     AdversarySpec,
     _edges_by_line,
@@ -25,6 +26,34 @@ from ppm_sdp.graph_model import (
     write_labels,
 )
 from ppm_sdp.thresholds import ParameterError
+
+# a pinned sample and one spec of each adversary kind, applied at seed 17
+PINNED = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+PINNED_SPECS = {
+    "random_monotone": {"delta_add": 0.05, "delta_rem": 0.3},
+    "subcommunity_plant": {"community": 1, "size": 30, "density": 0.5},
+    "hub_plant": {"community": 2, "hubs": 3, "degree": 25},
+    "sbm_dominate": {
+        "q_tilde_prime": [[25, 1, 2], [1, 23, 1.5], [2, 1.5, 22]],
+        "base": {"n": 300, "r": 3, "pi": [0.5, 0.3, 0.2], "p_tilde": 21, "q_tilde": 2},
+    },
+    "scripted": {"add": [[0, 1], [2, 5], [200, 201]], "remove": [[0, 200], [10, 280]]},
+}
+# SHA-256 of the write_graph output, recorded from the frozenset-of-tuples
+# implementation of Graph that the pair array replaced
+PINNED_DIGESTS = {
+    "sample": "13521bc7cdaa297639fb1d9291bdd28534b1d0b076547d9023f7c8e1c8a7d2f1",
+    "random_monotone": "4914af8f66647b0dc11e4f258a9c3e91bb74b99d5188fc22950589f42231ab43",
+    "subcommunity_plant": "e535ecf2fa009b691b5bfc8f6627bf7eb2b0f6879e6bd153f9ef89b32006ef4a",
+    "hub_plant": "2403522a9e0550f3d74b885523085bc6bd7209d5253a38119f4e23efeec55289",
+    "sbm_dominate": "2bcfb71e0a95bf2ab7a6f79326e0ef4af472f67e3d5e6fa62b86e57d23fc1852",
+    "scripted": "d855349a1afce7f4ab0eeaa437be01daa157c9852807bcb691f162f007809351",
+}
+
+
+def file_digest(g, path):
+    write_graph(g, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPartitionLabels:
@@ -60,6 +89,37 @@ class TestGraph:
             Graph(n=3, edges=frozenset({(1, 1)}))
         with pytest.raises(ParameterError):
             Graph(n=3, edges=frozenset({(0, 3)}))
+
+    def test_set_and_array_inputs_give_equal_graphs(self):
+        g = Graph(n=5, edges={(2, 4), (0, 1), (1, 3)})
+        h = Graph(5, np.array([[1, 3], [2, 4], [0, 1]]))
+        assert g == h and hash(g) == hash(h)
+        assert g.pairs.dtype == np.int64 and g.pairs.tolist() == [[0, 1], [1, 3], [2, 4]]
+        assert g.sorted_edges() == [(0, 1), (1, 3), (2, 4)]
+        assert g.edges == frozenset({(0, 1), (1, 3), (2, 4)})
+        assert g != Graph(6, g.pairs) and g != Graph(5, g.pairs[:2])
+
+    def test_repeated_pairs_collapse(self):
+        g = Graph(4, [(1, 2), (0, 1), (1, 2), (0, 1)])
+        assert g.m == 2 and g.pairs.tolist() == [[0, 1], [1, 2]]
+        assert Graph(4, []).pairs.shape == (0, 2)
+
+    def test_pairs_are_read_only_and_not_shared(self):
+        e = np.array([[0, 1], [2, 3]])
+        g = Graph(4, e)
+        with pytest.raises(ValueError):
+            g.pairs[0, 0] = 1
+        e[0, 1] = 3
+        assert g.pairs.tolist() == [[0, 1], [2, 3]]
+
+    def test_first_bad_edge_is_named(self):
+        for bad in ([(0, 1), (2, 1), (0, 9)], np.array([[0, 1], [2, 1], [0, 9]])):
+            with pytest.raises(ParameterError, match=r"bad edge \(2, 1\) for n=4"):
+                Graph(4, bad)
+        with pytest.raises(ParameterError, match=r"bad edge \(-1, 2\)"):
+            Graph(4, np.array([[-1, 2]]))
+        with pytest.raises(ParameterError, match="pairs"):
+            Graph(4, [(0, 1, 2)])
 
     def test_adjacency_roundtrip(self):
         g = Graph(n=4, edges=frozenset({(0, 1), (2, 3), (1, 3)}))
@@ -205,7 +265,7 @@ class TestAdversaries:
             out = apply_adversary(g, truth, spec, 17)
             # monotone_diff raises on any non-monotone change
             added, removed = monotone_diff(g, out, truth)
-            assert added or removed or spec.kind == "none"
+            assert len(added) or len(removed) or spec.kind == "none"
 
     def test_subcommunity_plant_adds_exactly_missing_pairs(self):
         # community 0 has exactly 8 members, so the planted K8 covers it
@@ -226,7 +286,7 @@ class TestAdversaries:
         )
         out = apply_adversary(g, truth, spec, 0)
         added, removed = monotone_diff(g, out, truth)
-        assert set(added) == missing and not removed
+        assert set(map(tuple, added.tolist())) == missing and not len(removed)
 
     def test_scripted_rejects_non_monotone(self):
         g = Graph(n=4, edges=frozenset({(0, 1)}))
@@ -285,7 +345,7 @@ class TestDominatingSbm:
         np.fill_diagonal(qp, a)
         out = simulate_dominating_sbm(g, truth, qp, base, 5)
         added, removed = monotone_diff(g, out, truth)
-        assert not added  # intra rates unchanged
+        assert not len(added)  # intra rates unchanged
         lab = truth.as_array()
         rem = np.zeros((4, 4))
         tot = np.zeros((4, 4))
@@ -302,6 +362,58 @@ class TestDominatingSbm:
             frac = rem[i, j] / tot[i, j]
             sigma = math.sqrt(expect * (1 - expect) / tot[i, j])
             assert abs(frac - expect) <= 4 * sigma
+
+
+class TestPinnedOutputs:
+    def test_sample_and_adversary_digests(self, tmp_path):
+        g, truth = sample_ppm(PINNED, 3)
+        got = {"sample": file_digest(g, tmp_path / "g.txt")}
+        for kind, params in PINNED_SPECS.items():
+            out = apply_adversary(g, truth, AdversarySpec(kind=kind, params=params), 17)
+            got[kind] = file_digest(out, tmp_path / f"{kind}.txt")
+        assert got == PINNED_DIGESTS
+
+
+class TestOneEdgeForm:
+    """Every program path reads Graph.pairs; the tuple views `edges` and
+    `sorted_edges()` are only for callers outside the program."""
+
+    @pytest.fixture()
+    def no_tuple_views(self, monkeypatch):
+        def forbidden(*_):
+            raise AssertionError("a program path read a tuple view of the edges")
+
+        monkeypatch.setattr(Graph, "edges", property(forbidden))
+        monkeypatch.setattr(Graph, "sorted_edges", forbidden)
+
+    def test_program_paths_read_the_pair_array(self, tmp_path, capsys, no_tuple_views):
+        g, truth = sample_ppm(PINNED, 3)
+        path = tmp_path / "g.txt"
+        write_graph(g, path)
+        assert read_graph(path) == g
+        for kind, params in [("none", {}), *PINNED_SPECS.items()]:
+            out = apply_adversary(g, truth, AdversarySpec(kind=kind, params=params), 17)
+            monotone_diff(g, out, truth)
+
+        _, report = sdp.certified_partition(g, truth.r, sizes=truth.sizes())
+        assert report.verified
+        cert = certificate.build_certificate(g, truth, PINNED)
+        assert certificate.verify_certificate(g, truth, cert).verified
+        argv = ["solve", "--graph", str(path), "--mode", "unknown", "--omega", "0.17", "--r", "3"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["method"] == "certificate"
+        opts = sdp.SolverOptions(tol=1e-4, max_iters=20)
+        for prob in (
+            sdp.build_known_sizes(g, truth.sizes()),
+            sdp.build_unknown_sizes(g, truth.r, 0.17),
+        ):
+            sdp.round_to_partition(sdp.solve(prob, opts), truth.r)
+
+        tiny = PlantedPartitionParams(n=12, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=1)
+        g, truth = sample_ppm(tiny, 0)
+        assert oracle.mle_known_sizes(g, truth.sizes()).best_objective >= 0
+        assert oracle.mle_unknown_sizes(g, 2, 0.4).best_labels.n == 12
+        assert oracle.loglikelihood(g, truth, tiny.p, tiny.q) < 0
 
 
 class TestSerialization:
