@@ -9,7 +9,9 @@ The construction follows complementary slackness: per-vertex values gamma_v
 are chosen inside data-dependent intervals [alpha_v, beta_v], corrected so
 each community sums to a shared constant c; nu and the row sums of Gamma are
 then forced, and each off-diagonal block of Gamma is the unique rank-one
-matrix with those row and column sums.
+matrix with those row and column sums.  The certificate keeps Gamma in that
+factored form (nu, R, T); the dense Lambda exists only inside verification,
+as the one n x n matrix its eigenvalue check needs.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ class DualCertificate:
     beta_bar: np.ndarray  # deterministic proxy for the summed upper endpoint
     R: np.ndarray = field(repr=False)  # vertex x community row-sum table
     T: np.ndarray  # community-pair block totals
-    Gamma: np.ndarray = field(repr=False)
-    Lambda: np.ndarray = field(repr=False)
     intervals_nonempty: bool
     construction_ok: bool  # False when some block total T_ij <= 0
 
@@ -159,28 +159,41 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     }
 
 
-def _assemble(a, truth, omega, nu, big_r, t_mat):
-    """Dense (Gamma, Lambda, construction_ok).  Each off-diagonal block of
-    Gamma is the rank-one matrix with row sums R and total T; Lambda =
-    diag(nu) + omega J - A - Gamma is assembled in the memory of `a`."""
-    n, r = truth.n, truth.r
-    gamma_mat = np.zeros((n, n))
-    construction_ok = True
-    for i in range(r):
-        vi = truth.members(i)
-        for j in range(i + 1, r):
-            vj = truth.members(j)
-            if t_mat[i, j] <= 0:
-                construction_ok = False
-                continue
-            block = np.outer(big_r[vi, j], big_r[vj, i]) / t_mat[i, j]
-            gamma_mat[np.ix_(vi, vj)] = block
-            gamma_mat[np.ix_(vj, vi)] = block.T
+_CHUNK_ENTRIES = 1 << 18  # matrix entries per row block of a dense update
 
-    lam = np.subtract(omega, a, out=a)
-    lam -= gamma_mat
-    lam.flat[:: n + 1] += nu
-    return gamma_mat, lam, construction_ok
+
+def _row_blocks(rows: int, cols: int):
+    """Slices covering range(rows), each spanning at most _CHUNK_ENTRIES
+    entries of a matrix with `cols` columns (at least one row)."""
+    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
+    return (slice(k, min(k + step, rows)) for k in range(0, rows, step))
+
+
+def _gamma_blocks(truth, t_mat):
+    """(i, j, S_i, S_j) for each community pair i < j whose total is
+    positive; the other blocks of Gamma are zero."""
+    for i in range(truth.r):
+        for j in range(i + 1, truth.r):
+            if t_mat[i, j] > 0:
+                yield i, j, truth.members(i), truth.members(j)
+
+
+def assemble_lambda(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
+    """Dense Lambda = diag(nu) + omega J - A - Gamma, assembled in the memory
+    of g.adjacency().  Each off-diagonal block of Gamma is
+    outer(R[S_i, j], R[S_j, i]) / T_ij, written a block of rows at a time,
+    so Lambda is exactly symmetric and no other n x n array is made."""
+    n = g.n
+    lam = g.adjacency()
+    np.subtract(cert.omega, lam, out=lam)
+    for i, j, vi, vj in _gamma_blocks(truth, cert.T):
+        col = cert.R[vj, i]
+        for rows in _row_blocks(len(vi), len(vj)):
+            part = np.outer(cert.R[vi[rows], j], col) / cert.T[i, j]
+            lam[np.ix_(vi[rows], vj)] -= part
+            lam[np.ix_(vj, vi[rows])] -= part.T
+    lam.flat[:: n + 1] += cert.nu
+    return lam
 
 
 def build_certificate(
@@ -195,7 +208,7 @@ def build_certificate(
     The error terms eps1, eps2 depend on the per-community corrections
     delta_i, which in turn depend on eps1, eps2; the first pass uses the
     delta-free baselines, the second re-runs with max |delta_i| folded in.
-    Only the second pass assembles the dense Gamma and Lambda.
+    Gamma stays factored as (R, T); nothing here is n x n.
     """
     if truth.r < 2:
         raise ParameterError("need at least two communities")
@@ -212,46 +225,37 @@ def build_certificate(
     eps1 = dmax + omega + base
     eps2 = dmax + 1.0
     out = _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c)
-    gamma_mat, lam, construction_ok = _assemble(
-        g.adjacency(), truth, omega, out["nu"], out["R"], out["T"]
-    )
+    # a block total T_ij <= 0 leaves no rank-one block with those row sums
+    construction_ok = bool(np.all(out["T"][np.triu_indices(truth.r, 1)] > 0))
     return DualCertificate(
-        omega=omega,
-        eps1=eps1,
-        eps2=eps2,
-        Gamma=gamma_mat,
-        Lambda=lam,
-        construction_ok=construction_ok,
-        **out,
+        omega=omega, eps1=eps1, eps2=eps2, construction_ok=construction_ok, **out
     )
 
 
 def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric part of Lambda compressed
-    onto the orthogonal complement of span{1_i - 1_j}.
+    """Eigenvalues, ascending, of the symmetric matrix Lambda compressed onto
+    the orthogonal complement of span{1_i - 1_j}.  Overwrites `lam`.
 
     U is an orthonormal basis of the span and P = I - U U^T.  The matrix
     P Lambda P + s U U^T has the n - r + 1 compressed eigenvalues plus s,
-    r - 1 times.  s exceeds the largest absolute row and column sum of
-    Lambda, which bound its spectral norm, so the copies of s are the top
-    r - 1 eigenvalues; they are dropped.  The shift costs rank-(r - 1)
-    updates, O(n^2 r), and one dense eigvalsh.
+    r - 1 times.  s exceeds the largest absolute row sum of Lambda, which
+    bounds its spectral norm, so the copies of s are the top r - 1
+    eigenvalues; they are dropped.  The shift costs rank-(r - 1) updates,
+    O(n^2 r), made a block of rows at a time, and one dense eigvalsh.
     """
     n, r = truth.n, truth.r
     ind = truth.indicator_matrix()
     u, _ = np.linalg.qr(ind[:, :-1] - ind[:, -1:])
-    abs_lam = np.abs(lam)
-    s = 1.0 + max(float(abs_lam.sum(axis=0).max()), float(abs_lam.sum(axis=1).max()))
-    del abs_lam
-    m = lam + lam.T
-    m *= 0.5
-    w = m @ u
+    blocks = list(_row_blocks(n, n))
+    s = 1.0 + max(float(np.abs(lam[rows]).sum(axis=1).max()) for rows in blocks)
+    w = lam @ u
     k = u.T @ w
-    # P m P + s U U^T = m - B U^T - U B^T, with B = m U - U (U^T m U + s I) / 2
+    # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
     b = w - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(r - 1))
-    m -= b @ u.T
-    m -= u @ b.T
-    return np.linalg.eigvalsh(m)[: n - r + 1]
+    for rows in blocks:
+        lam[rows] -= b[rows] @ u.T
+        lam[rows] -= u[rows] @ b.T
+    return np.linalg.eigvalsh(lam)[: n - r + 1]
 
 
 def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
@@ -277,22 +281,31 @@ def verify_certificate(
     lab = truth.as_array()
     sizes = truth.sizes()
     n, r = g.n, truth.r
-    lam = cert.Lambda
-    lam_max = float(np.max(np.abs(lam)))
     nu_target = math.log(n) / math.log(math.log(n))
     nu_min = float(np.min(cert.nu))
 
-    mask_offblock = lab[:, None] != lab[None, :]
-    gamma_blocks_zero = bool(np.all(cert.Gamma[~mask_offblock] == 0.0))
-    gamma_off_min = float(np.min(cert.Gamma[mask_offblock])) if r > 1 else 0.0
+    # Gamma is zero inside communities: v's row sum within its own is zero
+    gamma_blocks_zero = bool(np.all(cert.R[np.arange(n), lab] == 0.0))
+    # Off-block, Gamma is outer(R[S_i, j], R[S_j, i]) / T_ij, or zero where
+    # T_ij <= 0.  Rounding is monotone, so each block's least entry is the
+    # least product of the extreme entries of its two factors.
+    iu = np.triu_indices(r, 1)
+    gamma_off_min = math.inf if np.all(cert.T[iu] > 0) else 0.0
+    gamma_sum = 0.0
+    for i, j, vi, vj in _gamma_blocks(truth, cert.T):
+        a, b = cert.R[vi, j], cert.R[vj, i]
+        corners = [x * y for x in (a.min(), a.max()) for y in (b.min(), b.max())]
+        gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
+        gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / cert.T[i, j]
 
     # R[v, j] is stored per (vertex, community); select v outside S_j
     comm_mask = np.ones((n, r), dtype=bool)
     comm_mask[np.arange(n), lab] = False
     r_min = float(np.min(cert.R[comm_mask]))
-    iu = np.triu_indices(r, 1)
-    t_min = float(np.min(cert.T[iu])) if r > 1 else 0.0
+    t_min = float(np.min(cert.T[iu]))
 
+    lam = assemble_lambda(g, truth, cert)
+    lam_max = max(float(lam.max()), -float(lam.min()))
     kernel_residual = 0.0
     for i in range(r):
         for j in range(i + 1, r):
@@ -313,7 +326,7 @@ def verify_certificate(
 
     _, e_ij = edge_counts(g, truth)
     primal = partition_objective(e_ij, sizes, cert.omega)
-    dual = float(np.sum(cert.nu)) + float(np.sum(cert.Gamma)) / (r - 1)
+    dual = float(np.sum(cert.nu)) + gamma_sum / (r - 1)
     slackness_gap = abs(primal - dual)
     scale = 1.0 + n * math.log(n)
     slackness_ok = slackness_gap <= 1e-6 * scale
@@ -371,7 +384,7 @@ def algebraic_identity_suite(
     lab = truth.as_array()
     sizes = truth.sizes().astype(float)
     n, r = g.n, truth.r
-    lam = cert.Lambda
+    lam = assemble_lambda(g, truth, cert)
     inv_sum = float(np.sum(1.0 / sizes))
     results = []
 
@@ -412,13 +425,5 @@ def algebraic_identity_suite(
     scale = max(float(np.max(np.abs(nu_formula))), 1.0)
     results.append(("nu_identity", worst, 0.0, worst <= rel_tol * scale))
 
-    for i in range(r):
-        for j in range(i + 1, r):
-            block = cert.Gamma[np.ix_(truth.members(i), truth.members(j))]
-            sv = np.linalg.svd(block, compute_uv=False)
-            second = float(sv[1]) if len(sv) > 1 else 0.0
-            results.append(
-                (f"block_rank_one_{i}{j}", second, 0.0, second <= 1e-9 * max(sv[0], 1.0))
-            )
     return results
 

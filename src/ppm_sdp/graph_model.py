@@ -278,23 +278,50 @@ def planted_labels(n: int, pi) -> PartitionLabels:
     return PartitionLabels(labels=tuple(labels.tolist()), r=len(sizes))
 
 
+_CHUNK_PAIRS = 1 << 16  # upper-triangle pairs per row block
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
+def _pair_chunks(n: int):
+    """The upper-triangle pairs (u, v), u < v, in row-major order (the order
+    of np.triu_indices(n, 1)), over blocks of whole rows: yields
+    (first, iu, iv), where `first` is the triangle index of the block's first
+    pair.  A block holds at most _CHUNK_PAIRS pairs, or one row when a row
+    alone is longer, so memory is O(n + _CHUNK_PAIRS), not O(n^2).  Callers
+    handle each block in a function of its own, so that the block's
+    temporaries are freed before the resulting graph is built."""
+    counts = np.arange(n - 1, 0, -1)  # pairs in rows 0..n-2
+    ends = np.cumsum(counts)
+    start = first = 0
+    while start < n - 1:
+        stop = max(start + 1, int(np.searchsorted(ends, first + _CHUNK_PAIRS, side="right")))
+        rows = np.arange(start, stop)
+        c = counts[start:stop]
+        offsets = np.cumsum(c) - c  # block offset of each row's first pair
+        iu = np.repeat(rows, c)
+        iv = np.arange(len(iu)) + np.repeat(rows + 1 - offsets, c)
+        yield first, iu, iv
+        start, first = stop, int(ends[stop - 1])
+
+
 def sample_ppm(
     params: PlantedPartitionParams, seed: int
 ) -> tuple[Graph, PartitionLabels]:
     """Sample a planted partition graph; deterministic given the seed."""
     truth = planted_labels(params.n, params.pi)
     lab = truth.as_array()
-    iu, iv = np.triu_indices(params.n, 1)
-    probs = np.where(lab[iu] == lab[iv], params.p, params.q)
-    hit = pair_uniforms(seed, iu, iv) < probs
-    return Graph(params.n, np.column_stack((iu[hit], iv[hit]))), truth
+
+    def block(iu, iv):
+        probs = np.where(lab[iu] == lab[iv], params.p, params.q)
+        hit = pair_uniforms(seed, iu, iv) < probs
+        return np.column_stack((iu[hit], iv[hit]))
+
+    hits = np.concatenate([_NO_PAIRS] + [block(iu, iv) for _, iu, iv in _pair_chunks(params.n)])
+    return Graph(params.n, hits), truth
 
 
 # ---------------------------------------------------------------------------
 # monotone adversaries
-
-
-_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
 def _check_monotone(truth: PartitionLabels, added: np.ndarray, removed: np.ndarray) -> None:
@@ -340,20 +367,25 @@ def _pair_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
     """Per-pair monotone change over every upper-triangle pair (u, v) with
     labels (i, j): an absent intra pair is added when its add_tag uniform is
     below add_rate[i, j], a present inter pair removed when its rem_tag
-    uniform is below rem_rate[i, j]."""
+    uniform is below rem_rate[i, j].  Pairs are visited in row blocks."""
     lab = truth.as_array()
-    iu, iv = np.triu_indices(g.n, 1)
-    li, lj = lab[iu], lab[iv]
-    same = li == lj
-    present = np.zeros(len(iu), dtype=bool)
-    present[_pair_index(g.n, g.pairs)] = True
-    add_u = pair_uniforms(_derive_seed(seed, add_tag), iu, iv)
-    rem_u = add_u if rem_tag == add_tag else pair_uniforms(_derive_seed(seed, rem_tag), iu, iv)
-    add = same & ~present & (add_u < add_rate[li, lj])
-    rem = ~same & present & (rem_u < rem_rate[li, lj])
-    return _apply_change(
-        g, truth, np.column_stack((iu[add], iv[add])), np.column_stack((iu[rem], iv[rem]))
-    )
+    keys = _pair_index(g.n, g.pairs)  # sorted, as the pairs are
+    add_seed, rem_seed = _derive_seed(seed, add_tag), _derive_seed(seed, rem_tag)
+
+    def block(first, iu, iv):
+        present = np.zeros(len(iu), dtype=bool)
+        lo, hi = np.searchsorted(keys, (first, first + len(iu)))
+        present[keys[lo:hi] - first] = True
+        li, lj = lab[iu], lab[iv]
+        same = li == lj
+        add_u = pair_uniforms(add_seed, iu, iv)
+        rem_u = add_u if rem_tag == add_tag else pair_uniforms(rem_seed, iu, iv)
+        add = same & ~present & (add_u < add_rate[li, lj])
+        rem = ~same & present & (rem_u < rem_rate[li, lj])
+        return np.column_stack((iu[add], iv[add])), np.column_stack((iu[rem], iv[rem]))
+
+    added, removed = zip((_NO_PAIRS, _NO_PAIRS), *(block(*c) for c in _pair_chunks(g.n)))
+    return _apply_change(g, truth, np.concatenate(added), np.concatenate(removed))
 
 
 def _random_monotone(g, truth, delta_add, delta_rem, seed):
@@ -415,6 +447,10 @@ def simulate_dominating_sbm(
     inter pairs lose an existing edge with probability (q - q')/q, so the
     output is distributed as the target block model conditioned on truth.
     """
+    if truth.n != g.n or base.n != g.n:
+        raise ParameterError(
+            f"labels (n={truth.n}), graph (n={g.n}) and base model (n={base.n}) disagree on n"
+        )
     qp = np.asarray(q_tilde_prime, dtype=float)
     r = truth.r
     if qp.shape != (r, r) or not np.allclose(qp, qp.T):

@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ParameterError("need at least one trial per cell")
+        if not self.cells():
+            raise ParameterError("the grid has no cell with p_tilde > q_tilde")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import helmert
 
+from ppm_sdp import certificate
 from ppm_sdp.certificate import (
     _compressed_spectrum,
     algebraic_identity_suite,
+    assemble_lambda,
     build_certificate,
     edge_counts,
     partition_objective,
@@ -70,6 +73,89 @@ def complement_basis(truth):
     return np.column_stack(cols)
 
 
+def dense_gamma(truth, cert):
+    """Reference dense Gamma: each off-diagonal block is the rank-one matrix
+    outer(R[S_i, j], R[S_j, i]) / T_ij, left zero where T_ij <= 0."""
+    n = truth.n
+    gamma = np.zeros((n, n))
+    for i in range(truth.r):
+        vi = truth.members(i)
+        for j in range(i + 1, truth.r):
+            vj = truth.members(j)
+            if cert.T[i, j] <= 0:
+                continue
+            block = np.outer(cert.R[vi, j], cert.R[vj, i]) / cert.T[i, j]
+            gamma[np.ix_(vi, vj)] = block
+            gamma[np.ix_(vj, vi)] = block.T
+    return gamma
+
+
+def dense_lambda(g, cert, gamma):
+    """Reference dense Lambda = diag(nu) + omega J - A - Gamma."""
+    lam = cert.omega - g.adjacency() - gamma
+    lam.flat[:: g.n + 1] += cert.nu
+    return lam
+
+
+def dense_reference_report(g, truth, cert):
+    """(factored report, dense reference report).  The reference is the
+    dense verifier the factored one replaced: Gamma and Lambda as n x n
+    matrices, the PSD margin from the Helmert basis of the complement of
+    span{1_i - 1_j}; fields that do not involve Gamma or Lambda are shared."""
+    lab = truth.as_array()
+    n, r = g.n, truth.r
+    report = verify_certificate(g, truth, cert)
+    gamma = dense_gamma(truth, cert)
+    lam = dense_lambda(g, cert, gamma)
+    offblock = lab[:, None] != lab[None, :]
+    kernel_residual = 0.0
+    for i, j in itertools.combinations(range(r), 2):
+        vec = np.zeros(n)
+        vec[truth.members(i)] = 1.0
+        vec[truth.members(j)] = -1.0
+        kernel_residual = max(kernel_residual, float(np.max(np.abs(lam @ vec))))
+    basis = complement_basis(truth)
+    reduced = basis.T @ (0.5 * (lam + lam.T)) @ basis
+    spectrum = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    _, e_ij = edge_counts(g, truth)
+    primal = partition_objective(e_ij, truth.sizes(), cert.omega)
+    dual = float(np.sum(cert.nu)) + float(np.sum(gamma)) / (r - 1)
+    ref = dataclasses.replace(
+        report,
+        gamma_blocks_zero=bool(np.all(gamma[~offblock] == 0.0)),
+        gamma_off_min=float(np.min(gamma[offblock])),
+        kernel_residual=kernel_residual,
+        psd_margin=float(spectrum[0]),
+        psd_tol=1e-8 * max(float(np.max(np.abs(spectrum))), 1.0),
+        slackness_gap=abs(primal - dual),
+    )
+    ref.gamma_off_positive = ref.gamma_off_min > 0.0
+    ref.kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(lam))))
+    ref.psd_ok = ref.psd_margin >= -ref.psd_tol
+    ref.slackness_ok = ref.slackness_gap <= 1e-6 * (1.0 + n * math.log(n))
+    ref.verified = bool(
+        ref.construction_ok
+        and ref.intervals_nonempty
+        and ref.nu_ok
+        and ref.r_positive
+        and ref.t_positive
+        and ref.gamma_blocks_zero
+        and ref.gamma_off_positive
+        and ref.kernel_ok
+        and ref.psd_ok
+        and ref.slackness_ok
+    )
+    return report, ref
+
+
+def swap_two(truth):
+    """truth with one vertex of community 0 and one of community 1 swapped."""
+    lab = truth.as_array().copy()
+    a, b = truth.members(0)[3], truth.members(1)[5]
+    lab[a], lab[b] = lab[b], lab[a]
+    return PartitionLabels(labels=tuple(lab.tolist()), r=truth.r)
+
+
 STRONG = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
 UNEQUAL_PI = [(0.6, 0.4), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]
 
@@ -111,7 +197,7 @@ class TestConstruction:
         for i in range(2):
             assert np.ptp(cert.gamma_prime[truth.members(i)]) == 0.0
         vec = np.array([1.0] * 4 + [-1.0] * 4)
-        assert np.max(np.abs(cert.Lambda @ vec)) < 1e-8
+        assert np.max(np.abs(assemble_lambda(g, truth, cert) @ vec)) < 1e-8
 
     def test_ideal_graph_margin_formula(self):
         g = complete_blocks([0, 1, 2, 3], [4, 5, 6, 7])
@@ -124,14 +210,15 @@ class TestConstruction:
         assert margin == pytest.approx(expected, abs=1e-12)
         assert np.all(beta - alpha == pytest.approx(expected))
 
-    def test_lambda_assembly_identity(self, strong_instance):
+    def test_lambda_assembly_identity(self, strong_instance, monkeypatch):
         g, truth, cert = strong_instance
-        n = g.n
-        assembled = (
-            np.diag(cert.nu) + cert.omega * np.ones((n, n)) - g.adjacency() - cert.Gamma
-        )
-        scale = max(1.0, float(np.max(np.abs(assembled))))
-        assert np.max(np.abs(cert.Lambda - assembled)) <= 1e-10 * scale
+        expected = dense_lambda(g, cert, dense_gamma(truth, cert))
+        lam = assemble_lambda(g, truth, cert)
+        assert np.array_equal(lam, expected)
+        assert np.array_equal(lam, lam.T)
+        # blocks written a few rows at a time give the same matrix
+        monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", 997)
+        assert np.array_equal(assemble_lambda(g, truth, cert), expected)
 
     def test_community_gamma_sums_equal_c(self, strong_instance):
         g, truth, cert = strong_instance
@@ -174,10 +261,10 @@ class TestVerification:
 
     def test_corrupt_gamma_entry_fails(self, strong_instance):
         g, truth, cert = strong_instance
-        bad = dataclasses.replace(cert, Gamma=cert.Gamma.copy())
+        # a negative row sum for u toward community 1 makes Gamma[u, S_1] negative
+        bad = dataclasses.replace(cert, R=cert.R.copy())
         u = int(truth.members(0)[0])
-        v = int(truth.members(1)[0])
-        bad.Gamma[u, v] = bad.Gamma[v, u] = -1.0
+        bad.R[u, 1] = -1.0
         report = verify_certificate(g, truth, bad)
         assert not report.gamma_off_positive
         assert not report.verified
@@ -186,9 +273,7 @@ class TestVerification:
         g, truth, cert = strong_instance
         bad_nu = cert.nu.copy()
         bad_nu[0] += 1.0
-        n = g.n
-        lam = np.diag(bad_nu) + cert.omega * np.ones((n, n)) - g.adjacency() - cert.Gamma
-        bad = dataclasses.replace(cert, nu=bad_nu, Lambda=lam)
+        bad = dataclasses.replace(cert, nu=bad_nu)
         report = verify_certificate(g, truth, bad)
         assert not report.kernel_ok
         assert not report.verified
@@ -203,26 +288,27 @@ class TestVerification:
 
 class TestCompressedPsd:
     @pytest.mark.parametrize("pi", UNEQUAL_PI)
-    def test_spectrum_matches_helmert_reference(self, pi):
+    def test_spectrum_matches_helmert_reference(self, pi, monkeypatch):
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
         cert = build_certificate(g, truth, par)
+        lam = assemble_lambda(g, truth, cert)
         # a symmetric perturbation that does not vanish on span{1_i - 1_j},
         # so the compression itself, not the kernel property, is exercised
-        noise = np.random.default_rng(0).normal(size=cert.Lambda.shape)
-        perturbed = dataclasses.replace(cert, Lambda=cert.Lambda + noise + noise.T)
+        noise = np.random.default_rng(0).normal(size=lam.shape)
         basis = complement_basis(truth)
-        for c in (cert, perturbed):
-            reduced = basis.T @ c.Lambda @ basis
+        for m in (lam, lam + noise + noise.T):
+            reduced = basis.T @ m @ basis
             expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
             scale = max(1.0, float(np.max(np.abs(expected))))
-            spectrum = _compressed_spectrum(c.Lambda, truth)
+            spectrum = _compressed_spectrum(m.copy(), truth)
             assert np.max(np.abs(spectrum - expected)) <= 1e-9 * scale
-            report = verify_certificate(g, truth, c)
+            monkeypatch.setattr(certificate, "assemble_lambda", lambda *_, m=m: m.copy())
+            report = verify_certificate(g, truth, cert)
             assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
             assert report.psd_ok == (expected[0] >= -1e-8 * scale)
 
-    def test_negative_direction_in_complement_flips_psd_ok(self, strong_instance):
+    def test_negative_direction_in_complement_flips_psd_ok(self, strong_instance, monkeypatch):
         g, truth, cert = strong_instance
         assert verify_certificate(g, truth, cert).psd_ok
         # zero-sum within community 0, hence orthogonal to every 1_i - 1_j
@@ -230,9 +316,11 @@ class TestCompressedPsd:
         a, b = truth.members(0)[:2]
         w[a], w[b] = 1.0, -1.0
         w /= np.linalg.norm(w)
-        t = float(w @ cert.Lambda @ w) + 1.0  # w^T Lambda' w = -1 afterwards
-        bad = dataclasses.replace(cert, Lambda=cert.Lambda - t * np.outer(w, w))
-        report = verify_certificate(g, truth, bad)
+        lam = assemble_lambda(g, truth, cert)
+        t = float(w @ lam @ w) + 1.0  # w^T Lambda' w = -1 afterwards
+        lam -= t * np.outer(w, w)
+        monkeypatch.setattr(certificate, "assemble_lambda", lambda *_: lam.copy())
+        report = verify_certificate(g, truth, cert)
         assert report.psd_margin <= -1.0 + 1e-9
         assert report.kernel_ok
         assert not report.psd_ok
@@ -248,6 +336,72 @@ class TestCompressedPsd:
         _, e_ij = edge_counts(g, truth)
         closed = partition_objective(e_ij, truth.sizes(), omega)
         assert closed == pytest.approx(dense, rel=1e-12, abs=1e-9)
+
+
+class TestDenseReference:
+    """The factored verifier against the dense Gamma/Lambda one it replaced."""
+
+    CASES = [(pi, labels) for pi in UNEQUAL_PI for labels in ("planted", "swapped")]
+
+    @staticmethod
+    def assert_same_verdicts(g, truth, cert):
+        report, ref = dense_reference_report(g, truth, cert)
+        for name, value in ref.__dict__.items():
+            if isinstance(value, bool):
+                assert getattr(report, name) == value, name
+        assert report.gamma_off_min == ref.gamma_off_min
+        psd_scale = max(1.0, ref.psd_tol / 1e-8)
+        assert abs(report.psd_margin - ref.psd_margin) <= 1e-9 * psd_scale
+        assert abs(report.psd_tol - ref.psd_tol) <= 1e-9 * ref.psd_tol
+        slack_scale = 1.0 + g.n * math.log(g.n)
+        assert abs(report.slackness_gap - ref.slackness_gap) <= 1e-9 * slack_scale
+        return report
+
+    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("pi, labels", CASES)
+    def test_verdicts_match(self, pi, labels, chunk, monkeypatch):
+        if chunk is not None:  # blocks and updates span several row blocks
+            monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
+        par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        if labels == "swapped":
+            truth = swap_two(truth)
+        cert = build_certificate(g, truth, par)
+        report = self.assert_same_verdicts(g, truth, cert)
+        assert report.verified == (labels == "planted")
+
+    def test_failed_construction_matches(self):
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        cert = build_certificate(g, truth, par, omega=par.q / 2)
+        assert not cert.construction_ok
+        report = self.assert_same_verdicts(g, truth, cert)
+        assert report.gamma_off_min <= 0.0 and not report.verified
+
+
+def peak_units(fn, n):
+    """Peak traced allocation of fn(), in units of one dense n x n float64
+    matrix (8 n^2 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Only verification holds an n x n matrix: the dense Lambda its
+    eigenvalue check needs."""
+
+    def test_build_and_verify_peaks(self):
+        par = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 3)
+        warm = dataclasses.replace(par, n=100)  # first calls import lazily
+        verify_certificate(*sample_ppm(warm, 3), build_certificate(*sample_ppm(warm, 3), warm))
+        assert peak_units(lambda: build_certificate(g, truth, par), g.n) <= 0.5
+        cert = build_certificate(g, truth, par)
+        assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 1.5
 
 
 class TestAlgebraicIdentities:
@@ -268,9 +422,11 @@ class TestAlgebraicIdentities:
 
     def test_gamma_blocks_rank_one(self, strong_instance):
         g, truth, cert = strong_instance
+        # off the diagonal blocks, Gamma = omega J - A - Lambda
+        gamma = cert.omega - g.adjacency() - assemble_lambda(g, truth, cert)
         for i in range(truth.r):
             for j in range(i + 1, truth.r):
-                block = cert.Gamma[np.ix_(truth.members(i), truth.members(j))]
+                block = gamma[np.ix_(truth.members(i), truth.members(j))]
                 sv = np.linalg.svd(block, compute_uv=False)
                 assert sv[1] <= 1e-9 * sv[0]
 

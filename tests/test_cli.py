@@ -436,6 +436,16 @@ class TestUsageErrors:
         line = self.usage_error(capsys, "robustness", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert "colour" in line
 
+    def test_config_without_an_assortative_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p_tilde_grid": [2], "q_tilde_grid": [3], "pi": [0.5, 0.5], "n_grid": [100],
+            "trials": 1, "seed_base": 0, "adversary": {"kind": "none"},
+        }))
+        line = self.usage_error(capsys, "robustness", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert "p_tilde > q_tilde" in line
+        assert not (tmp_path / "r.csv").exists()
+
     def test_malformed_adversary_spec(self, tmp_path, capsys, sampled):
         gp, lp = sampled
         spec = tmp_path / "spec.json"

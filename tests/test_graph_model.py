@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ppm_sdp import certificate, cli, oracle, sdp, thresholds
+from ppm_sdp import certificate, cli, graph_model, oracle, sdp, thresholds
 from ppm_sdp.graph_model import (
     AdversarySpec,
+    _pair_chunks,
     _edges_by_line,
     Graph,
     GraphFormatError,
+    _derive_seed,
     PartitionLabels,
     PlantedPartitionParams,
     apply_adversary,
@@ -49,6 +53,45 @@ PINNED_DIGESTS = {
     "sbm_dominate": "2bcfb71e0a95bf2ab7a6f79326e0ef4af472f67e3d5e6fa62b86e57d23fc1852",
     "scripted": "d855349a1afce7f4ab0eeaa437be01daa157c9852807bcb691f162f007809351",
 }
+
+
+def unchunked_sample(params, seed):
+    """Reference sampler: every upper-triangle pair at once."""
+    truth = planted_labels(params.n, params.pi)
+    lab = truth.as_array()
+    iu, iv = np.triu_indices(params.n, 1)
+    probs = np.where(lab[iu] == lab[iv], params.p, params.q)
+    hit = pair_uniforms(seed, iu, iv) < probs
+    return Graph(params.n, np.column_stack((iu[hit], iv[hit]))), truth
+
+
+def unchunked_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
+    """Reference per-pair monotone change over every upper-triangle pair at
+    once, with presence read from the dense adjacency."""
+    lab = truth.as_array()
+    iu, iv = np.triu_indices(g.n, 1)
+    li, lj = lab[iu], lab[iv]
+    same = li == lj
+    present = g.adjacency()[iu, iv] == 1.0
+    add_u = pair_uniforms(_derive_seed(seed, add_tag), iu, iv)
+    rem_u = pair_uniforms(_derive_seed(seed, rem_tag), iu, iv)
+    add = same & ~present & (add_u < add_rate[li, lj])
+    rem = ~same & present & (rem_u < rem_rate[li, lj])
+    edges = (g.edges | set(zip(iu[add].tolist(), iv[add].tolist()))) - set(
+        zip(iu[rem].tolist(), iv[rem].tolist())
+    )
+    return Graph(g.n, edges)
+
+
+def peak_units(fn, n):
+    """Peak traced allocation of fn(), in units of one dense n x n float64
+    matrix (8 n^2 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
 
 
 def file_digest(g, path):
@@ -218,6 +261,94 @@ class TestSamplePpm:
                 assert abs(counts[i, j] - mean) <= 4 * math.sqrt(mean)
 
 
+class TestChunkedPairs:
+    """Pairs are visited in row blocks; the outputs equal those of one pass
+    over np.triu_indices."""
+
+    RM = {"delta_add": 0.05, "delta_rem": 0.3}
+
+    @staticmethod
+    def check_chunks(n):
+        chunks = list(_pair_chunks(n))
+        iu, iv = np.triu_indices(n, 1)
+        got_u = np.concatenate([np.empty(0, int)] + [c[1] for c in chunks])
+        got_v = np.concatenate([np.empty(0, int)] + [c[2] for c in chunks])
+        assert np.array_equal(got_u, iu) and np.array_equal(got_v, iv)
+        firsts = np.cumsum([0] + [len(c[1]) for c in chunks])[:-1]
+        for (first, cu, cv), expect in zip(chunks, firsts):
+            assert first == expect
+            assert cv[0] == cu[0] + 1 and cv[-1] == n - 1  # whole rows
+            assert len(cu) <= graph_model._CHUNK_PAIRS or cu[0] == cu[-1]
+        return len(chunks)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 363, 1000])
+    def test_chunks_cover_the_triangle_in_order(self, n):
+        self.check_chunks(n)
+
+    def test_small_chunks_and_rows_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(graph_model, "_CHUNK_PAIRS", 7)
+        assert self.check_chunks(12) > 6  # rows 0..3 each exceed a chunk
+        # rows of 4 and 3 pairs fill the first block exactly
+        assert self.check_chunks(5) == 2
+
+    def test_sample_matches_unchunked_at_1000(self):
+        par = dataclasses.replace(PINNED, n=1000)
+        assert self.check_chunks(par.n) == 8
+        for seed in (3, 4):
+            g, truth = sample_ppm(par, seed)
+            ref, ref_truth = unchunked_sample(par, seed)
+            assert np.array_equal(g.pairs, ref.pairs) and truth == ref_truth
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sample_matches_unchunked_tiny(self, n):
+        par = PlantedPartitionParams(n=n, r=2, pi=(0.5, 0.5), p_tilde=2.5, q_tilde=2)
+        for seed in range(20):
+            assert np.array_equal(sample_ppm(par, seed)[0].pairs, unchunked_sample(par, seed)[0].pairs)
+
+    @pytest.mark.parametrize("n, chunk", [(1000, None), (300, 97)])
+    def test_adversaries_match_unchunked(self, n, chunk, monkeypatch):
+        if chunk is not None:  # hundreds of block edges, some at present pairs
+            monkeypatch.setattr(graph_model, "_CHUNK_PAIRS", chunk)
+        par = dataclasses.replace(PINNED, n=n)
+        g, truth = sample_ppm(par, 3)
+        assert np.array_equal(g.pairs, unchunked_sample(par, 3)[0].pairs)
+        out = apply_adversary(g, truth, AdversarySpec("random_monotone", self.RM), 17)
+        ones = np.ones((3, 3))
+        ref = unchunked_kernel(g, truth, 0.05 * ones, 0.3 * ones, 17, 0xADD, 0x4E)
+        assert np.array_equal(out.pairs, ref.pairs)
+
+        qp = np.asarray(PINNED_SPECS["sbm_dominate"]["q_tilde_prime"], dtype=float)
+        out = simulate_dominating_sbm(g, truth, qp, par, 17)
+        rate = qp * (math.log(par.n) / par.n)
+        add_rate, rem_rate = (rate - par.p) / (1.0 - par.p), (par.q - rate) / par.q
+        ref = unchunked_kernel(g, truth, add_rate, rem_rate, 17, 0xD0, 0xD0)
+        assert np.array_equal(out.pairs, ref.pairs)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_random_monotone_on_tiny_graphs(self, n):
+        truth = PartitionLabels(labels=(0,) * n, r=1)
+        spec = AdversarySpec("random_monotone", {"delta_add": 1.0})
+        out = apply_adversary(Graph(n), truth, spec, 0)
+        assert out.sorted_edges() == ([(0, 1)] if n == 2 else [])
+        truth = PartitionLabels(labels=tuple(range(n)), r=n)
+        spec = AdversarySpec("random_monotone", {"delta_rem": 1.0})
+        assert apply_adversary(Graph(n, [(0, 1)] if n == 2 else ()), truth, spec, 0).m == 0
+
+
+class TestMemory:
+    """Sampling and the per-pair adversaries hold pairs a row block at a
+    time, not the whole triangle."""
+
+    def test_sample_and_random_monotone_peaks(self):
+        par = dataclasses.replace(PINNED, n=1000)
+        spec = AdversarySpec("random_monotone", {"delta_add": 0.3, "delta_rem": 0.3})
+        g, truth = sample_ppm(dataclasses.replace(par, n=100), 3)
+        apply_adversary(g, truth, spec, 1)  # first calls import lazily
+        assert peak_units(lambda: sample_ppm(par, 3), par.n) <= 1.0
+        g, truth = sample_ppm(par, 3)
+        assert peak_units(lambda: apply_adversary(g, truth, spec, 1), par.n) <= 1.0
+
+
 class TestPairUniforms:
     def test_deterministic_and_in_range(self):
         u = np.array([0, 1, 2])
@@ -333,6 +464,17 @@ class TestDominatingSbm:
         qp2 = thresholds.ppm_rate_matrix(10, 3.0, 2)  # inter rate above base
         with pytest.raises(ParameterError):
             simulate_dominating_sbm(g, truth, qp2, par, 0)
+
+    def test_rejects_sizes_that_disagree(self):
+        par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=10, q_tilde=2)
+        g, truth = sample_ppm(par, 1)
+        qp = thresholds.ppm_rate_matrix(12, 1, 2)
+        short = PartitionLabels(labels=truth.labels[:60], r=2)
+        with pytest.raises(ParameterError, match="disagree on n"):
+            simulate_dominating_sbm(g, short, qp, par, 0)
+        other = dataclasses.replace(par, n=200)
+        with pytest.raises(ParameterError, match="disagree on n"):
+            simulate_dominating_sbm(g, truth, qp, other, 0)
 
     def test_hierarchical_removal_fractions(self):
         # four communities; inter rate drops from b to c only across the

@@ -71,6 +71,12 @@ class TestConfig:
         assert cfg.cells() == [(100, 8.0, 2.0), (100, 8.0, 4.0)]
         assert cfg.work_estimate() == 4
 
+    def test_grid_without_an_assortative_cell(self):
+        with pytest.raises(ParameterError, match="no cell"):
+            small_config(p_tilde_grid=[2.0], q_tilde_grid=[3.0])
+        with pytest.raises(ParameterError, match="no cell"):
+            small_config(n_grid=[])
+
     def test_bad_algorithm(self):
         with pytest.raises(ParameterError):
             small_config(algorithm="magic")
