@@ -70,6 +70,12 @@ class CertificateReport:
     construction_ok: bool
     verified: bool
 
+    @property
+    def unique_optimum(self) -> bool:
+        """The labels are the unique SDP optimum: the certificate verifies
+        and Lambda is strictly positive on the complement of span{1_i - 1_j}."""
+        return self.verified and self.psd_margin > self.psd_tol
+
     def to_dict(self) -> dict:
         return {k: _jsonable(v) for k, v in self.__dict__.items()}
 

@@ -1,10 +1,10 @@
 """Command-line interface: `ppm-sdp <subcommand>`.
 
-`solve` tries the dual certificate first: it builds and verifies the
-certificate for a spectral candidate partition, and when that proves the
-candidate the unique SDP optimum it reports the candidate without running
-ADMM ("method": "certificate", iterations 0).  Otherwise it runs ADMM and
-rounds ("method": "admm").
+`solve` is one `sdp.recover` call.  It tries the dual certificate first: it
+builds and verifies the certificate for a spectral candidate partition, and
+when that proves the candidate the unique SDP optimum it reports the
+candidate without running ADMM ("method": "certificate", iterations 0).
+Otherwise it runs ADMM and rounds ("method": "admm").
 
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
@@ -137,60 +137,32 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _solve_admm(args, g, r, sizes) -> int:
-    opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
-    if sizes is not None:
-        prob = sdp.build_known_sizes(g, sizes)
-    else:
-        prob = sdp.build_unknown_sizes(g, r, args.omega)
-    sol = sdp.solve(prob, opts)
-    rounding = sdp.round_to_partition(sol, r, opts.round_tol)
-    if args.out_matrix:
-        np.savetxt(args.out_matrix, sol.X)
-    info = {
-        "method": "admm",
-        "objective": sol.objective,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "rounded": rounding.success,
-        "max_deviation": rounding.max_deviation,
-    }
-    print(json.dumps(info, indent=2))
-    if not sol.converged:
-        return EXIT_NO_CONVERGENCE
-    if not rounding.success:
-        return EXIT_ROUNDING_FAILURE
-    if args.out_labels:
-        write_labels(rounding.labels, args.out_labels)
-    return EXIT_OK
-
-
 def cmd_solve(args) -> int:
     r = _require_mode_args(args)
     g = read_graph(args.graph)
     known = args.mode == "known"
-    sizes = args.sizes if known else None
-    omega = None if known else args.omega
-    certified = sdp.certified_partition(g, r, omega=omega, sizes=sizes)
-    if certified is None:
-        return _solve_admm(args, g, r, sizes)
-    labels, _ = certified
-    if args.out_matrix:
-        np.savetxt(args.out_matrix, sdp.centered_partition_matrix(labels))
-    _, e_ij = certificate.edge_counts(g, labels)
-    # the known-sizes objective is <A, X>; the unknown-sizes one <A - omega J, X>
-    objective = certificate.partition_objective(e_ij, labels.sizes(), 0.0 if known else omega)
+    rec = sdp.recover(
+        g, r, sizes=args.sizes if known else None, omega=None if known else args.omega,
+        opts=sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters),
+    )
+    if args.out_matrix:  # the solved matrix, or the certified partition's
+        x = rec.X if rec.X is not None else sdp.centered_partition_matrix(rec.labels)
+        np.savetxt(args.out_matrix, x)
     info = {
-        "method": "certificate",
-        "objective": objective,
-        "iterations": 0,
-        "converged": True,
-        "rounded": True,
-        "max_deviation": 0.0,
+        "method": rec.method,
+        "objective": rec.objective,
+        "iterations": rec.iterations,
+        "converged": rec.converged,
+        "rounded": rec.labels is not None,
+        "max_deviation": rec.max_deviation,
     }
     print(json.dumps(info, indent=2))
+    if not rec.converged:
+        return EXIT_NO_CONVERGENCE
+    if rec.labels is None:
+        return EXIT_ROUNDING_FAILURE
     if args.out_labels:
-        write_labels(labels, args.out_labels)
+        write_labels(rec.labels, args.out_labels)
     return EXIT_OK
 
 

@@ -145,28 +145,29 @@ def labels_agree(a: PartitionLabels, b: PartitionLabels) -> bool:
 def run_trial(
     cfg: ExperimentConfig, params: PlantedPartitionParams, seed: int
 ) -> dict:
-    """One sampled instance: optional adversary, solve/round, certify."""
+    """One sampled instance: optional adversary, ADMM recovery, certify.
+    Under "certify-only", recovered means the certificate proves the planted
+    partition the unique SDP optimum."""
     g, truth = sample_ppm(params, seed)
     if cfg.adversary is not None:
         g = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
     result = {"recovered": False, "verified": False, "iterations": 0}
-    opts = sdp.SolverOptions(tol=cfg.tol, max_iters=cfg.max_iters)
     if cfg.algorithm != "certify-only":
-        if cfg.algorithm == "solve-known":
-            prob = sdp.build_known_sizes(g, truth.sizes())
-        else:
-            omega = thresholds.compute_omega(params.p, params.q)
-            prob = sdp.build_unknown_sizes(g, truth.r, omega)
-        sol = sdp.solve(prob, opts)
-        result["iterations"] = sol.iterations
-        rounding = sdp.round_to_partition(sol, truth.r, opts.round_tol)
-        result["recovered"] = rounding.success and labels_agree(
-            rounding.labels, truth
+        known = cfg.algorithm == "solve-known"
+        rec = sdp.recover_admm(
+            g, truth.r,
+            sizes=truth.sizes() if known else None,
+            omega=None if known else thresholds.compute_omega(params.p, params.q),
+            opts=sdp.SolverOptions(tol=cfg.tol, max_iters=cfg.max_iters),
         )
+        result["iterations"] = rec.iterations
+        result["recovered"] = rec.labels is not None and labels_agree(rec.labels, truth)
     if cfg.certify or cfg.algorithm == "certify-only":
         cert = certificate.build_certificate(g, truth, params)
         report = certificate.verify_certificate(g, truth, cert)
         result["verified"] = report.verified
+        if cfg.algorithm == "certify-only":
+            result["recovered"] = report.unique_optimum
     return result
 
 
@@ -350,8 +351,11 @@ def tail_exponent_demo(
 class OmegaSweepEntry:
     omega: float
     converged: bool
-    is_partition: bool
     labels: PartitionLabels | None
+
+    @property
+    def is_partition(self) -> bool:
+        return self.labels is not None
 
 
 def omega_sweep(
@@ -368,26 +372,11 @@ def omega_sweep(
     """
     opts = opts or sdp.SolverOptions(tol=1e-5, max_iters=5000)
     out = []
-    for omega in omegas:
+    for omega in map(float, omegas):
         try:
-            prob = sdp.build_unknown_sizes(g, r, float(omega))
-            sol = sdp.solve(prob, opts)
-            rounding = sdp.round_to_partition(sol, r, opts.round_tol)
-            out.append(
-                OmegaSweepEntry(
-                    omega=float(omega),
-                    converged=sol.converged,
-                    is_partition=rounding.success,
-                    labels=rounding.labels,
-                )
-            )
+            rec = sdp.recover_admm(g, r, omega=omega, opts=opts)
         except Exception:
-            out.append(
-                OmegaSweepEntry(
-                    omega=float(omega),
-                    converged=False,
-                    is_partition=False,
-                    labels=None,
-                )
-            )
+            out.append(OmegaSweepEntry(omega=omega, converged=False, labels=None))
+            continue
+        out.append(OmegaSweepEntry(omega=omega, converged=rec.converged, labels=rec.labels))
     return out

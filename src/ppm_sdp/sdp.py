@@ -1,4 +1,5 @@
-"""Semidefinite relaxations for recovery and a first-order splitting solver.
+"""Semidefinite relaxations for recovery, a first-order splitting solver,
+and the one routine that turns a graph into a partition.
 
 Two programs are supported: known community sizes (objective <A, X> with an
 all-ones-sum equality constraint) and unknown sizes (objective
@@ -6,6 +7,9 @@ all-ones-sum equality constraint) and unknown sizes (objective
 X >= -1/(r-1), and X PSD.  The solver is consensus ADMM over the three
 constraint sets, with a full symmetric eigendecomposition per iteration for
 the PSD projection; robust and adequate at desk scale (n up to ~2000).
+
+`recover` tries the dual certificate first and falls back to `recover_admm`
+(build, solve, round); these are the only graph-to-partition routines.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from .thresholds import ParameterError, compute_omega
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
     """Matrix with 1 for same-community pairs and -1/(r-1) otherwise."""
-    if labels.r < 2:
-        raise ParameterError("need r >= 2")
+    _check_r(labels.r)
     same = labels.same_community_matrix()
     low = -1.0 / (labels.r - 1)
     return np.where(same, 1.0, low)
@@ -37,19 +40,16 @@ class SdpProblem:
     j_target: float | None = None  # known-sizes equality <J, X> = j_target
     omega: float | None = None  # unknown-sizes penalty (already folded into C)
 
-    @property
-    def lower_bound(self) -> float:
-        return -1.0 / (self.r - 1)
+
+RHO = 1.0  # initial ADMM penalty
+ADAPT_EVERY = 50  # iterations between penalty rebalancing steps
+ROUND_TOL = 0.1  # largest entrywise distance rounding accepts
 
 
 @dataclass
 class SolverOptions:
     tol: float = 1e-6
     max_iters: int = 20000
-    rho: float = 1.0
-    adapt_every: int = 50
-    round_tol: float = 0.1
-    keep_iterates: int = 0  # snapshot the consensus X every k iterations
 
 
 @dataclass
@@ -60,7 +60,6 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
-    iterates: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -90,8 +89,8 @@ def _check_sizes(g: Graph, sizes) -> list:
     return sizes
 
 
-def _check_omega(omega: float) -> None:
-    if not (0.0 < omega < 1.0):
+def _check_omega(omega: float | None) -> None:
+    if omega is None or not (0.0 < omega < 1.0):
         raise ParameterError(f"need 0 < omega < 1, got {omega}")
 
 
@@ -148,15 +147,14 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     non-convergence (returns the best iterate with converged=False)."""
     opts = opts or SolverOptions()
     n = prob.n
-    lb = prob.lower_bound
+    lb = -1.0 / (prob.r - 1)  # entrywise lower bound of the box
     c_mat = prob.objective
-    rho = opts.rho
+    rho = RHO
     x = np.eye(n)
     z = [x.copy(), x.copy(), x.copy()]
     u = [np.zeros((n, n)) for _ in range(3)]
     scale = n  # residual normalization
     primal = dual = math.inf
-    iterates: list = []
     it = 0
     for it in range(1, opts.max_iters + 1):
         x_prev = x
@@ -171,11 +169,9 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
             primal = max(primal, float(np.linalg.norm(x - z[k])))
         primal /= scale
         dual = rho * float(np.linalg.norm(x - x_prev)) / scale
-        if opts.keep_iterates and it % opts.keep_iterates == 0:
-            iterates.append(x.copy())
         if max(primal, dual) < opts.tol:
             break
-        if opts.adapt_every and it % opts.adapt_every == 0:
+        if it % ADAPT_EVERY == 0:
             if primal > 10.0 * dual:
                 rho *= 2.0
                 for k in range(3):
@@ -192,34 +188,25 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         dual_residual=dual,
         iterations=it,
         converged=converged,
-        iterates=iterates,
     )
 
 
+def _first_occurrence_labels(assign: np.ndarray, r: int) -> PartitionLabels:
+    """Labels numbered by each class's first vertex: vertex 0 is in 0."""
+    _, first = np.unique(assign, return_index=True)
+    relabel = np.argsort(np.argsort(first))
+    return PartitionLabels(labels=tuple(relabel[assign].tolist()), r=r)
+
+
 def _labels_from_components(same: np.ndarray, r: int) -> PartitionLabels | None:
-    """Labels when the same-community relation is exactly r disjoint cliques."""
-    n = same.shape[0]
-    labels = -np.ones(n, dtype=int)
-    comp = 0
-    for v in range(n):
-        if labels[v] >= 0:
-            continue
-        members = np.flatnonzero(same[v])
-        if np.any(labels[members] >= 0):
-            return None
-        # the block must be mutually complete and closed
-        sub = same[np.ix_(members, members)]
-        if not np.all(sub):
-            return None
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        if np.any(same[np.ix_(members, np.flatnonzero(outside))]):
-            return None
-        labels[members] = comp
-        comp += 1
-    if comp != r:
+    """Labels when the same-community relation is exactly r disjoint cliques.
+    A vertex's class is keyed by the first vertex it relates to (its row's
+    first True, the same for a whole clique); the relation is accepted when
+    there are r keys and `same` is exactly the equality of keys."""
+    keys, assign = np.unique(np.argmax(same, axis=1), return_inverse=True)
+    if len(keys) != r or not np.array_equal(same, assign[:, None] == assign[None, :]):
         return None
-    return PartitionLabels(labels=tuple(labels.tolist()), r=r)
+    return _first_occurrence_labels(assign, r)
 
 
 def _kmeans(rows: np.ndarray, r: int) -> np.ndarray | None:
@@ -257,27 +244,19 @@ def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
     w, v = np.linalg.eigh(X)
     rows = v[:, -(r - 1):] * w[-(r - 1):]
     assign = _kmeans(rows, r)
-    if assign is None:
-        return None
-    # canonical first-occurrence relabeling
-    _, first = np.unique(assign, return_index=True)
-    relabel = np.argsort(np.argsort(first))
-    return PartitionLabels(labels=tuple(relabel[assign].tolist()), r=r)
+    return None if assign is None else _first_occurrence_labels(assign, r)
 
 
-def round_to_partition(
-    sol: SdpSolution, r: int, round_tol: float = 0.1
-) -> RoundingResult:
+def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
     """Snap a solved matrix to the nearest centered partition matrix.
 
     Entries are thresholded at the midpoint between 1 and -1/(r-1); if the
     resulting same-community relation is not exactly r disjoint cliques, fall
     back to clustering rows by the top r-1 eigenvectors.  The candidate is
     accepted only if its centered partition matrix is entrywise within
-    round_tol of the solved matrix.
+    ROUND_TOL of the solved matrix.
     """
-    if r < 2:
-        raise ParameterError("need r >= 2")
+    _check_r(r)
     X = sol.X
     mid = 0.5 * (1.0 - 1.0 / (r - 1))
     same = X > mid
@@ -288,7 +267,7 @@ def round_to_partition(
     if labels is None:
         return RoundingResult(labels=None, success=False, max_deviation=math.inf)
     deviation = float(np.max(np.abs(centered_partition_matrix(labels) - X)))
-    if deviation > round_tol:
+    if deviation > ROUND_TOL:
         return RoundingResult(labels=None, success=False, max_deviation=deviation)
     return RoundingResult(labels=labels, success=True, max_deviation=deviation)
 
@@ -346,6 +325,55 @@ def certified_partition(
         omega = compute_omega(p_hat, q_hat)
     cert = certificate.build_certificate(g, labels, params, omega=omega)
     report = certificate.verify_certificate(g, labels, cert)
-    if not (report.verified and report.psd_margin > report.psd_tol):
+    if not report.unique_optimum:
         return None
     return labels, report
+
+
+@dataclass
+class Recovery:
+    """A partition from a graph, by "certificate" (no ADMM: 0 iterations,
+    deviation 0, no X) or by "admm" (labels None when rounding failed)."""
+
+    method: str
+    labels: PartitionLabels | None
+    objective: float
+    iterations: int
+    converged: bool
+    max_deviation: float
+    X: np.ndarray | None = field(default=None, repr=False)
+
+
+def recover_admm(
+    g: Graph, r: int, *, sizes=None, omega: float | None = None,
+    opts: SolverOptions | None = None,
+) -> Recovery:
+    """Solve the known-sizes program when `sizes` is given and the
+    unknown-sizes one (which needs `omega`) otherwise, then round."""
+    if sizes is not None:
+        prob = build_known_sizes(g, sizes)
+    else:
+        prob = build_unknown_sizes(g, r, omega)
+    sol = solve(prob, opts)
+    rounding = round_to_partition(sol, r)
+    return Recovery("admm", rounding.labels, sol.objective, sol.iterations,
+                    sol.converged, rounding.max_deviation, sol.X)
+
+
+def recover(
+    g: Graph, r: int, *, sizes=None, omega: float | None = None,
+    opts: SolverOptions | None = None,
+) -> Recovery:
+    """The `certified_partition` candidate when the certificate proves it,
+    with its objective in closed form (<A, X> with `sizes`, <A - omega J, X>
+    without); otherwise `recover_admm` with the same arguments."""
+    if sizes is None:
+        _check_omega(omega)
+    certified = certified_partition(g, r, omega=omega, sizes=sizes)
+    if certified is None:
+        return recover_admm(g, r, sizes=sizes, omega=omega, opts=opts)
+    labels, _ = certified
+    _, e_ij = certificate.edge_counts(g, labels)
+    omega_j = 0.0 if sizes is not None else omega
+    objective = certificate.partition_objective(e_ij, labels.sizes(), omega_j)
+    return Recovery("certificate", labels, objective, 0, True, 0.0)

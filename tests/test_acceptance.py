@@ -61,10 +61,10 @@ def desk_runs():
         g, truth = sample_ppm(DESK_PARAMS, seed)
         out = {"g": g, "truth": truth, "omega": omega}
         sol_k = solve(build_known_sizes(g, truth.sizes()), DESK_OPTS)
-        rk = round_to_partition(sol_k, truth.r, DESK_OPTS.round_tol)
+        rk = round_to_partition(sol_k, truth.r)
         out["known"] = rk.success and labels_agree(rk.labels, truth)
         sol_u = solve(build_unknown_sizes(g, truth.r, omega), DESK_OPTS)
-        ru = round_to_partition(sol_u, truth.r, DESK_OPTS.round_tol)
+        ru = round_to_partition(sol_u, truth.r)
         out["unknown"] = ru.success and labels_agree(ru.labels, truth)
         out["admm_labels"] = {"known": rk.labels, "unknown": ru.labels}
         out["certified"] = {
@@ -158,7 +158,7 @@ def test_criterion_4_oracle_equivalence():
             continue
         omega = compute_omega(par.p, par.q)
         sol = solve(build_unknown_sizes(g, r, omega), DESK_OPTS)
-        rounding = round_to_partition(sol, r, DESK_OPTS.round_tol)
+        rounding = round_to_partition(sol, r)
         if not (sol.converged and rounding.success):
             continue
         cert = build_certificate(g, truth, par)
@@ -217,7 +217,7 @@ def test_criterion_6_semirandom_robustness(desk_runs):
         for spec in adversaries:
             g2 = apply_adversary(run["g"], run["truth"], spec, seed)
             sol = solve(build_unknown_sizes(g2, run["truth"].r, run["omega"]), DESK_OPTS)
-            rounding = round_to_partition(sol, run["truth"].r, DESK_OPTS.round_tol)
+            rounding = round_to_partition(sol, run["truth"].r)
             recovered = rounding.success and labels_agree(rounding.labels, run["truth"])
             pairs += 1
             violations += not recovered
@@ -244,14 +244,14 @@ def test_criterion_7_monotone_objective_arithmetic():
         2.0 / (truth.r - 1), abs=1e-12
     )
     # any feasible X gains at most those amounts; take entrywise-feasible
-    # points from the solver trajectory
-    sol = solve(
-        build_unknown_sizes(g, truth.r, omega),
-        SolverOptions(tol=1e-5, max_iters=5000, keep_iterates=25),
-    )
+    # points from the solver trajectory: the iterate after 25, 50, ..., 250
+    # iterations (a stopped run returns its last iterate) and the solution
+    prob = build_unknown_sizes(g, truth.r, omega)
+    points = [solve(prob, SolverOptions(tol=1e-5, max_iters=k)).X for k in range(25, 251, 25)]
+    points.append(solve(prob, SolverOptions(tol=1e-5, max_iters=5000)).X)
     lb = -1.0 / (truth.r - 1)
     bound_ok = True
-    for x in sol.iterates[:10] + [sol.X]:
+    for x in points:
         x = np.clip(x, lb, 1.0)
         np.fill_diagonal(x, 1.0)
         d_add = objective_value(g_add, x, omega) - objective_value(g, x, omega)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -318,6 +319,27 @@ class TestPhaseAndSweep:
         code, _ = run(capsys, "phase", "--config", str(cfg), "--out", str(out))
         assert code == EXIT_OK
         assert out.read_text().count("\n") == 2  # header + one cell
+
+    def test_certify_only_robustness_counts_certified_trials(self, tmp_path, capsys):
+        # a certify-only trial is recovered when its certificate proves the
+        # planted partition the unique optimum, so the clean rate is positive
+        # and at most the verified rate phase reports on the same clean cell
+        cell = {
+            "p_tilde_grid": [21.0], "q_tilde_grid": [2.0], "pi": [0.5, 0.5], "n_grid": [120],
+            "trials": 3, "seed_base": 3, "algorithm": "certify-only",
+        }
+        base = {"n": 120, "r": 2, "pi": [0.5, 0.5], "p_tilde": 21.0, "q_tilde": 2.0}
+        adversary = {"kind": "sbm_dominate", "params": {"base": base, "q_tilde_prime": [[21, 1], [1, 21]]}}
+        rob_cfg, phase_cfg = tmp_path / "rob.json", tmp_path / "phase.json"
+        rob_cfg.write_text(json.dumps({**cell, "adversary": adversary}))
+        phase_cfg.write_text(json.dumps(cell))
+        code, out = run(capsys, "robustness", "--config", str(rob_cfg), "--out", str(tmp_path / "r.csv"))
+        assert code == EXIT_OK
+        clean_rate = json.loads(out)["clean_rate"]
+        code, _ = run(capsys, "phase", "--config", str(phase_cfg), "--out", str(tmp_path / "p.csv"))
+        assert code == EXIT_OK
+        (row,) = csv.DictReader((tmp_path / "p.csv").open())
+        assert 0.0 < clean_rate <= float(row["verified_rate"])
 
     def test_tails_command(self, capsys):
         code, out = run(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ppm_sdp.certificate import build_certificate, verify_certificate
 from ppm_sdp.graph_model import (
     AdversarySpec,
     PartitionLabels,
@@ -171,6 +172,17 @@ class TestRunTrial:
         out = run_trial(par_cfg, params, 5)
         assert out["iterations"] == 0
         assert isinstance(out["verified"], bool)
+
+    def test_certify_only_recovered_means_unique_optimum(self):
+        cfg = small_config(algorithm="certify-only")
+        for p_tilde in (4.0, 14.0):
+            params = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=p_tilde, q_tilde=2.0)
+            g, truth = sample_ppm(params, 5)
+            report = verify_certificate(g, truth, build_certificate(g, truth, params))
+            out = run_trial(cfg, params, 5)
+            assert out["recovered"] == (report.verified and report.psd_margin > report.psd_tol)
+            assert out["verified"] == report.verified
+        assert out["recovered"]  # the p_tilde = 14 instance is certified
 
     def test_solve_known(self):
         cfg = small_config(algorithm="solve-known", n_grid=[150], p_tilde_grid=[18.0])

@@ -1,0 +1,146 @@
+"""The one graph-to-partition routine: `sdp.recover` and `sdp.recover_admm`,
+and the ADMM outputs of the CLI, the omega sweep and the phase diagram, pinned
+to the values they had before these callers shared it."""
+
+import csv
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ppm_sdp import harness, sdp
+from ppm_sdp.cli import EXIT_NO_CONVERGENCE, EXIT_ROUNDING_FAILURE, main
+from ppm_sdp.graph_model import PlantedPartitionParams, sample_ppm, write_graph
+from ppm_sdp.harness import labels_agree
+from ppm_sdp.thresholds import ParameterError, compute_omega
+
+# below the recovery threshold: the certificate rejects every candidate
+WEAK = PlantedPartitionParams(n=120, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=2)
+STRONG = PlantedPartitionParams(n=150, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+OPTS = sdp.SolverOptions(tol=1e-5, max_iters=200)
+
+
+class TestRecover:
+    def test_certified_in_both_modes(self):
+        g, truth = sample_ppm(STRONG, 1)
+        omega = compute_omega(STRONG.p, STRONG.q)
+        x_hat = sdp.centered_partition_matrix(truth)
+        for kwargs, objective in (
+            ({"sizes": truth.sizes()}, sdp.objective_value(g, x_hat)),
+            ({"omega": omega}, sdp.objective_value(g, x_hat, omega)),
+        ):
+            rec = sdp.recover(g, 3, **kwargs)
+            assert rec.method == "certificate" and labels_agree(rec.labels, truth)
+            assert (rec.iterations, rec.converged, rec.max_deviation, rec.X) == (0, True, 0.0, None)
+            assert rec.objective == pytest.approx(objective, abs=1e-9)
+
+    def test_uncertified_falls_back_to_admm(self):
+        g, truth = sample_ppm(WEAK, 3)
+        omega = compute_omega(WEAK.p, WEAK.q)
+        for kwargs in ({"sizes": truth.sizes()}, {"omega": omega}):
+            rec = sdp.recover(g, 2, opts=OPTS, **kwargs)
+            ref = sdp.recover_admm(g, 2, opts=OPTS, **kwargs)
+            assert rec.method == ref.method == "admm"
+            assert (rec.objective, rec.iterations, rec.converged, rec.max_deviation) == (
+                ref.objective, ref.iterations, ref.converged, ref.max_deviation
+            )
+            assert np.array_equal(rec.X, ref.X)
+
+    def test_recover_admm_is_build_solve_round(self):
+        g, truth = sample_ppm(STRONG, 2)
+        omega = compute_omega(STRONG.p, STRONG.q)
+        for kwargs, prob in (
+            ({"sizes": truth.sizes()}, sdp.build_known_sizes(g, truth.sizes())),
+            ({"omega": omega}, sdp.build_unknown_sizes(g, 3, omega)),
+        ):
+            sol = sdp.solve(prob, OPTS)
+            rounding = sdp.round_to_partition(sol, 3)
+            rec = sdp.recover_admm(g, 3, opts=OPTS, **kwargs)
+            assert rec.labels == rounding.labels and labels_agree(rec.labels, truth)
+            assert (rec.objective, rec.iterations, rec.converged, rec.max_deviation) == (
+                sol.objective, sol.iterations, sol.converged, rounding.max_deviation
+            )
+            assert np.array_equal(rec.X, sol.X)
+
+    def test_unknown_sizes_need_omega(self):
+        g, _ = sample_ppm(STRONG, 1)
+        with pytest.raises(ParameterError, match="omega"):
+            sdp.recover(g, 3)
+        with pytest.raises(ParameterError, match="omega"):
+            sdp.recover_admm(g, 3)
+
+
+def test_only_sdp_builds_solves_or_rounds():
+    """Every other module turns a graph into a partition through
+    `recover`/`recover_admm`, so a solver change is made in one place."""
+    direct = re.compile(r"\b(build_known_sizes|build_unknown_sizes|solve|round_to_partition)\(")
+    for path in Path(sdp.__file__).parent.glob("*.py"):
+        if path.name != "sdp.py":
+            assert not direct.search(path.read_text()), path.name
+
+
+def rel(value):
+    return pytest.approx(value, rel=1e-12)
+
+
+class TestPinnedAdmmOutputs:
+    """ADMM-path outputs recorded before the CLI, the harness trial and the
+    omega sweep shared `recover_admm`; they must not move."""
+
+    @pytest.mark.parametrize(
+        "mode, code, pinned",
+        [
+            ("known", EXIT_NO_CONVERGENCE, {
+                "iterations": 1000, "converged": False, "rounded": False,
+                "objective": 701.9670255032457, "max_deviation": 1.9627911408001437,
+            }),
+            ("unknown", EXIT_ROUNDING_FAILURE, {
+                "iterations": 949, "converged": True, "rounded": False,
+                "objective": 702.3048480048021, "max_deviation": 1.9442255124809158,
+            }),
+        ],
+    )
+    def test_solve_json(self, tmp_path, capsys, mode, code, pinned):
+        g, _ = sample_ppm(WEAK, 3)
+        gp = tmp_path / "g.txt"
+        write_graph(g, gp)
+        extra = ["--sizes", "60,60"] if mode == "known" else [
+            "--r", "2", "--omega", repr(compute_omega(WEAK.p, WEAK.q))
+        ]
+        got = main(["solve", "--graph", str(gp), "--mode", mode, *extra,
+                    "--tol", "1e-5", "--max-iters", "1000"])
+        info = json.loads(capsys.readouterr().out)
+        assert got == code and info["method"] == "admm"
+        for key in ("iterations", "converged", "rounded"):
+            assert info[key] == pinned[key]
+        assert info["objective"] == rel(pinned["objective"])
+        assert info["max_deviation"] == rel(pinned["max_deviation"])
+
+    def test_omega_sweep_entry(self):
+        par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14, q_tilde=2)
+        g, _ = sample_ppm(par, 4)
+        (entry,) = harness.omega_sweep(g, 2, [compute_omega(par.p, par.q)])
+        assert entry.converged and entry.is_partition
+        assert entry.labels.labels == (0,) * 50 + (1,) * 50
+
+    def test_phase_csv(self, tmp_path):
+        cfg = harness.ExperimentConfig(
+            p_tilde_grid=[6.0, 14.0], q_tilde_grid=[2.0], pi=(0.5, 0.5), n_grid=[100],
+            trials=2, seed_base=5, algorithm="solve-known", certify=True, tol=1e-5, max_iters=500,
+        )
+        path = tmp_path / "phase.csv"
+        harness.run_phase_diagram(cfg, csv_path=path)
+        rows = list(csv.DictReader(path.open()))
+        for row in rows:
+            row.pop("wall_time_s")
+        common = {"n": "100", "r": "2", "pi": "0.5/0.5", "q_tilde": "2.0", "trials": "2", "errors": "0"}
+        assert rows == [
+            {**common, "p_tilde": "6.0", "min_divergence": "0.5358983848622454",
+             "recovered": "0", "cert_verified": "0", "recovery_rate": "0", "verified_rate": "0",
+             "mean_iterations": "500.0"},
+            {**common, "p_tilde": "14.0", "min_divergence": "2.7084973778708186",
+             "recovered": "2", "cert_verified": "2", "recovery_rate": "1", "verified_rate": "1",
+             "mean_iterations": "58.5"},
+        ]

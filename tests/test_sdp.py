@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppm_sdp.graph_model import (
     Graph,
@@ -16,6 +18,7 @@ from ppm_sdp.sdp import (
     SdpSolution,
     SolverOptions,
     build_known_sizes,
+    _labels_from_components,
     _spectral_labels,
     build_unknown_sizes,
     centered_partition_matrix,
@@ -193,11 +196,6 @@ class TestSolve:
             rounding = round_to_partition(sol, 2)
             assert rounding.success and labels_agree(rounding.labels, truth)
 
-    def test_keep_iterates(self):
-        g, _ = two_triangles()
-        sol = solve(build_known_sizes(g, (3, 3)), SolverOptions(keep_iterates=10))
-        assert len(sol.iterates) >= 1
-
 
 class TestRounding:
     def test_exact_input(self):
@@ -231,7 +229,7 @@ class TestRounding:
         lab = PartitionLabels(labels=(0, 0, 1, 1), r=2)
         sol = exact_solution(lab)
         sol.X = sol.X * 0.5  # large entrywise deviation from any partition
-        result = round_to_partition(sol, 2, round_tol=0.1)
+        result = round_to_partition(sol, 2)
         assert not result.success
         assert result.max_deviation > 0.1
 
@@ -243,6 +241,63 @@ class TestRounding:
         lab = PartitionLabels(labels=tuple(labels.tolist()), r=r)
         got = _spectral_labels(centered_partition_matrix(lab), r)
         assert got is not None and labels_agree(got, lab)
+
+
+def labels_by_component_loop(same, r):
+    """The per-vertex loop `_labels_from_components` replaced: grow each
+    vertex's block, require it complete and closed, count r blocks."""
+    n = same.shape[0]
+    labels = -np.ones(n, dtype=int)
+    comp = 0
+    for v in range(n):
+        if labels[v] >= 0:
+            continue
+        members = np.flatnonzero(same[v])
+        if np.any(labels[members] >= 0):
+            return None
+        if not np.all(same[np.ix_(members, members)]):
+            return None
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        if np.any(same[np.ix_(members, np.flatnonzero(outside))]):
+            return None
+        labels[members] = comp
+        comp += 1
+    if comp != r:
+        return None
+    return PartitionLabels(labels=tuple(labels.tolist()), r=r)
+
+
+@st.composite
+def same_community_relations(draw):
+    """A symmetric boolean matrix with a true diagonal, as rounding builds
+    it: a class-equality matrix with some symmetric pairs flipped (none,
+    often), so both equivalence relations and near misses occur."""
+    n = draw(st.integers(1, 9))
+    assign = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    same = assign[:, None] == assign[None, :]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            same[u, v] = same[v, u] = not same[u, v]
+    return same, draw(st.integers(1, 4))
+
+
+class TestLabelsFromComponents:
+    @settings(max_examples=400, deadline=None)
+    @given(same_community_relations())
+    def test_matches_the_component_loop(self, case):
+        same, r = case
+        got = _labels_from_components(same, r)
+        want = labels_by_component_loop(same, r)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.labels == want.labels
+
+    def test_rejects_a_relation_that_is_not_transitive(self):
+        same = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+        assert _labels_from_components(same, 2) is None
+        assert labels_by_component_loop(same, 2) is None
 
 
 class TestCertifiedPartition:
