@@ -11,7 +11,14 @@ each community sums to a shared constant c; nu and the row sums of Gamma are
 then forced, and each off-diagonal block of Gamma is the unique rank-one
 matrix with those row and column sums.  The certificate keeps Gamma in that
 factored form (nu, R, T); the dense Lambda exists only inside verification,
-as the one n x n matrix its eigenvalue check needs.
+as its one n x n matrix.
+
+Verification compresses Lambda in place onto the orthogonal complement of
+span{1_i - 1_j}.  Lanczos gives the PSD margin as the least Ritz value, which
+bounds the least eigenvalue from above only; one in-place Cholesky
+factorization of the compressed matrix, shifted to just below that value,
+proves the bound from below.  Only when the factorization fails is Lambda
+assembled again for an exact dense eigvalsh.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, pair_uniforms
 from .thresholds import ParameterError, compute_omega
 
 
@@ -165,7 +172,7 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     }
 
 
-_CHUNK_ENTRIES = 1 << 18  # matrix entries per row block of a dense update
+_CHUNK_ENTRIES = 1 << 16  # matrix entries per row block of a dense update
 
 
 def _row_blocks(rows: int, cols: int):
@@ -238,16 +245,15 @@ def build_certificate(
     )
 
 
-def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric matrix Lambda compressed onto
-    the orthogonal complement of span{1_i - 1_j}.  Overwrites `lam`.
+def _compress(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
+    """Overwrite the symmetric matrix Lambda with M = P Lambda P + s U U^T and
+    return U, an orthonormal basis of span{1_i - 1_j}, with P = I - U U^T.
 
-    U is an orthonormal basis of the span and P = I - U U^T.  The matrix
-    P Lambda P + s U U^T has the n - r + 1 compressed eigenvalues plus s,
-    r - 1 times.  s exceeds the largest absolute row sum of Lambda, which
-    bounds its spectral norm, so the copies of s are the top r - 1
-    eigenvalues; they are dropped.  The shift costs rank-(r - 1) updates,
-    O(n^2 r), made a block of rows at a time, and one dense eigvalsh.
+    M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
+    complement of the span, plus s, r - 1 times.  s exceeds the largest
+    absolute row sum of Lambda, which bounds its spectral norm, so the
+    copies of s are the top r - 1 eigenvalues.  The shift costs rank-(r - 1)
+    updates, O(n^2 r), made a block of rows at a time.
     """
     n, r = truth.n, truth.r
     ind = truth.indicator_matrix()
@@ -261,7 +267,121 @@ def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
     for rows in blocks:
         lam[rows] -= b[rows] @ u.T
         lam[rows] -= u[rows] @ b.T
-    return np.linalg.eigvalsh(lam)[: n - r + 1]
+    return u
+
+
+def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric matrix Lambda compressed onto
+    the orthogonal complement of span{1_i - 1_j}, from one dense eigvalsh of
+    M (see `_compress`).  Overwrites `lam`."""
+    _compress(lam, truth)
+    return np.linalg.eigvalsh(lam)[: truth.n - truth.r + 1]
+
+
+_LANCZOS_SEED = 0  # fixed start vector: a report is reproducible
+_LANCZOS_CHECK = 10  # steps between convergence checks
+_RITZ_RTOL = 1e-10  # Ritz residual bound, relative to the spectral scale
+_BASIS_ROWS = 32  # Lanczos vectors per block of the basis
+
+
+def _lanczos_ends(m: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """(theta_min, theta_max): the extreme Ritz values of the symmetric m on
+    the orthogonal complement of the orthonormal columns u.
+
+    Lanczos with full reorthogonalization, applied twice, against the basis
+    and against u after every step, so the Krylov space never leaves the
+    complement.  It stops when both extreme Ritz residuals |beta_k s_k| are
+    at most _RITZ_RTOL * max(|theta_min|, |theta_max|, 1), when beta_k = 0
+    (the Krylov space is invariant) or after n - r + 1 steps, the dimension
+    of the complement.  A Ritz value is a Rayleigh quotient, so theta_min
+    bounds the least eigenvalue from above only; the caller proves the
+    bound from below.  The basis is held as zero-filled (_BASIS_ROWS, n)
+    row blocks, added as the iteration needs them and never copied.
+    """
+    n, cap = len(m), len(m) - u.shape[1]
+    q = pair_uniforms(_LANCZOS_SEED, np.arange(n), np.zeros(n, dtype=np.int64)) - 0.5
+    q -= u @ (u.T @ q)
+    q /= np.linalg.norm(q)
+    q_prev, b = q, 0.0
+    basis, alpha, beta = [], [], []
+    while True:
+        if len(alpha) % _BASIS_ROWS == 0:
+            basis.append(np.zeros((_BASIS_ROWS, n)))
+        basis[-1][len(alpha) % _BASIS_ROWS] = q
+        w = m @ q
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q + b * q_prev
+        for _ in range(2):
+            w -= u @ (u.T @ w)
+            for block in basis:
+                w -= (block @ w) @ block
+        b = float(np.linalg.norm(w))
+        k = len(alpha)
+        if b == 0.0 or k == cap or k % _LANCZOS_CHECK == 0:
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, s = np.linalg.eigh(t)
+            scale = max(abs(theta[0]), abs(theta[-1]), 1.0)
+            residual = b * max(abs(s[-1, 0]), abs(s[-1, -1]))
+            if b == 0.0 or k == cap or residual <= _RITZ_RTOL * scale:
+                return float(theta[0]), float(theta[-1])
+        beta.append(b)
+        q_prev, q = q, w / b
+
+
+_CHOLESKY_BLOCK = 128  # columns per panel of _cholesky_in_place
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of the symmetric positive definite `a`,
+    written over its lower triangle; only that triangle is read, and the
+    strict upper triangle is left as scratch.  Raises LinAlgError when `a`
+    is not positive definite.
+
+    Blocked and right-looking: each panel of _CHOLESKY_BLOCK columns factors
+    its diagonal block, multiplies the rows below by the inverse of that
+    factor, and subtracts its outer product from the lower trapezoid of the
+    trailing matrix, a block of rows at a time, so no n x n temporary is
+    made.
+    """
+    n = len(a)
+    for j0 in range(0, n, _CHOLESKY_BLOCK):
+        j1 = min(j0 + _CHOLESKY_BLOCK, n)
+        l11 = np.linalg.cholesky(a[j0:j1, j0:j1])
+        a[j0:j1, j0:j1] = l11
+        inv_t = np.linalg.inv(l11).T
+        for rows in _row_blocks(n - j1, j1 - j0):
+            rows = slice(j1 + rows.start, j1 + rows.stop)
+            a[rows, j0:j1] = a[rows, j0:j1] @ inv_t
+        panel = a[j1:, j0:j1]
+        for rows in _row_blocks(n - j1, n - j1):
+            a[j1 + rows.start : j1 + rows.stop, j1 : j1 + rows.stop] -= (
+                panel[rows] @ panel[: rows.stop].T
+            )
+    return a
+
+
+def _psd_tol(lam_2: float) -> float:
+    return 1e-8 * max(lam_2, 1.0)
+
+
+def _proven_ends(lam: np.ndarray, truth: PartitionLabels) -> tuple[float, float] | None:
+    """(least, largest) compressed eigenvalue of Lambda, as Ritz values,
+    or None when the proof below fails.  Overwrites `lam`.
+
+    Lanczos on M (see `_compress`) gives theta_min and theta_max.  Then one
+    Cholesky factorization of M - (theta_min - tol) I, tol = _psd_tol, proves
+    in floating point that no compressed eigenvalue lies below
+    theta_min - tol; the r - 1 copies of s lie above every other eigenvalue.
+    A failure means Lanczos missed the bottom of the spectrum.
+    """
+    u = _compress(lam, truth)
+    lo, hi = _lanczos_ends(lam, u)
+    lam.flat[:: len(lam) + 1] -= lo - _psd_tol(max(abs(lo), abs(hi)))
+    try:
+        _cholesky_in_place(lam)
+    except np.linalg.LinAlgError:
+        return None
+    return lo, hi
 
 
 def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
@@ -323,11 +443,15 @@ def verify_certificate(
             )
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
 
-    spectrum = _compressed_spectrum(lam, truth)
-    psd_margin = float(spectrum[0])
+    ends = _proven_ends(lam, truth)
+    del lam  # its buffer now holds a Cholesky factor
+    if ends is None:  # the exact, dense route, from a fresh Lambda
+        spectrum = _compressed_spectrum(assemble_lambda(g, truth, cert), truth)
+        ends = float(spectrum[0]), float(spectrum[-1])
+    psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
-    lam_2 = float(np.max(np.abs(spectrum)))
-    psd_tol = 1e-8 * max(lam_2, 1.0)
+    lam_2 = max(abs(ends[0]), abs(ends[1]))
+    psd_tol = _psd_tol(lam_2)
     psd_ok = psd_margin >= -psd_tol
 
     _, e_ij = edge_counts(g, truth)

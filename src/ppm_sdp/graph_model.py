@@ -108,7 +108,11 @@ class Graph:
         if bad.any():
             u0, v0 = e[np.argmax(bad)].tolist()
             raise ParameterError(f"bad edge ({u0}, {v0}) for n={n}")
-        e = e[np.unique(_pair_index(n, e), return_index=True)[1]]
+        keys = _pair_index(n, e)
+        if np.all(keys[1:] > keys[:-1]):  # already sorted and duplicate-free
+            e = e.copy()  # the graph shares no memory with the caller's array
+        else:
+            e = e[np.unique(keys, return_index=True)[1]]
         e.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", e)
@@ -338,6 +342,15 @@ def _check_monotone(truth: PartitionLabels, added: np.ndarray, removed: np.ndarr
             raise ParameterError(f"non-monotone {what} edge ({u}, {v})")
 
 
+def _find_sorted(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found): where each of `wanted` falls in the sorted `keys`
+    (np.searchsorted), and whether it is there."""
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    return at, found
+
+
 def _apply_change(
     g: Graph, truth: PartitionLabels, added: np.ndarray, removed: np.ndarray
 ) -> Graph:
@@ -345,8 +358,15 @@ def _apply_change(
     dropped; every adversary goes through here.  Rejects a change that is
     not monotone with respect to truth."""
     _check_monotone(truth, added, removed)
-    keep = ~np.isin(_pair_index(g.n, g.pairs), _pair_index(g.n, removed))
-    return Graph(g.n, np.concatenate((g.pairs[keep], added)))
+    keys = _pair_index(g.n, g.pairs)  # sorted, as the pairs are
+    at, found = _find_sorted(keys, _pair_index(g.n, removed))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[at[found]] = False
+    kept, keys = g.pairs[keep], keys[keep]
+    new, first = np.unique(_pair_index(g.n, added), return_index=True)
+    at, found = _find_sorted(keys, new)
+    # the merge is sorted and duplicate-free, so the constructor keeps it as is
+    return Graph(g.n, np.insert(kept, at[~found], added[first[~found]], axis=0))
 
 
 def monotone_diff(
@@ -385,7 +405,8 @@ def _pair_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
         return np.column_stack((iu[add], iv[add])), np.column_stack((iu[rem], iv[rem]))
 
     added, removed = zip((_NO_PAIRS, _NO_PAIRS), *(block(*c) for c in _pair_chunks(g.n)))
-    return _apply_change(g, truth, np.concatenate(added), np.concatenate(removed))
+    added, removed = np.concatenate(added), np.concatenate(removed)  # frees the blocks
+    return _apply_change(g, truth, added, removed)
 
 
 def _random_monotone(g, truth, delta_add, delta_rem, seed):

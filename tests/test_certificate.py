@@ -10,6 +10,7 @@ from scipy.linalg import helmert
 
 from ppm_sdp import certificate
 from ppm_sdp.certificate import (
+    _cholesky_in_place,
     _compressed_spectrum,
     algebraic_identity_suite,
     assemble_lambda,
@@ -379,6 +380,96 @@ class TestDenseReference:
         assert report.gamma_off_min <= 0.0 and not report.verified
 
 
+class TestPsdProof:
+    """The PSD margin is a Lanczos Ritz value, proven from below by one
+    Cholesky factorization; the exact eigvalsh route is the fallback."""
+
+    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+    def test_cholesky_matches_numpy(self, n, chunk, monkeypatch):
+        if chunk is not None:  # trailing updates span several row blocks
+            monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
+        x = np.random.default_rng(n).normal(size=(n, n))
+        a = x @ x.T / n + np.eye(n)
+        expected = np.linalg.cholesky(a)
+        a[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
+        assert _cholesky_in_place(a) is a
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(np.tril(a) - expected)) <= 1e-12 * scale
+
+    def test_cholesky_rejects_a_negative_eigenvalue(self):
+        n = 300
+        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(n, n)))
+        ev = np.linspace(1.0, 10.0, n)
+        ev[n // 2] = -1e-6 * 10.0  # 1e-6 ||M|| below zero
+        a = (q * ev) @ q.T
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_in_place(0.5 * (a + a.T))
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        calls = []
+        exact = certificate._compressed_spectrum
+        monkeypatch.setattr(
+            certificate, "_compressed_spectrum", lambda *a: calls.append(1) or exact(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize("labels", ["planted", "swapped"])
+    def test_proof_needs_no_eigvalsh(self, labels, monkeypatch):
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        if labels == "swapped":
+            truth = swap_two(truth)
+        calls = self.count_fallbacks(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        report = verify_certificate(g, truth, build_certificate(g, truth, par))
+        assert not calls
+        assert report.verified == (labels == "planted")
+
+    @pytest.mark.parametrize("labels", ["planted", "swapped"])
+    def test_missed_bottom_falls_back_to_eigvalsh(self, labels, monkeypatch):
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        if labels == "swapped":
+            truth = swap_two(truth)
+        lanczos = certificate._lanczos_ends
+
+        def missed(m, u):  # a Ritz value 1.0 above the least eigenvalue
+            lo, hi = lanczos(m, u)
+            return lo + 1.0, hi
+
+        monkeypatch.setattr(certificate, "_lanczos_ends", missed)
+        calls = self.count_fallbacks(monkeypatch)
+        cert = build_certificate(g, truth, par)
+        TestDenseReference.assert_same_verdicts(g, truth, cert)
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "n, pi", [(4, (0.5, 0.5)), (6, (0.5, 0.5)), (5, (0.4, 0.4, 0.2))]
+    )
+    def test_small_dimensions_match_helmert_reference(self, n, pi, monkeypatch):
+        # the complement has n - r + 1 dimensions: Lanczos runs to the full
+        # dimension and stops there
+        par = PlantedPartitionParams(n=n, r=len(pi), pi=pi, p_tilde=2.5, q_tilde=1)
+        g, truth = sample_ppm(par, 7)
+        cert = build_certificate(g, truth, par)
+        lam = assemble_lambda(g, truth, cert)
+        noise = np.random.default_rng(0).normal(size=lam.shape)
+        basis = complement_basis(truth)
+        calls = self.count_fallbacks(monkeypatch)
+        for m in (lam, lam + noise + noise.T):
+            reduced = basis.T @ m @ basis
+            expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            monkeypatch.setattr(certificate, "assemble_lambda", lambda *_, m=m: m.copy())
+            report = verify_certificate(g, truth, cert)
+            assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
+            assert abs(report.psd_tol - 1e-8 * scale) <= 1e-9 * 1e-8 * scale
+            assert report.psd_ok == (expected[0] >= -1e-8 * scale)
+        assert not calls
+
+
 def peak_units(fn, n):
     """Peak traced allocation of fn(), in units of one dense n x n float64
     matrix (8 n^2 bytes)."""
@@ -391,8 +482,8 @@ def peak_units(fn, n):
 
 
 class TestMemory:
-    """Only verification holds an n x n matrix: the dense Lambda its
-    eigenvalue check needs."""
+    """Only verification holds an n x n matrix: the dense Lambda, which its
+    PSD check compresses and factors in place."""
 
     def test_build_and_verify_peaks(self):
         par = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
@@ -401,7 +492,7 @@ class TestMemory:
         verify_certificate(*sample_ppm(warm, 3), build_certificate(*sample_ppm(warm, 3), warm))
         assert peak_units(lambda: build_certificate(g, truth, par), g.n) <= 0.5
         cert = build_certificate(g, truth, par)
-        assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 1.5
+        assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 1.25
 
 
 class TestAlgebraicIdentities:

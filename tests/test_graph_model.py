@@ -346,7 +346,16 @@ class TestMemory:
         apply_adversary(g, truth, spec, 1)  # first calls import lazily
         assert peak_units(lambda: sample_ppm(par, 3), par.n) <= 1.0
         g, truth = sample_ppm(par, 3)
-        assert peak_units(lambda: apply_adversary(g, truth, spec, 1), par.n) <= 1.0
+        assert peak_units(lambda: apply_adversary(g, truth, spec, 1), par.n) <= 0.99
+
+    def test_sorted_pairs_are_copied_not_resorted(self):
+        # every sampler and adversary result is sorted and duplicate-free:
+        # it costs one copy and its keys, where a sort took three arrays
+        par = dataclasses.replace(PINNED, n=1000)
+        spec = AdversarySpec("random_monotone", {"delta_add": 0.3, "delta_rem": 0.3})
+        g = apply_adversary(*sample_ppm(par, 3), spec, 1)
+        units = peak_units(lambda: Graph(g.n, g.pairs), g.n)
+        assert units * 8.0 * g.n * g.n <= 2.0 * g.pairs.nbytes
 
 
 class TestPairUniforms:
@@ -436,6 +445,23 @@ class TestAdversaries:
         spec = AdversarySpec(kind="scripted", params={"add": [(2, 3)], "remove": [(1, 2)]})
         out = apply_adversary(g, truth, spec, 0)
         assert out.edges == frozenset({(0, 1), (2, 3)})
+
+    @pytest.mark.parametrize("base", ["sampled", "empty"])
+    def test_change_merges_like_a_set(self, base):
+        # additions unsorted, repeated and partly present; removals partly absent
+        par = PlantedPartitionParams(n=60, r=3, pi=(0.5, 0.3, 0.2), p_tilde=8, q_tilde=4)
+        g, truth = sample_ppm(par, 5)
+        if base == "empty":
+            g = Graph(g.n)
+        lab = truth.as_array()
+        u, v = np.random.default_rng(0).integers(0, g.n, size=(2, 600))
+        pairs = np.column_stack((np.minimum(u, v), np.maximum(u, v)))[u != v]
+        intra = lab[pairs[:, 0]] == lab[pairs[:, 1]]
+        out = graph_model._apply_change(g, truth, pairs[intra], pairs[~intra])
+        expected = (g.edges | set(map(tuple, pairs[intra].tolist()))) - set(
+            map(tuple, pairs[~intra].tolist())
+        )
+        assert out.sorted_edges() == sorted(expected)
 
     def test_spec_json_roundtrip(self):
         spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3})
