@@ -10,8 +10,9 @@ Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
 a flag its mode needs left out, an --r that disagrees with --sizes, invalid
-parameters, a malformed graph or label file, malformed JSON, or a file that
-cannot be read or written.  A one-line message goes to standard error.
+parameters, an adversary spec, model or config whose fields do not fit, a
+malformed graph or label file, malformed JSON, or a file that cannot be read
+or written.  A one-line message goes to standard error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .graph_model import (
     write_graph,
     write_labels,
 )
-from .thresholds import ParameterError
+from .thresholds import ParameterError, bind_json
 
 EXIT_OK = 0
 EXIT_NOT_VERIFIED = 1
@@ -112,27 +113,22 @@ def cmd_adversary(args) -> int:
     return EXIT_OK
 
 
+def rate_matrix_model(q_tilde_matrix, pi) -> thresholds.DivergenceReport:
+    """The report for a `threshold --model` file that gives a rate matrix."""
+    return thresholds.feasibility_report(q_tilde=q_tilde_matrix, pi=pi)
+
+
 def cmd_threshold(args) -> int:
-    if args.model is not None:
+    if args.model is None:
+        report = thresholds.feasibility_report(params=_params_from_args(args))
+    else:
         with open(args.model) as f:
             obj = json.load(f)
-        if "q_tilde_matrix" in obj:
-            report = thresholds.feasibility_report(
-                q_tilde=np.asarray(obj["q_tilde_matrix"], dtype=float),
-                pi=np.asarray(obj["pi"], dtype=float),
-            )
+        if isinstance(obj, dict) and "q_tilde_matrix" in obj:
+            report = bind_json(rate_matrix_model, obj, "model")
         else:
-            params = PlantedPartitionParams(
-                n=obj["n"],
-                r=obj["r"],
-                pi=tuple(obj["pi"]),
-                p_tilde=obj["p_tilde"],
-                q_tilde=obj["q_tilde"],
-            )
+            params = bind_json(PlantedPartitionParams, obj, "model")
             report = thresholds.feasibility_report(params=params)
-    else:
-        params = _params_from_args(args)
-        report = thresholds.feasibility_report(params=params)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 

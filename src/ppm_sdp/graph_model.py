@@ -10,13 +10,14 @@ Every reader and writer works on one edge form, the sorted int64 pair array
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
-from .thresholds import ParameterError
+from .thresholds import ParameterError, bind_json, bm_dominates, ppm_rate_matrix
 
 
 class GraphFormatError(ValueError):
@@ -193,38 +194,23 @@ class PlantedPartitionParams:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """Monotone adversary description: a kind plus kind-specific params.
+    """Monotone adversary description, the JSON {"kind": ..., "params": ...}.
 
-    Kinds: none, random_monotone (delta_add, delta_rem), subcommunity_plant
-    (community, size, density), hub_plant (community, hubs, degree),
-    sbm_dominate (q_tilde_prime, base), scripted (add, remove).
+    A kind is a key of `_ADVERSARIES`; its params, their defaults and types
+    are those of its function there after (g, truth, seed).  Construction
+    binds `params` to that signature: an unknown kind or param, a missing
+    param and a value of the wrong type raise ParameterError.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = (
-        "none",
-        "random_monotone",
-        "subcommunity_plant",
-        "hub_plant",
-        "sbm_dominate",
-        "scripted",
-    )
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ParameterError(f"unknown adversary kind {self.kind!r}")
+        _bound_params(self)
 
     @classmethod
     def from_json(cls, text: str) -> "AdversarySpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_dict(cls, obj) -> "AdversarySpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ParameterError('an adversary spec is a JSON object with a "kind"')
-        return cls(kind=obj["kind"], params=obj.get("params", {}))
+        return bind_json(cls, json.loads(text), "adversary spec")
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "params": self.params})
@@ -409,21 +395,19 @@ def _pair_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
     return _apply_change(g, truth, added, removed)
 
 
-def _random_monotone(g, truth, delta_add, delta_rem, seed):
+def _random_monotone(g, truth, seed, delta_add: float = 0.0, delta_rem: float = 0.0):
     if not (0.0 <= delta_add <= 1.0 and 0.0 <= delta_rem <= 1.0):
         raise ParameterError("delta_add and delta_rem must lie in [0, 1]")
     rates = np.ones((truth.r, truth.r))
     return _pair_kernel(g, truth, delta_add * rates, delta_rem * rates, seed, 0xADD, 0x4E)
 
 
-def _subcommunity_plant(g, truth, community, size, density, seed):
-    members = truth.members(int(community))
-    if size > len(members):
-        raise ParameterError(
-            f"sub-community size {size} exceeds community size {len(members)}"
-        )
+def _subcommunity_plant(g, truth, seed, size: int, community: int = 0, density: float = 1.0):
+    members = truth.members(community)
+    if not 0 <= size <= len(members):
+        raise ParameterError(f"sub-community size {size} is not in [0, {len(members)}]")
     rng = np.random.default_rng(_derive_seed(seed, 0x5B))
-    chosen = np.sort(rng.choice(members, size=int(size), replace=False))
+    chosen = np.sort(rng.choice(members, size=size, replace=False))
     a, b = np.triu_indices(len(chosen), 1)
     absent = np.column_stack((chosen[a], chosen[b]))
     absent = absent[~np.isin(_pair_index(g.n, absent), _pair_index(g.n, g.pairs))]
@@ -433,22 +417,26 @@ def _subcommunity_plant(g, truth, community, size, density, seed):
     return _apply_change(g, truth, absent, _NO_PAIRS)
 
 
-def _hub_plant(g, truth, community, hubs, degree, seed):
-    members = truth.members(int(community))
-    if hubs > len(members) or degree > len(members) - 1:
-        raise ParameterError("hub count or degree exceeds community size")
+def _hub_plant(g, truth, seed, hubs: int, degree: int, community: int = 0):
+    members = truth.members(community)
+    if not (0 <= hubs <= len(members) and 0 <= degree <= len(members) - 1):
+        raise ParameterError("hub count or degree is negative or exceeds community size")
     rng = np.random.default_rng(_derive_seed(seed, 0x4B))
-    hub_verts = rng.choice(members, size=int(hubs), replace=False)
+    hub_verts = rng.choice(members, size=hubs, replace=False)
     added = [_NO_PAIRS]
     for h in hub_verts:
-        t = rng.choice(members[members != h], size=int(degree), replace=False)
+        t = rng.choice(members[members != h], size=degree, replace=False)
         added.append(np.column_stack((np.minimum(h, t), np.maximum(h, t))))
     return _apply_change(g, truth, np.concatenate(added), _NO_PAIRS)
 
 
-def _scripted(g, truth, add, remove):
+def _sbm_dominate(g, truth, seed, q_tilde_prime: list, base: PlantedPartitionParams):
+    return simulate_dominating_sbm(g, truth, q_tilde_prime, base, seed)
+
+
+def _scripted(g, truth, seed, add: list = (), remove: list = ()):
     added, removed = (
-        Graph(g.n, [sorted(map(int, pair)) for pair in e]).pairs for e in (add, remove)
+        Graph(g.n, np.sort(np.asarray(e, dtype=np.int64), axis=-1)).pairs for e in (add, remove)
     )
     return _apply_change(g, truth, added, removed)
 
@@ -476,8 +464,7 @@ def simulate_dominating_sbm(
     r = truth.r
     if qp.shape != (r, r) or not np.allclose(qp, qp.T):
         raise ParameterError(f"rate matrix must be symmetric {r}x{r}")
-    off = ~np.eye(r, dtype=bool)
-    if np.any(np.diag(qp) < base.p_tilde) or np.any(qp[off] > base.q_tilde):
+    if not bm_dominates(qp, ppm_rate_matrix(base.p_tilde, base.q_tilde, r)):
         raise ParameterError(
             "target must dominate the base model (intra rates up, inter rates down)"
         )
@@ -489,6 +476,45 @@ def simulate_dominating_sbm(
     return _pair_kernel(g, truth, add_rate, rem_rate, seed, 0xD0, 0xD0)
 
 
+# kind -> adversary(g, truth, seed, **params); the one statement of the params
+_ADVERSARIES = {
+    "none": lambda g, truth, seed: g,
+    "random_monotone": _random_monotone,
+    "subcommunity_plant": _subcommunity_plant,
+    "hub_plant": _hub_plant,
+    "sbm_dominate": _sbm_dominate,
+    "scripted": _scripted,
+}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a param value has its annotated type: a number for float, an
+    integer for int (a bool is neither), a rectangular list of numbers for list."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        return False
+    numeric = array.dtype.kind in ("iu" if kind is int else "iuf")
+    return numeric and (array.ndim > 0) == (kind is list)
+
+
+def _bound_params(spec: AdversarySpec) -> dict:
+    """spec.params as keyword arguments of its kind's function, each value
+    checked against its annotation, or built from it when that is a dataclass."""
+    if spec.kind not in _ADVERSARIES:
+        raise ParameterError(f"adversary kind {spec.kind!r} is not one of {list(_ADVERSARIES)}")
+    sig = inspect.signature(_ADVERSARIES[spec.kind], eval_str=True)
+    sig = sig.replace(parameters=list(sig.parameters.values())[3:])
+    args = bind_json(sig.bind, spec.params, f"{spec.kind} params").arguments
+    for name, value in args.items():
+        kind = sig.parameters[name].annotation
+        if is_dataclass(kind):
+            args[name] = bind_json(kind, value, f"{spec.kind} param {name}")
+        elif not _fits(value, kind):
+            raise ParameterError(f"{spec.kind} param {name} must be {kind.__name__}, got {value!r}")
+    return args
+
+
 def apply_adversary(
     g: Graph, truth: PartitionLabels, spec: AdversarySpec, seed: int
 ) -> Graph:
@@ -496,27 +522,7 @@ def apply_adversary(
     monotone_diff(g, result, truth)."""
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
-    p = spec.params
-    if spec.kind == "none":
-        return g
-    if spec.kind == "random_monotone":
-        return _random_monotone(
-            g, truth, float(p.get("delta_add", 0.0)), float(p.get("delta_rem", 0.0)), seed
-        )
-    if spec.kind == "subcommunity_plant":
-        return _subcommunity_plant(
-            g, truth, p.get("community", 0), p["size"], float(p.get("density", 1.0)), seed
-        )
-    if spec.kind == "hub_plant":
-        return _hub_plant(g, truth, p.get("community", 0), p["hubs"], p["degree"], seed)
-    if spec.kind == "sbm_dominate":
-        base = p["base"]
-        if isinstance(base, dict):
-            base = PlantedPartitionParams(**base)
-        return simulate_dominating_sbm(g, truth, np.asarray(p["q_tilde_prime"]), base, seed)
-    if spec.kind == "scripted":
-        return _scripted(g, truth, p.get("add", []), p.get("remove", []))
-    raise ParameterError(f"unknown adversary kind {spec.kind!r}")
+    return _ADVERSARIES[spec.kind](g, truth, seed, **_bound_params(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .graph_model import (
     apply_adversary,
     sample_ppm,
 )
-from .thresholds import ParameterError
+from .thresholds import ParameterError, bind_json
 
 ALGORITHMS = ("solve-known", "solve-unknown", "certify-only")
 
@@ -64,6 +64,8 @@ class ExperimentConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
+        if isinstance(self.adversary, dict):  # a spec as decoded from JSON
+            self.adversary = AdversarySpec(**self.adversary)
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
@@ -73,16 +75,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ParameterError("an experiment config is a JSON object")
-        adv = obj.pop("adversary", None)
-        if adv is not None:
-            adv = AdversarySpec.from_dict(adv)
-        try:
-            return cls(adversary=adv, **obj)
-        except TypeError as exc:  # a missing or unknown field
-            raise ParameterError(f"bad experiment config: {exc}") from None
+        return bind_json(cls, json.loads(text), "experiment config")
 
     def cells(self) -> list:
         grid = itertools.product(self.n_grid, self.p_tilde_grid, self.q_tilde_grid)

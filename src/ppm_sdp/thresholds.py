@@ -19,6 +19,16 @@ class ParameterError(ValueError):
     """Raised when model parameters are outside their domain."""
 
 
+def bind_json(fn, obj, what: str):
+    """fn(**obj), such as a dataclass built from a decoded JSON object: a
+    non-object, a field that does not fit fn's signature and a value fn
+    rejects with TypeError or ValueError raise ParameterError naming `what`."""
+    try:
+        return fn(**obj)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad {what}: {exc}") from None
+
+
 def _ln1p(u: Decimal) -> Decimal:
     """log(1 + u) for u > -1, without losing a tiny u to the rounding of 1 + u."""
     if abs(u) < Decimal("1e-12"):

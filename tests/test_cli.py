@@ -478,6 +478,50 @@ class TestUsageErrors:
         )
         assert "malformed JSON" in line
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"kind": "random_monotone", "params": {"delta-add": 0.3}}, "delta-add"),
+            ({"kind": "hub_plant", "params": {"hubs": 2}}, "degree"),
+            ({"kind": "random_monotone", "params": {"delta_add": "0.3"}}, "delta_add"),
+            (
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[21, 1], [1, 21]],
+                        "base": {"n": 120, "pi": [0.5, 0.5], "p_tilde": 16, "q_tilde": 2},
+                    },
+                },
+                "'r'",
+            ),
+        ],
+        ids=["misspelt", "missing", "wrong-type", "base-missing-field"],
+    )
+    def test_adversary_params_that_do_not_fit(self, tmp_path, capsys, sampled, spec, named):
+        gp, lp = sampled
+        path, out = tmp_path / "spec.json", tmp_path / "out.txt"
+        path.write_text(json.dumps(spec))
+        line = self.usage_error(
+            capsys, "adversary", "--graph", str(gp), "--labels", str(lp),
+            "--spec", str(path), "--out-graph", str(out),
+        )
+        assert named in line and not out.exists()
+
+    def test_threshold_model_without_r(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 300, "pi": [0.5, 0.5], "p_tilde": 21, "q_tilde": 2}))
+        line = self.usage_error(capsys, "threshold", "--model", str(model))
+        assert "'r'" in line
+
+    def test_phase_with_a_bad_adversary_spec(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "phase.csv"
+        cfg.write_text(json.dumps({
+            "p_tilde_grid": [14], "q_tilde_grid": [2], "pi": [0.5, 0.5], "n_grid": [100],
+            "trials": 2, "seed_base": 1, "adversary": {"kind": "hub_plant", "params": {"hubs": 2}},
+        }))
+        line = self.usage_error(capsys, "phase", "--config", str(cfg), "--out", str(out))
+        assert "degree" in line and not out.exists()
+
     def test_adversary_spec_without_kind(self, tmp_path, capsys, sampled):
         gp, lp = sampled
         spec = tmp_path / "spec.json"

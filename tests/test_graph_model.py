@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +474,63 @@ class TestAdversaries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             AdversarySpec(kind="chaotic")
+
+    def test_misspelt_param_rejected_at_construction(self):
+        with pytest.raises(ParameterError, match="delta-add"):
+            AdversarySpec("random_monotone", {"delta-add": 0.3})
+
+    @pytest.mark.parametrize(
+        "kind, params, named",
+        [
+            ("hub_plant", {"hubs": 3}, "degree"),
+            ("none", {"delta_add": 0.3}, "delta_add"),
+            ("random_monotone", {"delta_add": "0.3"}, "delta_add"),
+            ("random_monotone", {"delta_rem": True}, "delta_rem"),
+            ("subcommunity_plant", {"size": 8.0}, "size"),
+            ("scripted", {"add": [[0, 1], [2]]}, "add"),
+            ("scripted", {"remove": [[0, "1"]]}, "remove"),
+            ("sbm_dominate", {"q_tilde_prime": [[21, 1], [1, 21]], "base": {"n": 200}}, "base"),
+        ],
+    )
+    def test_params_bind_to_the_signature(self, kind, params, named):
+        with pytest.raises(ParameterError, match=named):
+            AdversarySpec(kind, params)
+
+    def test_defaults_come_from_the_signature(self, instance):
+        g, truth = instance
+        spec = AdversarySpec("subcommunity_plant", {"size": 8})
+        full = AdversarySpec("subcommunity_plant", {"size": 8, "community": 0, "density": 1.0})
+        assert apply_adversary(g, truth, spec, 3) == apply_adversary(g, truth, full, 3)
+
+
+class TestAdversaryReference:
+    """README's adversary-spec table names the kinds and params of
+    graph_model._ADVERSARIES, with their types and defaults, and nothing
+    else."""
+
+    TYPES = {"float": "number", "int": "integer", "list": "list", "PlantedPartitionParams": "model"}
+
+    @staticmethod
+    def readme_table() -> dict:
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Adversary specs", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|", section, flags=re.M)
+        return {
+            kind: dict(re.findall(r"`(\w+)` \(([^)]*)\)", params)) for kind, params in rows
+        }
+
+    def test_table_matches_signatures(self):
+        expected = {}
+        for kind, fn in graph_model._ADVERSARIES.items():
+            params = list(inspect.signature(fn).parameters.values())[3:]
+            expected[kind] = {
+                p.name: self.TYPES[p.annotation] + ", " + (
+                    "required" if p.default is p.empty
+                    else json.dumps(list(p.default) if isinstance(p.default, tuple) else p.default)
+                )
+                for p in params
+            }
+        assert self.readme_table() == expected
 
 
 class TestDominatingSbm:
