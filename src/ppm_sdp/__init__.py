@@ -27,24 +27,14 @@ from .thresholds import (
     rate_constant_tau,
 )
 from .sdp import (
-    RoundingResult,
-    SdpProblem,
-    SdpSolution,
+    Recovery,
     SolverOptions,
-    build_known_sizes,
-    build_unknown_sizes,
     centered_partition_matrix,
-    objective_value,
-    round_to_partition,
-    solve,
+    certified_partition,
+    recover,
+    recover_admm,
 )
-from .certificate import (
-    CertificateReport,
-    DualCertificate,
-    algebraic_identity_suite,
-    build_certificate,
-    verify_certificate,
-)
+from .certificate import CertificateReport, build_certificate, verify_certificate
 from .oracle import MleResult, loglikelihood, mle_known_sizes, mle_unknown_sizes
 
 __version__ = "0.1.0"

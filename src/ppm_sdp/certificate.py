@@ -495,59 +495,3 @@ def verify_certificate(
         construction_ok=cert.construction_ok,
         verified=verified,
     )
-
-
-def algebraic_identity_suite(
-    cert: DualCertificate, g: Graph, truth: PartitionLabels, rel_tol: float = 1e-9
-) -> list:
-    """Closed-form identities the construction must satisfy numerically.
-
-    Returns (name, lhs, rhs, pass) tuples; each identity is checked to the
-    given relative tolerance.
-    """
-    lab = truth.as_array()
-    sizes = truth.sizes().astype(float)
-    n, r = g.n, truth.r
-    lam = assemble_lambda(g, truth, cert)
-    inv_sum = float(np.sum(1.0 / sizes))
-    results = []
-
-    def add(name, lhs, rhs, scale=None):
-        scale = scale if scale is not None else max(abs(lhs), abs(rhs), 1.0)
-        results.append((name, lhs, rhs, abs(lhs - rhs) <= rel_tol * scale))
-
-    y_prime = (1.0 / sizes)[lab]
-    y = y_prime / np.linalg.norm(y_prime)
-    add("y_quadratic_form", float(y @ lam @ y), cert.c * inv_sum)
-
-    lhs_vec = lam @ y_prime
-    rhs_vec = cert.gamma_v * inv_sum
-    scale = max(float(np.max(np.abs(rhs_vec))), 1.0)
-    worst = float(np.max(np.abs(lhs_vec - rhs_vec)))
-    results.append(("lambda_y_prime", worst, 0.0, worst <= rel_tol * scale))
-
-    e_vj, e_ij = edge_counts(g, truth)
-    for i in range(r):
-        for j in range(i + 1, r):
-            row = float(np.sum(cert.R[truth.members(i), j]))
-            col = float(np.sum(cert.R[truth.members(j), i]))
-            formula = cert.omega * sizes[i] * sizes[j] - e_ij[i, j] - cert.c
-            add(f"block_total_rowsum_{i}{j}", row, formula)
-            add(f"block_total_colsum_{i}{j}", col, formula)
-
-    for i in range(r):
-        add(
-            f"community_gamma_sum_{i}",
-            float(np.sum(cert.gamma_v[lab == i])),
-            cert.c,
-        )
-
-    nu_formula = (
-        e_vj[np.arange(n), lab] - cert.omega * sizes[lab] + cert.gamma_v
-    )
-    worst = float(np.max(np.abs(cert.nu - nu_formula)))
-    scale = max(float(np.max(np.abs(nu_formula))), 1.0)
-    results.append(("nu_identity", worst, 0.0, worst <= rel_tol * scale))
-
-    return results
-

@@ -10,9 +10,10 @@ Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
 a flag its mode needs left out, an --r that disagrees with --sizes, invalid
-parameters, an adversary spec, model or config whose fields do not fit, a
-malformed graph or label file, malformed JSON, or a file that cannot be read
-or written.  A one-line message goes to standard error.
+parameters, an adversary spec, model or config whose fields do not fit, an
+adversary that cannot apply to its graph, a malformed graph or label file,
+malformed JSON, or a file that cannot be read or written.  A one-line
+message goes to standard error.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _config_from_args(args) -> harness.ExperimentConfig:
         cfg = harness.ExperimentConfig.from_json(f.read())
     print(
         f"grid of {len(cfg.cells())} cells x {cfg.trials} trials "
-        f"= {cfg.work_estimate()} runs",
+        f"= {len(cfg.cells()) * cfg.trials} runs",
         file=sys.stderr,
     )
     return cfg

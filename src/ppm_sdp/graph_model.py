@@ -89,10 +89,10 @@ class Graph:
 
     `pairs` is the one edge form every program path reads: a read-only,
     sorted, duplicate-free int64 (m, 2) array of the edges (u, v), u < v.
-    `Graph(n, edges)` takes (u, v) pairs or an (m, 2) integer array; repeats
-    collapse, and the first pair outside 0 <= u < v < n raises
-    ParameterError.  `edges` and `sorted_edges()` are tuple views built on
-    each call, for callers outside the program.
+    `Graph(n, edges)` takes integer (u, v) pairs or an (m, 2) integer array;
+    repeats collapse, and a non-integer id or the first pair outside
+    0 <= u < v < n raises ParameterError.  `edges` and `sorted_edges()` are
+    tuple views built on each call, for callers outside the program.
     """
 
     n: int
@@ -100,10 +100,10 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         n = int(n)
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        if e.size and (e.ndim != 2 or e.shape[1] != 2):
-            raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
-        e = e.reshape(-1, 2)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.size and (e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu"):
+            raise ParameterError(f"edges must be integer (u, v) pairs, got {e.dtype} {e.shape}")
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
         u, v = e[:, 0], e[:, 1]
         bad = ~((0 <= u) & (u < v) & (v < n))
         if bad.any():
@@ -143,11 +143,6 @@ class Graph:
         a[u, v] = 1.0
         a[v, u] = 1.0
         return a
-
-    @classmethod
-    def from_adjacency(cls, a: np.ndarray) -> "Graph":
-        a = np.asarray(a)
-        return cls(a.shape[0], np.argwhere(np.triu(a, 1)))
 
 
 @dataclass(frozen=True)
@@ -211,9 +206,6 @@ class AdversarySpec:
     @classmethod
     def from_json(cls, text: str) -> "AdversarySpec":
         return bind_json(cls, json.loads(text), "adversary spec")
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params})
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +286,30 @@ def _pair_chunks(n: int):
         start, first = stop, int(ends[stop - 1])
 
 
+def _draw_pairs(n: int, lab: np.ndarray, rate: np.ndarray, seed: int, skip=None) -> np.ndarray:
+    """The sorted upper-triangle pairs (u, v) whose pair_uniforms(seed, u, v)
+    is below rate[lab[u], lab[v]], less those whose triangle index is in the
+    sorted array `skip`: the one draw behind the sampler and the per-pair
+    adversaries' additions."""
+    r, flat = len(rate), np.ravel(rate)
+
+    def block(first, iu, iv):
+        hit = pair_uniforms(seed, iu, iv) < flat[lab[iu] * r + lab[iv]]
+        if skip is not None:
+            lo, hi = np.searchsorted(skip, (first, first + len(iu)))
+            hit[skip[lo:hi] - first] = False
+        return np.column_stack((iu[hit], iv[hit]))
+
+    return np.concatenate([_NO_PAIRS] + [block(*c) for c in _pair_chunks(n)])
+
+
 def sample_ppm(
     params: PlantedPartitionParams, seed: int
 ) -> tuple[Graph, PartitionLabels]:
     """Sample a planted partition graph; deterministic given the seed."""
     truth = planted_labels(params.n, params.pi)
-    lab = truth.as_array()
-
-    def block(iu, iv):
-        probs = np.where(lab[iu] == lab[iv], params.p, params.q)
-        hit = pair_uniforms(seed, iu, iv) < probs
-        return np.column_stack((iu[hit], iv[hit]))
-
-    hits = np.concatenate([_NO_PAIRS] + [block(iu, iv) for _, iu, iv in _pair_chunks(params.n)])
-    return Graph(params.n, hits), truth
+    rate = ppm_rate_matrix(params.p, params.q, truth.r)
+    return Graph(params.n, _draw_pairs(params.n, truth.as_array(), rate, seed)), truth
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +344,17 @@ def _apply_change(
 ) -> Graph:
     """The graph with the `added` pairs joined and the `removed` pairs
     dropped; every adversary goes through here.  Rejects a change that is
-    not monotone with respect to truth."""
+    not monotone with respect to truth.  Every adversary passes sorted,
+    duplicate-free additions, so the merge is sorted and the constructor
+    keeps it as is; other input costs the constructor one sort."""
     _check_monotone(truth, added, removed)
     keys = _pair_index(g.n, g.pairs)  # sorted, as the pairs are
     at, found = _find_sorted(keys, _pair_index(g.n, removed))
     keep = np.ones(len(keys), dtype=bool)
     keep[at[found]] = False
     kept, keys = g.pairs[keep], keys[keep]
-    new, first = np.unique(_pair_index(g.n, added), return_index=True)
-    at, found = _find_sorted(keys, new)
-    # the merge is sorted and duplicate-free, so the constructor keeps it as is
-    return Graph(g.n, np.insert(kept, at[~found], added[first[~found]], axis=0))
+    at, found = _find_sorted(keys, _pair_index(g.n, added))
+    return Graph(g.n, np.insert(kept, at[~found], added[~found], axis=0))
 
 
 def monotone_diff(
@@ -370,28 +372,19 @@ def monotone_diff(
 
 
 def _pair_kernel(g, truth, add_rate, rem_rate, seed, add_tag, rem_tag):
-    """Per-pair monotone change over every upper-triangle pair (u, v) with
-    labels (i, j): an absent intra pair is added when its add_tag uniform is
-    below add_rate[i, j], a present inter pair removed when its rem_tag
-    uniform is below rem_rate[i, j].  Pairs are visited in row blocks."""
-    lab = truth.as_array()
-    keys = _pair_index(g.n, g.pairs)  # sorted, as the pairs are
-    add_seed, rem_seed = _derive_seed(seed, add_tag), _derive_seed(seed, rem_tag)
-
-    def block(first, iu, iv):
-        present = np.zeros(len(iu), dtype=bool)
-        lo, hi = np.searchsorted(keys, (first, first + len(iu)))
-        present[keys[lo:hi] - first] = True
-        li, lj = lab[iu], lab[iv]
-        same = li == lj
-        add_u = pair_uniforms(add_seed, iu, iv)
-        rem_u = add_u if rem_tag == add_tag else pair_uniforms(rem_seed, iu, iv)
-        add = same & ~present & (add_u < add_rate[li, lj])
-        rem = ~same & present & (rem_u < rem_rate[li, lj])
-        return np.column_stack((iu[add], iv[add])), np.column_stack((iu[rem], iv[rem]))
-
-    added, removed = zip((_NO_PAIRS, _NO_PAIRS), *(block(*c) for c in _pair_chunks(g.n)))
-    added, removed = np.concatenate(added), np.concatenate(removed)  # frees the blocks
+    """Per-pair monotone change: an absent intra pair (u, v) with labels
+    (i, i) is added when its add_tag uniform is below add_rate[i, i], a
+    present inter pair with labels (i, j) removed when its rem_tag uniform is
+    below rem_rate[i, j].  Additions are drawn over the triangle in row
+    blocks, removals over the edges alone."""
+    lab, intra = truth.as_array(), np.eye(truth.r, dtype=bool)
+    added = _draw_pairs(
+        g.n, lab, np.where(intra, add_rate, 0.0), _derive_seed(seed, add_tag),
+        skip=_pair_index(g.n, g.pairs),
+    )
+    u, v = g.pairs.T
+    rate = np.where(intra, 0.0, rem_rate).ravel()[lab[u] * truth.r + lab[v]]
+    removed = g.pairs[pair_uniforms(_derive_seed(seed, rem_tag), u, v) < rate]
     return _apply_change(g, truth, added, removed)
 
 
@@ -427,7 +420,7 @@ def _hub_plant(g, truth, seed, hubs: int, degree: int, community: int = 0):
     for h in hub_verts:
         t = rng.choice(members[members != h], size=degree, replace=False)
         added.append(np.column_stack((np.minimum(h, t), np.maximum(h, t))))
-    return _apply_change(g, truth, np.concatenate(added), _NO_PAIRS)
+    return _apply_change(g, truth, Graph(g.n, np.concatenate(added)).pairs, _NO_PAIRS)
 
 
 def _sbm_dominate(g, truth, seed, q_tilde_prime: list, base: PlantedPartitionParams):
@@ -435,9 +428,7 @@ def _sbm_dominate(g, truth, seed, q_tilde_prime: list, base: PlantedPartitionPar
 
 
 def _scripted(g, truth, seed, add: list = (), remove: list = ()):
-    added, removed = (
-        Graph(g.n, np.sort(np.asarray(e, dtype=np.int64), axis=-1)).pairs for e in (add, remove)
-    )
+    added, removed = (Graph(g.n, np.sort(e, axis=-1)).pairs for e in (add, remove))
     return _apply_change(g, truth, added, removed)
 
 
@@ -459,6 +450,11 @@ def simulate_dominating_sbm(
     if truth.n != g.n or base.n != g.n:
         raise ParameterError(
             f"labels (n={truth.n}), graph (n={g.n}) and base model (n={base.n}) disagree on n"
+        )
+    if base.r != truth.r or not np.array_equal(base.sizes(), truth.sizes()):
+        raise ParameterError(
+            f"base model communities {base.sizes().tolist()} disagree with the labels' "
+            f"{truth.sizes().tolist()}"
         )
     qp = np.asarray(q_tilde_prime, dtype=float)
     r = truth.r

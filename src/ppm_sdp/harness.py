@@ -81,9 +81,6 @@ class ExperimentConfig:
         grid = itertools.product(self.n_grid, self.p_tilde_grid, self.q_tilde_grid)
         return [(int(n), float(pt), float(qt)) for n, pt, qt in grid if pt > qt]
 
-    def work_estimate(self) -> int:
-        return len(self.cells()) * self.trials
-
 
 @dataclass
 class CellResult:
@@ -178,7 +175,9 @@ def _sweep(cfg: ExperimentConfig):
 def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
     """Sweep the model grid; one CellResult per (n, p_tilde, q_tilde) cell.
 
-    Per-trial errors are recorded in the error column, never abort a sweep.
+    Per-trial errors are recorded in the error column and do not abort the
+    sweep, except ParameterError: a spec that cannot apply to the sampled
+    instance is bad input, raised before any CSV is written.
     """
     results = []
     for params, seeds in _sweep(cfg):
@@ -189,6 +188,8 @@ def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
         for seed in seeds:
             try:
                 out = run_trial(cfg, params, seed)
+            except ParameterError:
+                raise
             except Exception:
                 errors += 1
                 continue
@@ -240,10 +241,6 @@ class RobustnessResult:
     clean_rate: float
     adversarial_rate: float
     violations: int  # trials where clean recovered but adversarial did not
-
-    @property
-    def rate_delta(self) -> float:
-        return self.clean_rate - self.adversarial_rate
 
 
 def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResult:

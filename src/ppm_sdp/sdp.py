@@ -38,7 +38,6 @@ class SdpProblem:
     r: int
     objective: np.ndarray = field(repr=False)  # C; maximize <C, X>
     j_target: float | None = None  # known-sizes equality <J, X> = j_target
-    omega: float | None = None  # unknown-sizes penalty (already folded into C)
 
 
 RHO = 1.0  # initial ADMM penalty
@@ -106,8 +105,7 @@ def build_unknown_sizes(g: Graph, r: int, omega: float) -> SdpProblem:
     """Unknown-sizes program: maximize <A - omega J, X>."""
     _check_r(r)
     _check_omega(omega)
-    c = g.adjacency() - omega
-    return SdpProblem(n=g.n, r=r, objective=c, omega=omega)
+    return SdpProblem(n=g.n, r=r, objective=g.adjacency() - omega)
 
 
 def objective_value(g: Graph, X: np.ndarray, omega: float | None = None) -> float:

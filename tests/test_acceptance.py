@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ppm_sdp.certificate import algebraic_identity_suite, build_certificate, verify_certificate
+from ppm_sdp.certificate import build_certificate, verify_certificate
 from ppm_sdp.graph_model import (
     AdversarySpec,
     Graph,
@@ -39,6 +39,7 @@ from ppm_sdp.thresholds import (
     feasibility_report,
     ppm_rate_matrix,
 )
+from test_certificate import algebraic_identity_suite
 
 DESK_PARAMS = PlantedPartitionParams(
     n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21.0, q_tilde=2.0

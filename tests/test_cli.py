@@ -494,8 +494,34 @@ class TestUsageErrors:
                 },
                 "'r'",
             ),
+            ({"kind": "scripted", "params": {"add": [[0, 1.7]]}}, "integer"),
+            (
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[21, 1], [1, 21]],
+                        "base": {"n": 120, "r": 2, "pi": [0.9, 0.1], "p_tilde": 16, "q_tilde": 2},
+                    },
+                },
+                "disagree with the labels",
+            ),
+            (
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[21, 1], [1, 21]],
+                        "base": {
+                            "n": 120, "r": 3, "pi": [0.4, 0.3, 0.3], "p_tilde": 16, "q_tilde": 2,
+                        },
+                    },
+                },
+                "disagree with the labels",
+            ),
         ],
-        ids=["misspelt", "missing", "wrong-type", "base-missing-field"],
+        ids=[
+            "misspelt", "missing", "wrong-type", "base-missing-field", "fractional-id",
+            "base-other-pi", "base-other-r",
+        ],
     )
     def test_adversary_params_that_do_not_fit(self, tmp_path, capsys, sampled, spec, named):
         gp, lp = sampled
@@ -521,6 +547,20 @@ class TestUsageErrors:
         }))
         line = self.usage_error(capsys, "phase", "--config", str(cfg), "--out", str(out))
         assert "degree" in line and not out.exists()
+
+    def test_phase_with_an_adversary_that_cannot_apply(self, tmp_path, capsys):
+        # a hub degree of 80 exceeds the 50-vertex communities of every
+        # sample; the error follows the grid-size note the sweep starts with
+        cfg, out = tmp_path / "cfg.json", tmp_path / "phase.csv"
+        cfg.write_text(json.dumps({
+            "p_tilde_grid": [14], "q_tilde_grid": [2], "pi": [0.5, 0.5], "n_grid": [100],
+            "trials": 2, "seed_base": 1,
+            "adversary": {"kind": "hub_plant", "params": {"hubs": 2, "degree": 80}},
+        }))
+        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        note, error = capsys.readouterr().err.strip().splitlines()
+        assert note.startswith("grid of 1 cells x 2 trials")
+        assert error.startswith("ppm-sdp: error:") and "degree" in error and not out.exists()
 
     def test_adversary_spec_without_kind(self, tmp_path, capsys, sampled):
         gp, lp = sampled

@@ -167,11 +167,17 @@ class TestGraph:
         with pytest.raises(ParameterError, match="pairs"):
             Graph(4, [(0, 1, 2)])
 
+    def test_non_integer_ids_rejected(self):
+        for bad in ([(0, 1.7)], np.array([[0.0, 1.0]]), [(False, True)]):
+            with pytest.raises(ParameterError, match="integer"):
+                Graph(4, bad)
+        assert Graph(4, []).m == Graph(4, np.empty((0, 2))).m == 0
+
     def test_adjacency_roundtrip(self):
         g = Graph(n=4, edges=frozenset({(0, 1), (2, 3), (1, 3)}))
         a = g.adjacency()
         assert np.array_equal(a, a.T)
-        assert Graph.from_adjacency(a) == g
+        assert Graph(4, np.argwhere(np.triu(a, 1))) == g
 
 
 class TestParams:
@@ -327,6 +333,22 @@ class TestChunkedPairs:
         ref = unchunked_kernel(g, truth, add_rate, rem_rate, 17, 0xD0, 0xD0)
         assert np.array_equal(out.pairs, ref.pairs)
 
+    def test_removals_hash_only_the_edges(self, monkeypatch):
+        g, truth = sample_ppm(PINNED, 3)
+        spec = AdversarySpec("random_monotone", self.RM)
+        expected = apply_adversary(g, truth, spec, 17)
+        hashed = []
+
+        def counting(seed, u, v):
+            hashed.append((seed, len(u)))
+            return pair_uniforms(seed, u, v)
+
+        monkeypatch.setattr(graph_model, "pair_uniforms", counting)
+        assert apply_adversary(g, truth, spec, 17) == expected
+        rem_seed = _derive_seed(17, 0x4E)
+        assert sum(k for seed, k in hashed if seed == rem_seed) == g.m
+        assert sum(k for _, k in hashed) == g.m + PINNED.n * (PINNED.n - 1) // 2
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_random_monotone_on_tiny_graphs(self, n):
         truth = PartitionLabels(labels=(0,) * n, r=1)
@@ -468,7 +490,7 @@ class TestAdversaries:
 
     def test_spec_json_roundtrip(self):
         spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3})
-        again = AdversarySpec.from_json(spec.to_json())
+        again = AdversarySpec.from_json(json.dumps({"kind": spec.kind, "params": spec.params}))
         assert again == spec
 
     def test_unknown_kind_rejected(self):
@@ -561,6 +583,12 @@ class TestDominatingSbm:
         other = dataclasses.replace(par, n=200)
         with pytest.raises(ParameterError, match="disagree on n"):
             simulate_dominating_sbm(g, truth, qp, other, 0)
+        for other in (
+            dataclasses.replace(par, pi=(0.9, 0.1)),
+            dataclasses.replace(par, r=3, pi=(0.4, 0.3, 0.3)),
+        ):
+            with pytest.raises(ParameterError, match="disagree with the labels"):
+                simulate_dominating_sbm(g, truth, qp, other, 0)
 
     def test_hierarchical_removal_fractions(self):
         # four communities; inter rate drops from b to c only across the

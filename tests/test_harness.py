@@ -70,7 +70,7 @@ class TestConfig:
         cfg = small_config(p_tilde_grid=[2.0, 8.0], q_tilde_grid=[2.0, 4.0])
         # only pairs with p_tilde > q_tilde survive
         assert cfg.cells() == [(100, 8.0, 2.0), (100, 8.0, 4.0)]
-        assert cfg.work_estimate() == 4
+        assert len(cfg.cells()) * cfg.trials == 4
 
     def test_grid_without_an_assortative_cell(self):
         with pytest.raises(ParameterError, match="no cell"):
@@ -139,7 +139,7 @@ class TestRobustness:
     def test_none_adversary_zero_delta(self):
         cfg = small_config(adversary=AdversarySpec(kind="none"), n_grid=[100], trials=2)
         result = run_robustness_suite(cfg)
-        assert result.rate_delta == 0.0
+        assert result.clean_rate - result.adversarial_rate == 0.0
         assert result.violations == 0
 
     def test_requires_adversary(self):

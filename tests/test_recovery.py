@@ -5,11 +5,13 @@ to the values they had before these callers shared it."""
 import csv
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppm_sdp
 from ppm_sdp import harness, sdp
 from ppm_sdp.cli import EXIT_NO_CONVERGENCE, EXIT_ROUNDING_FAILURE, main
 from ppm_sdp.graph_model import PlantedPartitionParams, sample_ppm, write_graph
@@ -20,6 +22,27 @@ from ppm_sdp.thresholds import ParameterError, compute_omega
 WEAK = PlantedPartitionParams(n=120, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=2)
 STRONG = PlantedPartitionParams(n=150, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
 OPTS = sdp.SolverOptions(tol=1e-5, max_iters=200)
+
+
+def test_package_exports_the_recovery_routines():
+    names = {
+        k for k, v in vars(ppm_sdp).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert names == {
+        "AdversarySpec", "Graph", "PartitionLabels", "PlantedPartitionParams",
+        "apply_adversary", "monotone_diff", "read_graph", "read_labels", "sample_ppm",
+        "simulate_dominating_sbm", "write_graph", "write_labels",
+        "DivergenceReport", "ParameterError", "bm_dominates", "ch_divergence_closed_form",
+        "ch_divergence_numeric", "compute_omega", "feasibility_report",
+        "monotone_divergence", "ppm_rate_matrix", "rate_constant_tau",
+        "Recovery", "SolverOptions", "centered_partition_matrix", "certified_partition",
+        "recover", "recover_admm",
+        "CertificateReport", "build_certificate", "verify_certificate",
+        "MleResult", "loglikelihood", "mle_known_sizes", "mle_unknown_sizes",
+    }
+    assert ppm_sdp.recover is sdp.recover and ppm_sdp.recover_admm is sdp.recover_admm
+    assert ppm_sdp.Recovery is sdp.Recovery
 
 
 class TestRecover:

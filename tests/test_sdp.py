@@ -88,7 +88,7 @@ class TestProblemBuilders:
         par = PlantedPartitionParams(n=200, r=2, pi=(0.5, 0.5), p_tilde=12, q_tilde=2)
         omega = compute_omega(par.p, par.q)
         prob = build_unknown_sizes(Graph(n=200, edges=frozenset()), 2, omega)
-        assert prob.omega == omega
+        assert np.all(prob.objective == -omega)  # A - omega J with A = 0
         assert par.q < omega < par.p
 
 
