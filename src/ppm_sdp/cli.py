@@ -197,19 +197,14 @@ def cmd_certify(args) -> int:
 
 def _config_from_args(args) -> harness.ExperimentConfig:
     with open(args.config) as f:
-        cfg = harness.ExperimentConfig.from_json(f.read())
-    print(
-        f"grid of {len(cfg.cells())} cells x {cfg.trials} trials "
-        f"= {len(cfg.cells()) * cfg.trials} runs",
-        file=sys.stderr,
-    )
-    return cfg
+        return harness.ExperimentConfig.from_json(f.read())
 
 
 def cmd_phase(args) -> int:
     cfg = _config_from_args(args)
     harness.run_phase_diagram(cfg, csv_path=args.out)
-    print(f"wrote {args.out}")
+    cells = len(cfg.cells())
+    print(f"wrote {args.out}: {cells} cells x {cfg.trials} trials = {cells * cfg.trials} runs")
     return EXIT_OK
 
 

@@ -78,9 +78,15 @@ class PartitionLabels:
 
 def _pair_index(n: int, e: np.ndarray) -> np.ndarray:
     """Position of each pair (u, v), u < v, in the row-major upper triangle
-    (the order of np.triu_indices(n, 1)): u n - u(u+1)/2 + v - u - 1."""
+    (the order of np.triu_indices(n, 1)): u n - u(u+1)/2 + v - u - 1, that
+    is u(2n - 3 - u)/2 + v - 1, evaluated in one array."""
     u, v = e[:, 0], e[:, 1]
-    return u * n - u * (u + 1) // 2 + v - u - 1
+    k = (2 * n - 3) - u
+    k *= u
+    k //= 2  # u(2n - 3 - u) is even
+    k += v
+    k -= 1
+    return k
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -114,9 +120,20 @@ class Graph:
             e = e.copy()  # the graph shares no memory with the caller's array
         else:
             e = e[np.unique(keys, return_index=True)[1]]
-        e.flags.writeable = False
+        self._own(n, e)
+
+    def _own(self, n: int, pairs: np.ndarray) -> None:
+        pairs.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", e)
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _from_sorted(cls, n: int, pairs: np.ndarray) -> Graph:
+        """The graph on `pairs`, a fresh array of valid, sorted and
+        duplicate-free pairs that it takes over without a copy or a check."""
+        g = object.__new__(cls)
+        g._own(n, pairs)
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -309,7 +326,8 @@ def sample_ppm(
     """Sample a planted partition graph; deterministic given the seed."""
     truth = planted_labels(params.n, params.pi)
     rate = ppm_rate_matrix(params.p, params.q, truth.r)
-    return Graph(params.n, _draw_pairs(params.n, truth.as_array(), rate, seed)), truth
+    pairs = _draw_pairs(params.n, truth.as_array(), rate, seed)
+    return Graph._from_sorted(params.n, pairs), truth
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +352,9 @@ def _find_sorted(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.n
     """(at, found): where each of `wanted` falls in the sorted `keys`
     (np.searchsorted), and whether it is there."""
     at = np.searchsorted(keys, wanted)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == wanted[found]
-    return at, found
+    if not len(keys):
+        return at, np.zeros(len(wanted), dtype=bool)
+    return at, keys.take(at, mode="clip") == wanted
 
 
 def _apply_change(
@@ -344,17 +362,31 @@ def _apply_change(
 ) -> Graph:
     """The graph with the `added` pairs joined and the `removed` pairs
     dropped; every adversary goes through here.  Rejects a change that is
-    not monotone with respect to truth.  Every adversary passes sorted,
-    duplicate-free additions, so the merge is sorted and the constructor
-    keeps it as is; other input costs the constructor one sort."""
+    not monotone with respect to truth.  Both arrays hold valid pairs
+    u < v < n.  Every adversary passes sorted, duplicate-free additions;
+    other additions cost one sort.  The merge writes the output pairs once,
+    into the array the new graph keeps."""
     _check_monotone(truth, added, removed)
     keys = _pair_index(g.n, g.pairs)  # sorted, as the pairs are
     at, found = _find_sorted(keys, _pair_index(g.n, removed))
     keep = np.ones(len(keys), dtype=bool)
     keep[at[found]] = False
-    kept, keys = g.pairs[keep], keys[keep]
-    at, found = _find_sorted(keys, _pair_index(g.n, added))
-    return Graph(g.n, np.insert(kept, at[~found], added[~found], axis=0))
+    keys = keys[keep]
+    wanted = _pair_index(g.n, added)
+    if not np.all(wanted[1:] > wanted[:-1]):
+        wanted, first = np.unique(wanted, return_index=True)
+        added = added[first]
+    at, found = _find_sorted(keys, wanted)
+    if found.any():
+        added, at = added[~found], at[~found]
+    at += np.arange(len(at))  # the slot of each addition in the output
+    slot = np.zeros(len(keys) + len(at), dtype=bool)
+    slot[at] = True
+    del keys, wanted, at, found  # freed before the output is allocated
+    out = np.empty((len(slot), 2), dtype=np.int64)
+    out[slot] = added
+    out[~slot] = g.pairs[keep]
+    return Graph._from_sorted(g.n, out)
 
 
 def monotone_diff(

@@ -358,13 +358,17 @@ def omega_sweep(
     keeping only solutions that round to genuine partitions.
 
     Distinct omega values can surface distinct (e.g. hierarchical)
-    partitions; failures at individual omegas are recorded, not raised.
+    partitions.  Failures at individual omegas are recorded, not raised,
+    except ParameterError: an omega outside (0, 1) or an r below 2 is bad
+    input, as in run_phase_diagram.
     """
     opts = opts or sdp.SolverOptions(tol=1e-5, max_iters=5000)
     out = []
     for omega in map(float, omegas):
         try:
             rec = sdp.recover_admm(g, r, omega=omega, opts=opts)
+        except ParameterError:
+            raise
         except Exception:
             out.append(OmegaSweepEntry(omega=omega, converged=False, labels=None))
             continue

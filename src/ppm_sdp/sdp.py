@@ -5,8 +5,13 @@ Two programs are supported: known community sizes (objective <A, X> with an
 all-ones-sum equality constraint) and unknown sizes (objective
 <A, X> - omega <J, X>).  Both share the constraints diag(X) = 1, entrywise
 X >= -1/(r-1), and X PSD.  The solver is consensus ADMM over the three
-constraint sets, with a full symmetric eigendecomposition per iteration for
-the PSD projection; robust and adequate at desk scale (n up to ~2000).
+constraint sets; robust and adequate at desk scale (n up to ~2000).  The
+PSD projection is warm-started from the positive eigenspace of the previous
+one when that has 1 to r dimensions: Rayleigh-Ritz on a small block Krylov
+space gives the projection, and one Cholesky factorization proves that no
+positive eigenvalue was missed.  A full symmetric eigendecomposition runs
+when the proof fails or the rank is outside 1..r, as it is while the
+iterate's rank is still falling.
 
 `recover` tries the dual certificate first and falls back to `recover_admm`
 (build, solve, round); these are the only graph-to-partition routines.
@@ -43,6 +48,8 @@ class SdpProblem:
 RHO = 1.0  # initial ADMM penalty
 ADAPT_EVERY = 50  # iterations between penalty rebalancing steps
 ROUND_TOL = 0.1  # largest entrywise distance rounding accepts
+KRYLOV_POWERS = 10  # s: the warm PSD projection searches [V, YV, ..., Y^s V]
+PROOF_SHIFT = 1e-12  # the Cholesky proof's delta over the largest |Ritz value|
 
 
 @dataclass
@@ -59,6 +66,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
+    full_projections: int = 0  # PSD projections that ran a full eigh
 
 
 @dataclass
@@ -119,13 +127,48 @@ def objective_value(g: Graph, X: np.ndarray, omega: float | None = None) -> floa
     return value
 
 
-def _project_psd(y: np.ndarray) -> np.ndarray:
+def _project_psd(y: np.ndarray, v: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(P, V, full): the projection of y onto the PSD cone, an orthonormal
+    basis of its positive eigenspace, and whether a full eigendecomposition
+    made them.
+
+    `v` is the basis the previous projection returned.  When it has 1 to r
+    columns, the Rayleigh-Ritz pairs of y on the block Krylov space
+    [v, yv, ..., y^s v] (s = KRYLOV_POWERS) give P = V diag(theta) V^T over
+    the positive Ritz values theta.  A Cholesky factorization of
+    P - y + delta I, delta = PROOF_SHIFT times the largest absolute Ritz
+    value, proves y - P <= delta I: no positive eigenvalue above delta was
+    missed.  When the factorization fails, or v has 0 or more than r columns,
+    a full eigendecomposition of y gives P and reseeds V.
+    """
+    if 1 <= v.shape[1] <= r:
+        warm = _warm_projection(y, v)
+        if warm is not None:
+            return *warm, False
     w, v = np.linalg.eigh(y)
     pos = w > 0
-    if not np.any(pos):
-        return np.zeros_like(y)
-    vp = v[:, pos] * w[pos]
-    return vp @ v[:, pos].T
+    vp = v[:, pos]
+    return (vp * w[pos]) @ vp.T, vp, True
+
+
+def _warm_projection(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(P, V) from the Ritz pairs of y on [v, yv, ..., y^s v] when the
+    Cholesky proof holds, else None."""
+    blocks = [v]
+    for _ in range(KRYLOV_POWERS):
+        blocks.append(y @ blocks[-1])
+    q = np.linalg.qr(np.hstack(blocks))[0]
+    w, s = np.linalg.eigh(q.T @ y @ q)
+    pos = w > 0
+    vp = q @ s[:, pos]
+    p = (vp * w[pos]) @ vp.T
+    gap = p - y
+    gap.flat[:: len(gap) + 1] += PROOF_SHIFT * float(np.max(np.abs(w)))
+    try:
+        np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return None
+    return p, vp
 
 
 def _project_affine(y: np.ndarray, j_target: float | None) -> np.ndarray:
@@ -148,36 +191,46 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     lb = -1.0 / (prob.r - 1)  # entrywise lower bound of the box
     c_mat = prob.objective
     rho = RHO
+    c_step = c_mat / (3.0 * rho)
     x = np.eye(n)
     z = [x.copy(), x.copy(), x.copy()]
     u = [np.zeros((n, n)) for _ in range(3)]
+    basis = np.zeros((n, 0))  # positive eigenspace of the last PSD projection
+    full_projections = 0
     scale = n  # residual normalization
     primal = dual = math.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
-        x_prev = x
-        x = (z[0] - u[0] + z[1] - u[1] + z[2] - u[2]) / 3.0 + c_mat / (3.0 * rho)
-        x = 0.5 * (x + x.T)
-        z[0] = _project_psd(x + u[0])
+        x_new = z[0] - u[0]
+        x_new += z[1]
+        x_new -= u[1]
+        x_new += z[2]
+        x_new -= u[2]
+        x_new /= 3.0
+        x_new += c_step
+        x_new += x_new.T
+        x_new *= 0.5
+        dual = rho * float(np.linalg.norm(x_new - x)) / scale
+        x = x_new  # the previous iterate is freed before the projections
+        z[0], basis, full = _project_psd(x + u[0], basis, prob.r)
+        full_projections += full
         z[1] = _project_affine(x + u[1], prob.j_target)
         z[2] = np.clip(x + u[2], lb, 1.0)
         primal = 0.0
         for k in range(3):
-            u[k] += x - z[k]
-            primal = max(primal, float(np.linalg.norm(x - z[k])))
+            step = x - z[k]
+            u[k] += step
+            primal = max(primal, float(np.linalg.norm(step)))
+        del step  # freed before the next iteration's projections
         primal /= scale
-        dual = rho * float(np.linalg.norm(x - x_prev)) / scale
         if max(primal, dual) < opts.tol:
             break
-        if it % ADAPT_EVERY == 0:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                for k in range(3):
-                    u[k] /= 2.0
-            elif dual > 10.0 * primal:
-                rho /= 2.0
-                for k in range(3):
-                    u[k] *= 2.0
+        if it % ADAPT_EVERY == 0 and max(primal, dual) > 10.0 * min(primal, dual):
+            factor = 2.0 if primal > dual else 0.5  # raise rho when primal lags
+            rho *= factor
+            for k in range(3):
+                u[k] /= factor
+            c_step = c_mat / (3.0 * rho)
     converged = max(primal, dual) < opts.tol
     return SdpSolution(
         X=x,
@@ -186,6 +239,7 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
         dual_residual=dual,
         iterations=it,
         converged=converged,
+        full_projections=full_projections,
     )
 
 

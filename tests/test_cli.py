@@ -316,8 +316,9 @@ class TestPhaseAndSweep:
                 }
             )
         )
-        code, _ = run(capsys, "phase", "--config", str(cfg), "--out", str(out))
+        code, text = run(capsys, "phase", "--config", str(cfg), "--out", str(out))
         assert code == EXIT_OK
+        assert text.strip() == f"wrote {out}: 1 cells x 1 trials = 1 runs"
         assert out.read_text().count("\n") == 2  # header + one cell
 
     def test_certify_only_robustness_counts_certified_trials(self, tmp_path, capsys):
@@ -548,19 +549,40 @@ class TestUsageErrors:
         line = self.usage_error(capsys, "phase", "--config", str(cfg), "--out", str(out))
         assert "degree" in line and not out.exists()
 
-    def test_phase_with_an_adversary_that_cannot_apply(self, tmp_path, capsys):
+    @staticmethod
+    def trial_error(tmp_path, capsys, command):
         # a hub degree of 80 exceeds the 50-vertex communities of every
-        # sample; the error follows the grid-size note the sweep starts with
-        cfg, out = tmp_path / "cfg.json", tmp_path / "phase.csv"
+        # sample; the one stderr line is the error, and stdout stays empty
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps({
             "p_tilde_grid": [14], "q_tilde_grid": [2], "pi": [0.5, 0.5], "n_grid": [100],
             "trials": 2, "seed_base": 1,
             "adversary": {"kind": "hub_plant", "params": {"hubs": 2, "degree": 80}},
         }))
-        assert main(["phase", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
-        note, error = capsys.readouterr().err.strip().splitlines()
-        assert note.startswith("grid of 1 cells x 2 trials")
-        assert error.startswith("ppm-sdp: error:") and "degree" in error and not out.exists()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("ppm-sdp: error:") and "degree" in line
+        assert captured.out == "" and not out.exists()
+
+    def test_phase_with_an_adversary_that_cannot_apply(self, tmp_path, capsys):
+        self.trial_error(tmp_path, capsys, "phase")
+
+    def test_robustness_with_an_adversary_that_cannot_apply(self, tmp_path, capsys):
+        self.trial_error(tmp_path, capsys, "robustness")
+
+    @pytest.mark.parametrize(
+        "r, omegas, named", [("2", "1.5,0.2", "omega"), ("1", "0.2", "r >= 2")],
+        ids=["omega-above-one", "one-community"],
+    )
+    def test_omega_sweep_with_bad_input(self, capsys, sampled, r, omegas, named):
+        gp, _ = sampled
+        argv = ["omega-sweep", "--graph", str(gp), "--r", r, "--omegas", omegas]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("ppm-sdp: error:") and named in line
+        assert captured.out == ""
 
     def test_adversary_spec_without_kind(self, tmp_path, capsys, sampled):
         gp, lp = sampled

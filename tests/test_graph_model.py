@@ -382,6 +382,23 @@ class TestMemory:
         units = peak_units(lambda: Graph(g.n, g.pairs), g.n)
         assert units * 8.0 * g.n * g.n <= 2.0 * g.pairs.nbytes
 
+    def test_apply_change_writes_the_output_once(self):
+        # random_monotone 0.3/0.3 at n=3000: the change that _pair_kernel
+        # draws, then the merge alone.  The merge peaked at 37.5 MB above its
+        # inputs when it copied the pairs four times over; writing them once,
+        # into the array the graph keeps, peaks at 14.0 MB (a 9.4 MB output).
+        g, truth = sample_ppm(dataclasses.replace(PINNED, n=3000), 7)
+        lab, intra = truth.as_array(), np.eye(truth.r, dtype=bool)
+        added = graph_model._draw_pairs(
+            g.n, lab, np.where(intra, 0.3, 0.0), _derive_seed(11, 0xADD),
+            skip=graph_model._pair_index(g.n, g.pairs),
+        )
+        u, v = g.pairs.T
+        rate = np.where(intra, 0.0, 0.3).ravel()[lab[u] * truth.r + lab[v]]
+        removed = g.pairs[pair_uniforms(_derive_seed(11, 0x4E), u, v) < rate]
+        units = peak_units(lambda: graph_model._apply_change(g, truth, added, removed), g.n)
+        assert units * 8.0 * g.n * g.n <= 0.5 * 37.5e6
+
 
 class TestPairUniforms:
     def test_deterministic_and_in_range(self):

@@ -23,6 +23,7 @@ from ppm_sdp.harness import (
     tail_exponent_demo,
     trial_seed,
 )
+from ppm_sdp import sdp
 from ppm_sdp.sdp import SolverOptions
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
@@ -270,8 +271,18 @@ class TestOmegaSweep:
         )
         assert coarse.is_partition and labels_agree(coarse.labels, merged)
 
-    def test_failures_recorded_not_raised(self):
+    def test_bad_input_raises_other_failures_are_recorded(self, monkeypatch):
         par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14, q_tilde=2)
         g, _ = sample_ppm(par, 0)
-        entries = omega_sweep(g, 2, [-1.0, 2.0])
-        assert all(not e.is_partition for e in entries)
+        for r, omegas in ((2, [-1.0, 0.2]), (2, [2.0]), (1, [0.2])):
+            with pytest.raises(ParameterError):
+                omega_sweep(g, r, omegas)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(sdp, "recover_admm", fail)
+        entries = omega_sweep(g, 2, [0.1, 0.2])
+        assert [(e.omega, e.converged, e.is_partition) for e in entries] == [
+            (0.1, False, False), (0.2, False, False)
+        ]

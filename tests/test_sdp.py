@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppm_sdp import sdp
 from ppm_sdp.graph_model import (
     Graph,
     PartitionLabels,
@@ -17,6 +18,7 @@ from ppm_sdp.sdp import (
     RoundingResult,
     SdpSolution,
     SolverOptions,
+    _project_psd,
     build_known_sizes,
     _labels_from_components,
     _spectral_labels,
@@ -195,6 +197,121 @@ class TestSolve:
             sol = solve(build_unknown_sizes(g, 2, omega * factor))
             rounding = round_to_partition(sol, 2)
             assert rounding.success and labels_agree(rounding.labels, truth)
+
+
+def reference_projection(y):
+    """(P, |y|): the PSD projection from a full eigendecomposition, the
+    dense reference for the warm projection, and the spectral norm of y."""
+    w, v = np.linalg.eigh(y)
+    pos = w > 0
+    return (v[:, pos] * w[pos]) @ v[:, pos].T, float(np.max(np.abs(w)))
+
+
+def reference_solve(prob, opts, visit=lambda y, p, norm: None):
+    """The ADMM loop of `solve` with the reference projection on every
+    iteration; visit(y, P, |y|) sees each projection.  Returns (X, its)."""
+    n, lb, rho = prob.n, -1.0 / (prob.r - 1), sdp.RHO
+    x = np.eye(n)
+    z = [x.copy(), x.copy(), x.copy()]
+    u = [np.zeros((n, n)) for _ in range(3)]
+    for it in range(1, opts.max_iters + 1):
+        x_prev = x
+        x = (z[0] - u[0] + z[1] - u[1] + z[2] - u[2]) / 3.0 + prob.objective / (3.0 * rho)
+        x = 0.5 * (x + x.T)
+        y = x + u[0]
+        z[0], norm = reference_projection(y)
+        visit(y, z[0], norm)
+        z[1] = sdp._project_affine(x + u[1], prob.j_target)
+        z[2] = np.clip(x + u[2], lb, 1.0)
+        primal = max(float(np.linalg.norm(x - zk)) for zk in z) / n
+        for k in range(3):
+            u[k] += x - z[k]
+        dual = rho * float(np.linalg.norm(x - x_prev)) / n
+        if max(primal, dual) < opts.tol:
+            break
+        if it % sdp.ADAPT_EVERY == 0:
+            if primal > 10.0 * dual:
+                rho *= 2.0
+                u = [uk / 2.0 for uk in u]
+            elif dual > 10.0 * primal:
+                rho /= 2.0
+                u = [uk * 2.0 for uk in u]
+    return x, it
+
+
+def spectrum_matrix(eigenvalues, seed):
+    """A symmetric matrix with the given eigenvalues and its eigenvectors
+    (columns, in the same order), from a seeded random rotation."""
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    y = (q * np.asarray(eigenvalues)) @ q.T
+    return 0.5 * (y + y.T), q
+
+
+class TestWarmProjection:
+    """The PSD projection warm-started from the last positive eigenspace
+    against the full-eigh reference."""
+
+    PARAMS = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+    OPTS = SolverOptions(tol=1e-5, max_iters=5000)
+
+    @pytest.mark.parametrize("seed", [401, 402, 403])
+    def test_known_sizes_solve_matches_the_reference(self, seed):
+        # every projection on the reference's iterates, warm-started as in
+        # `solve`, is entrywise within 1e-13 |Y| of the full eigh (the
+        # warm one measured at most 2e-16 |Y| here); the solve then takes the
+        # reference's iteration count, and most iterations skip the eigh
+        g, truth = sample_ppm(self.PARAMS, seed)
+        prob = build_known_sizes(g, truth.sizes())
+        state = {"basis": np.zeros((g.n, 0)), "warm": 0}
+
+        def visit(y, p, norm):
+            got, state["basis"], full = _project_psd(y, state["basis"], prob.r)
+            state["warm"] += not full
+            assert np.max(np.abs(got - p)) <= 1e-13 * norm
+
+        x_ref, iterations = reference_solve(prob, self.OPTS, visit)
+        sol = solve(prob, self.OPTS)
+        assert sol.iterations == iterations
+        assert sol.iterations - sol.full_projections == state["warm"] >= iterations // 2
+        assert np.max(np.abs(sol.X - x_ref)) <= 1e-12
+
+    def test_full_projections_reproduce_the_reference_bit_for_bit(self):
+        # below the threshold the iterate's rank stays above r, so every
+        # projection is a full eigh and the loop must be the reference's
+        par = PlantedPartitionParams(n=120, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=2)
+        g, truth = sample_ppm(par, 3)
+        prob = build_known_sizes(g, truth.sizes())
+        opts = SolverOptions(tol=1e-5, max_iters=150)
+        x_ref, iterations = reference_solve(prob, opts)
+        sol = solve(prob, opts)
+        assert sol.iterations == iterations == sol.full_projections
+        assert np.array_equal(sol.X, x_ref)
+
+    def test_a_missed_positive_eigenvalue_fails_the_proof(self):
+        # the warm basis spans the eigenvectors of 5 and 3, and the Krylov
+        # space never leaves it, so the third positive eigenvalue 2 is
+        # missed; the Cholesky proof rejects, and the full eigh answers
+        eigenvalues = [5.0, 3.0, 2.0] + np.linspace(-4.0, -0.5, 57).tolist()
+        y, q = spectrum_matrix(eigenvalues, 0)
+        want, norm = reference_projection(y)
+        p, basis, full = _project_psd(y, q[:, :2], 3)
+        assert full and basis.shape == (60, 3)
+        assert np.array_equal(p, want)
+        # from that full basis the warm path is taken and agrees
+        p, basis, full = _project_psd(y, basis, 3)
+        assert not full and basis.shape == (60, 3)
+        assert np.max(np.abs(p - want)) <= 1e-13 * norm
+
+    def test_rank_outside_one_to_r_runs_the_full_eigh(self):
+        y, q = spectrum_matrix([4.0, 3.0, 2.0, 1.0] + [-1.0] * 36, 1)
+        want, _ = reference_projection(y)
+        for basis in (q[:, :0], q[:, :4]):
+            p, new, full = _project_psd(y, basis, 3)
+            assert full and new.shape == (40, 4) and np.array_equal(p, want)
+        # a warm try that finds no positive Ritz value proves P = 0
+        p, new, full = _project_psd(-np.eye(5), np.eye(5)[:, :1], 2)
+        assert not full and new.shape == (5, 0) and not p.any()
 
 
 class TestRounding:
