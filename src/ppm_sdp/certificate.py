@@ -10,15 +10,19 @@ are chosen inside data-dependent intervals [alpha_v, beta_v], corrected so
 each community sums to a shared constant c; nu and the row sums of Gamma are
 then forced, and each off-diagonal block of Gamma is the unique rank-one
 matrix with those row and column sums.  The certificate keeps Gamma in that
-factored form (nu, R, T); the dense Lambda exists only inside verification,
-as its one n x n matrix.
+factored form (nu, R, T); nothing in it is n x n.
 
-Verification compresses Lambda in place onto the orthogonal complement of
-span{1_i - 1_j}.  Lanczos gives the PSD margin as the least Ritz value, which
-bounds the least eigenvalue from above only; one in-place Cholesky
-factorization of the compressed matrix, shifted to just below that value,
-proves the bound from below.  Only when the factorization fails is Lambda
-assembled again for an exact dense eigvalsh.
+Verification assembles Lambda straight from (nu, omega, the edge pairs, R,
+T), without the dense adjacency, and keeps only its lower triangle, in row
+blocks of _CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large
+array of a verification.  Every check reads that store: the largest entry,
+the kernel product, the compression onto the orthogonal complement of
+span{1_i - 1_j}, Lanczos, which gives the PSD margin as the least Ritz value
+and so bounds the least eigenvalue from above only, and one in-place
+Cholesky factorization of the compressed matrix, shifted to just below that
+value, which proves the bound from below.  Only when the factorization fails
+is the store assembled again and expanded to a dense matrix for an exact
+eigvalsh.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     }
 
 
-_CHUNK_ENTRIES = 1 << 16  # matrix entries per row block of a dense update
+_CHUNK_ENTRIES = 1 << 14  # entries per chunk of an update or its temporaries
 
 
 def _row_blocks(rows: int, cols: int):
@@ -180,6 +184,77 @@ def _row_blocks(rows: int, cols: int):
     entries of a matrix with `cols` columns (at least one row)."""
     step = max(1, _CHUNK_ENTRIES // max(cols, 1))
     return (slice(k, min(k + step, rows)) for k in range(0, rows, step))
+
+
+_CHOLESKY_BLOCK = 128  # rows per block of _LowerBlocks, columns per Cholesky panel
+
+
+class _LowerBlocks:
+    """The lower triangle of a symmetric n x n matrix in row blocks of
+    h = _CHOLESKY_BLOCK rows, views into one buffer of about n (n + h) / 2
+    doubles.
+
+    Block k holds rows [k0, k1), k0 = k h, k1 = min(k0 + h, n), and columns
+    [0, k1): those rows' part of the lower triangle plus their whole
+    diagonal block.  Until a Cholesky factorization overwrites the store,
+    each diagonal block is held whole, both triangles, so `m @ x`, the
+    symmetric product, reads the blocks as they are; `_cholesky_in_place`
+    reads only the lower triangle.
+    """
+
+    def __init__(self, n: int, fill: float):
+        self.n = n
+        self.buf = np.full(int(self.index(n - 1, n - 1)) + 1, fill)
+        self.blocks = []  # (k0, k1, block view)
+        for k0 in range(0, n, _CHOLESKY_BLOCK):
+            k1 = min(k0 + _CHOLESKY_BLOCK, n)
+            start = int(self.index(k0, 0))
+            view = self.buf[start : start + (k1 - k0) * k1].reshape(k1 - k0, k1)
+            self.blocks.append((k0, k1, view))
+        self.diag = self.index(np.arange(n), np.arange(n))
+
+    def index(self, rows, cols):
+        """Buffer positions of the entries (rows, cols), each column below
+        the end of its row's block."""
+        k0 = rows - rows % _CHOLESKY_BLOCK
+        k1 = np.minimum(k0 + _CHOLESKY_BLOCK, self.n)
+        return k0 * (k0 + _CHOLESKY_BLOCK) // 2 + (rows - k0) * k1 + cols
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The symmetric product with a vector or an n-row matrix: block k
+        gives rows [k0, k1) directly and, transposed, its part left of the
+        diagonal block to rows [0, k0)."""
+        y = np.zeros((self.n, *x.shape[1:]))
+        for k0, k1, blk in self.blocks:
+            y[k0:k1] += blk @ x[:k1]
+            y[:k0] += blk[:, :k0].T @ x[k0:k1]
+        return y
+
+    def abs_max(self) -> float:
+        """max_ij |m_ij|."""
+        return max(float(self.buf.max()), -float(self.buf.min()))
+
+    def abs_row_sums(self) -> np.ndarray:
+        """Sum_j |m_ij| for every row i, a few rows at a time."""
+        sums = np.zeros(self.n)
+        for k0, k1, blk in self.blocks:
+            for rows in _row_blocks(k1 - k0, k1):
+                a = np.abs(blk[rows])
+                sums[k0 + rows.start : k0 + rows.stop] += a.sum(axis=1)
+                sums[:k0] += a[:, :k0].sum(axis=0)
+        return sums
+
+    def lower_dense(self) -> np.ndarray:
+        """A dense n x n copy whose lower triangle is the stored one and whose
+        strict upper triangle is zero outside the diagonal blocks; enough for
+        eigvalsh, which reads only the lower triangle."""
+        dense = np.zeros((self.n, self.n))
+        for k0, k1, blk in self.blocks:
+            dense[k0:k1, :k1] = blk
+        return dense
 
 
 def _gamma_blocks(truth, t_mat):
@@ -191,21 +266,31 @@ def _gamma_blocks(truth, t_mat):
                 yield i, j, truth.members(i), truth.members(j)
 
 
-def assemble_lambda(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
-    """Dense Lambda = diag(nu) + omega J - A - Gamma, assembled in the memory
-    of g.adjacency().  Each off-diagonal block of Gamma is
-    outer(R[S_i, j], R[S_j, i]) / T_ij, written a block of rows at a time,
-    so Lambda is exactly symmetric and no other n x n array is made."""
-    n = g.n
-    lam = g.adjacency()
-    np.subtract(cert.omega, lam, out=lam)
+def _assemble_lower(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> _LowerBlocks:
+    """Lambda = diag(nu) + omega J - A - Gamma as a `_LowerBlocks` store,
+    built from (nu, omega, g.pairs, R, T) without the dense adjacency.  Each
+    off-diagonal block of Gamma is outer(R[S_i, j], R[S_j, i]) / T_ij; a row
+    block takes its rows of that block and of its transpose, a few rows at a
+    time, so its whole diagonal block is exactly symmetric and no
+    temporary exceeds _CHUNK_ENTRIES entries."""
+    n, h = g.n, _CHOLESKY_BLOCK
+    lam = _LowerBlocks(n, cert.omega)
+    for part in _row_blocks(len(g.pairs), 2):
+        u, v = g.pairs[part].T
+        lam.buf[lam.index(v, u)] -= 1.0
+        same = u // h == v // h  # (u, v) lies in a diagonal block too
+        lam.buf[lam.index(u[same], v[same])] -= 1.0
     for i, j, vi, vj in _gamma_blocks(truth, cert.T):
-        col = cert.R[vj, i]
-        for rows in _row_blocks(len(vi), len(vj)):
-            part = np.outer(cert.R[vi[rows], j], col) / cert.T[i, j]
-            lam[np.ix_(vi[rows], vj)] -= part
-            lam[np.ix_(vj, vi[rows])] -= part.T
-    lam.flat[:: n + 1] += cert.nu
+        # rows in S_i meet columns in S_j, then rows in S_j meet S_i
+        for rows_v, cols_v, rc, cc in ((vi, vj, j, i), (vj, vi, i, j)):
+            for k0, k1, blk in lam.blocks:
+                rows = rows_v[np.searchsorted(rows_v, k0) : np.searchsorted(rows_v, k1)]
+                cols = cols_v[: np.searchsorted(cols_v, k1)]
+                col = cert.R[cols, cc]
+                for part in _row_blocks(len(rows), len(cols)):
+                    gam = np.outer(cert.R[rows[part], rc], col) / cert.T[i, j]
+                    blk[np.ix_(rows[part] - k0, cols)] -= gam
+    lam.buf[lam.diag] += cert.nu
     return lam
 
 
@@ -229,6 +314,8 @@ def build_certificate(
         raise ParameterError("labels and graph disagree on n")
     if omega is None:
         omega = compute_omega(params.p, params.q)
+    if not math.isfinite(omega):
+        raise ParameterError(f"need a finite omega, got {omega}")
     n = g.n
     base = math.log(n) / math.log(math.log(n))
     e_vj, e_ij = edge_counts(g, truth)
@@ -245,37 +332,39 @@ def build_certificate(
     )
 
 
-def _compress(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
-    """Overwrite the symmetric matrix Lambda with M = P Lambda P + s U U^T and
-    return U, an orthonormal basis of span{1_i - 1_j}, with P = I - U U^T.
+def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
+    """Overwrite the stored symmetric Lambda with M = P Lambda P + s U U^T
+    and return U, an orthonormal basis of span{1_i - 1_j}, with P = I - U U^T.
 
     M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
     complement of the span, plus s, r - 1 times.  s exceeds the largest
     absolute row sum of Lambda, which bounds its spectral norm, so the
     copies of s are the top r - 1 eigenvalues.  The shift costs rank-(r - 1)
-    updates, O(n^2 r), made a block of rows at a time.
+    updates of the stored entries, O(n^2 r), made a few rows at a time;
+    each whole diagonal block stays symmetric up to rounding.
     """
-    n, r = truth.n, truth.r
+    r = truth.r
     ind = truth.indicator_matrix()
     u, _ = np.linalg.qr(ind[:, :-1] - ind[:, -1:])
-    blocks = list(_row_blocks(n, n))
-    s = 1.0 + max(float(np.abs(lam[rows]).sum(axis=1).max()) for rows in blocks)
+    s = 1.0 + float(lam.abs_row_sums().max())
     w = lam @ u
     k = u.T @ w
     # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
     b = w - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(r - 1))
-    for rows in blocks:
-        lam[rows] -= b[rows] @ u.T
-        lam[rows] -= u[rows] @ b.T
+    for k0, k1, blk in lam.blocks:
+        for rows in _row_blocks(k1 - k0, k1):
+            span = slice(k0 + rows.start, k0 + rows.stop)
+            blk[rows] -= b[span] @ u[:k1].T
+            blk[rows] -= u[span] @ b[:k1].T
     return u
 
 
-def _compressed_spectrum(lam: np.ndarray, truth: PartitionLabels) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric matrix Lambda compressed onto
-    the orthogonal complement of span{1_i - 1_j}, from one dense eigvalsh of
-    M (see `_compress`).  Overwrites `lam`."""
+def _compressed_spectrum(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric Lambda compressed onto the
+    orthogonal complement of span{1_i - 1_j}, from one dense eigvalsh of M
+    (see `_compress`), expanded from the store.  Overwrites `lam`."""
     _compress(lam, truth)
-    return np.linalg.eigvalsh(lam)[: truth.n - truth.r + 1]
+    return np.linalg.eigvalsh(lam.lower_dense())[: truth.n - truth.r + 1]
 
 
 _LANCZOS_SEED = 0  # fixed start vector: a report is reproducible
@@ -284,9 +373,9 @@ _RITZ_RTOL = 1e-10  # Ritz value change per check, relative to the spectral scal
 _BASIS_ROWS = 32  # Lanczos vectors per block of the basis
 
 
-def _lanczos_ends(m: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """(theta_min, theta_max): the extreme Ritz values of the symmetric m on
-    the orthogonal complement of the orthonormal columns u.
+def _lanczos_ends(m: _LowerBlocks, u: np.ndarray) -> tuple[float, float]:
+    """(theta_min, theta_max): the extreme Ritz values of the stored
+    symmetric m on the orthogonal complement of the orthonormal columns u.
 
     Lanczos with full reorthogonalization, applied twice, against the basis
     and against u after every step, so the Krylov space never leaves the
@@ -328,35 +417,28 @@ def _lanczos_ends(m: np.ndarray, u: np.ndarray) -> tuple[float, float]:
         q_prev, q = q, w / b
 
 
-_CHOLESKY_BLOCK = 128  # columns per panel of _cholesky_in_place
-
-
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+def _cholesky_in_place(a: _LowerBlocks) -> _LowerBlocks:
     """The lower Cholesky factor of the symmetric positive definite `a`,
-    written over its lower triangle; only that triangle is read, and the
-    strict upper triangle is left as scratch.  Raises LinAlgError when `a`
-    is not positive definite.
+    written over its store; only the lower triangle is read, and the strict
+    upper triangle of each diagonal block ends zero.  Raises LinAlgError
+    when `a` is not positive definite.
 
-    Blocked and right-looking: each panel of _CHOLESKY_BLOCK columns factors
-    its diagonal block, multiplies the rows below by the inverse of that
-    factor, and subtracts its outer product from the lower trapezoid of the
-    trailing matrix, a block of rows at a time, so no n x n temporary is
-    made.
+    Blocked and left-looking, one column panel [j0, j1) per row block j:
+    each row block k >= j first subtracts from its panel columns the product
+    of its finished columns [0, j0) with those of block j; then block j's
+    diagonal block is factored, and the blocks below are multiplied by the
+    inverse of that factor.  Every operand is a slice of one row block, so
+    no temporary exceeds one _CHOLESKY_BLOCK-square block.
     """
-    n = len(a)
-    for j0 in range(0, n, _CHOLESKY_BLOCK):
-        j1 = min(j0 + _CHOLESKY_BLOCK, n)
-        l11 = np.linalg.cholesky(a[j0:j1, j0:j1])
-        a[j0:j1, j0:j1] = l11
+    blocks = a.blocks
+    for j, (j0, j1, bj) in enumerate(blocks):
+        for _, _, bk in blocks[j:]:
+            bk[:, j0:j1] -= bk[:, :j0] @ bj[:, :j0].T
+        l11 = np.linalg.cholesky(bj[:, j0:j1])
+        bj[:, j0:j1] = l11
         inv_t = np.linalg.inv(l11).T
-        for rows in _row_blocks(n - j1, j1 - j0):
-            rows = slice(j1 + rows.start, j1 + rows.stop)
-            a[rows, j0:j1] = a[rows, j0:j1] @ inv_t
-        panel = a[j1:, j0:j1]
-        for rows in _row_blocks(n - j1, n - j1):
-            a[j1 + rows.start : j1 + rows.stop, j1 : j1 + rows.stop] -= (
-                panel[rows] @ panel[: rows.stop].T
-            )
+        for _, _, bk in blocks[j + 1 :]:
+            bk[:, j0:j1] = bk[:, j0:j1] @ inv_t
     return a
 
 
@@ -364,7 +446,7 @@ def _psd_tol(lam_2: float) -> float:
     return 1e-8 * max(lam_2, 1.0)
 
 
-def _proven_ends(lam: np.ndarray, truth: PartitionLabels) -> tuple[float, float] | None:
+def _proven_ends(lam: _LowerBlocks, truth: PartitionLabels) -> tuple[float, float] | None:
     """(least, largest) compressed eigenvalue of Lambda, as Ritz values,
     or None when the proof below fails.  Overwrites `lam`.
 
@@ -376,7 +458,7 @@ def _proven_ends(lam: np.ndarray, truth: PartitionLabels) -> tuple[float, float]
     """
     u = _compress(lam, truth)
     lo, hi = _lanczos_ends(lam, u)
-    lam.flat[:: len(lam) + 1] -= lo - _psd_tol(max(abs(lo), abs(hi)))
+    lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)
     except np.linalg.LinAlgError:
@@ -430,8 +512,8 @@ def verify_certificate(
     r_min = float(np.min(cert.R[comm_mask]))
     t_min = float(np.min(cert.T[iu]))
 
-    lam = assemble_lambda(g, truth, cert)
-    lam_max = max(float(lam.max()), -float(lam.min()))
+    lam = _assemble_lower(g, truth, cert)
+    lam_max = lam.abs_max()
     # Lambda (1_i - 1_j) is column i minus column j of K = Lambda [1_0 ... 1_r-1],
     # so the largest entry over all pairs i < j is the largest range of a row of K
     kernel_residual = float(np.ptp(lam @ truth.indicator_matrix(), axis=1).max())
@@ -440,7 +522,7 @@ def verify_certificate(
     ends = _proven_ends(lam, truth)
     del lam  # its buffer now holds a Cholesky factor
     if ends is None:  # the exact, dense route, from a fresh Lambda
-        spectrum = _compressed_spectrum(assemble_lambda(g, truth, cert), truth)
+        spectrum = _compressed_spectrum(_assemble_lower(g, truth, cert), truth)
         ends = float(spectrum[0]), float(spectrum[-1])
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing

@@ -358,17 +358,20 @@ def omega_sweep(
     keeping only solutions that round to genuine partitions.
 
     Distinct omega values can surface distinct (e.g. hierarchical)
-    partitions.  Failures at individual omegas are recorded, not raised,
-    except ParameterError: an omega outside (0, 1) or an r below 2 is bad
-    input, as in run_phase_diagram.
+    partitions.  An omega outside (0, 1) or an r below 2 is bad input, as
+    in run_phase_diagram: every value is checked before the first solve,
+    and ParameterError is raised.  Other failures at individual omegas are
+    recorded, not raised.
     """
+    omegas = [float(w) for w in omegas]
+    sdp._check_r(r)
+    for omega in omegas:
+        sdp._check_omega(omega)
     opts = opts or sdp.SolverOptions(tol=1e-5, max_iters=5000)
     out = []
-    for omega in map(float, omegas):
+    for omega in omegas:
         try:
             rec = sdp.recover_admm(g, r, omega=omega, opts=opts)
-        except ParameterError:
-            raise
         except Exception:
             out.append(OmegaSweepEntry(omega=omega, converged=False, labels=None))
             continue

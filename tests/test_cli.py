@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ppm_sdp
-
+from ppm_sdp import sdp
 from ppm_sdp.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_NOT_VERIFIED,
@@ -447,6 +447,15 @@ class TestUsageErrors:
         )
         assert "missing.txt" in line
 
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_certify_with_a_non_finite_omega(self, capsys, sampled, omega):
+        gp, lp = sampled
+        line = self.usage_error(
+            capsys, "certify", "--graph", str(gp), "--labels", str(lp),
+            "--p-tilde", "16", "--q-tilde", "2", "--omega", omega,
+        )
+        assert "finite omega" in line and omega in line
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"trials": 1,')
@@ -583,6 +592,17 @@ class TestUsageErrors:
         (line,) = captured.err.strip().splitlines()
         assert line.startswith("ppm-sdp: error:") and named in line
         assert captured.out == ""
+
+    def test_omega_sweep_checks_every_omega_before_solving(self, capsys, sampled, monkeypatch):
+        gp, _ = sampled
+        calls = []
+        monkeypatch.setattr(sdp, "recover_admm", lambda *a, **k: calls.append(1))
+        argv = ["omega-sweep", "--graph", str(gp), "--r", "2", "--omegas", "0.2,1.5"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("ppm-sdp: error:") and "1.5" in line
+        assert captured.out == "" and not calls
 
     def test_adversary_spec_without_kind(self, tmp_path, capsys, sampled):
         gp, lp = sampled

@@ -73,6 +73,7 @@ def test_every_layer_has_spans(tmp_path, tracer):
                                    "--p-tilde", "16", "--q-tilde", "2"])
     assert code == EXIT_OK
     assert {"graph_model.read_graph", "certificate.build", "certificate.verify"} <= names
+    assert "graph_model.adjacency" not in names
 
     # robustness: one paired known-sizes trial with a monotone adversary
     config = tmp_path / "robustness.json"
