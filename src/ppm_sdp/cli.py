@@ -9,11 +9,12 @@ Otherwise it runs ADMM and rounds ("method": "admm").
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
-a flag its mode needs left out, an --r that disagrees with --sizes, invalid
-parameters, an adversary spec, model or config whose fields do not fit, an
-adversary that cannot apply to its graph, a malformed graph or label file,
-malformed JSON, or a file that cannot be read or written.  A one-line
-message goes to standard error.
+a flag its mode needs left out, an --r that disagrees with --sizes or
+exceeds the graph's n, a --tol that is not finite and positive or a
+--max-iters below 1, invalid parameters, an adversary spec, model or config
+whose fields do not fit, an adversary that cannot apply to its graph, a
+malformed graph or label file, malformed JSON, or a file that cannot be read
+or written.  A one-line message goes to standard error.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ def cmd_threshold(args) -> int:
 
 def cmd_solve(args) -> int:
     r = _require_mode_args(args)
+    opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     g = read_graph(args.graph)
     known = args.mode == "known"
     rec = sdp.recover(
-        g, r, sizes=args.sizes if known else None, omega=None if known else args.omega,
-        opts=sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters),
+        g, r, sizes=args.sizes if known else None, omega=None if known else args.omega, opts=opts
     )
     if args.out_matrix:  # the solved matrix, or the certified partition's
         x = rec.X if rec.X is not None else sdp.centered_partition_matrix(rec.labels)

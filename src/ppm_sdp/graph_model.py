@@ -154,6 +154,19 @@ class Graph:
     def sorted_edges(self) -> list:
         return list(zip(*self.pairs.T.tolist()))
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for an (n, k) block x, summed from the edge pairs by
+        np.bincount, one column at a time: O(m + n k) memory, no dense
+        adjacency."""
+        n = self.n
+        u, v = np.ascontiguousarray(self.pairs.T)
+        cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+        out = np.empty(cols.shape)
+        for col, y in zip(cols, out):
+            y[:] = np.bincount(u, col[v], n)
+            y += np.bincount(v, col[u], n)
+        return out.T
+
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         u, v = self.pairs.T

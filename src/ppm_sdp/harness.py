@@ -72,6 +72,7 @@ class ExperimentConfig:
             raise ParameterError("need at least one trial per cell")
         if not self.cells():
             raise ParameterError("the grid has no cell with p_tilde > q_tilde")
+        sdp.SolverOptions(tol=self.tol, max_iters=self.max_iters)  # raises when invalid
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -358,13 +359,13 @@ def omega_sweep(
     keeping only solutions that round to genuine partitions.
 
     Distinct omega values can surface distinct (e.g. hierarchical)
-    partitions.  An omega outside (0, 1) or an r below 2 is bad input, as
-    in run_phase_diagram: every value is checked before the first solve,
-    and ParameterError is raised.  Other failures at individual omegas are
+    partitions.  An omega outside (0, 1) or an r outside [2, n] is bad
+    input, as in run_phase_diagram: every value is checked before the first
+    solve, and ParameterError is raised.  Other failures at individual omegas are
     recorded, not raised.
     """
     omegas = [float(w) for w in omegas]
-    sdp._check_r(r)
+    sdp._check_r(r, g.n)
     for omega in omegas:
         sdp._check_omega(omega)
     opts = opts or sdp.SolverOptions(tol=1e-5, max_iters=5000)

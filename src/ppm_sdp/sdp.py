@@ -14,7 +14,11 @@ when the proof fails or the rank is outside 1..r, as it is while the
 iterate's rank is still falling.
 
 `recover` tries the dual certificate first and falls back to `recover_admm`
-(build, solve, round); these are the only graph-to-partition routines.
+(build, solve, round); these are the only graph-to-partition routines.  The
+certificate's candidate partition is computed from the edge pairs, in
+O(m + n b) memory: the top r-1 eigenpairs of A - w J come from block Krylov
+and Rayleigh-Ritz on b columns, with A applied by `Graph.matvec`, so a
+certified solve builds no n x n array before the certificate.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificate
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, pair_uniforms
 from .thresholds import ParameterError, compute_omega
 
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
     """Matrix with 1 for same-community pairs and -1/(r-1) otherwise."""
-    _check_r(labels.r)
+    _check_r(labels.r, labels.n)
     same = labels.same_community_matrix()
     low = -1.0 / (labels.r - 1)
     return np.where(same, 1.0, low)
@@ -50,12 +54,26 @@ ADAPT_EVERY = 50  # iterations between penalty rebalancing steps
 ROUND_TOL = 0.1  # largest entrywise distance rounding accepts
 KRYLOV_POWERS = 10  # s: the warm PSD projection searches [V, YV, ..., Y^s V]
 PROOF_SHIFT = 1e-12  # the Cholesky proof's delta over the largest |Ritz value|
+SPECTRAL_BLOCK = 4  # b: least columns of the candidate's block Krylov iteration
+SPECTRAL_POWERS = 2  # its Krylov space is [X, BX, ..., B^s X]
+SPECTRAL_RTOL = 1e-8  # Ritz residual bound, relative to the largest |Ritz value|
+SPECTRAL_ROUNDS = 100  # restarts before the candidate uses unconverged Ritz pairs
+SPECTRAL_SEED = 0  # the fixed start block: candidates are reproducible
 
 
 @dataclass
 class SolverOptions:
+    """ADMM stopping rule: residuals below `tol` (finite, > 0), or
+    `max_iters` (>= 1) iterations; anything else raises ParameterError."""
+
     tol: float = 1e-6
     max_iters: int = 20000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"need a finite tol > 0, got {self.tol}")
+        if self.max_iters < 1:
+            raise ParameterError(f"need max_iters >= 1, got {self.max_iters}")
 
 
 @dataclass
@@ -83,16 +101,18 @@ def j_constraint_target(sizes) -> float:
     return r / (r - 1) * float(np.sum(sizes**2)) - n**2 / (r - 1)
 
 
-def _check_r(r: int) -> None:
+def _check_r(r: int, n: int) -> None:
     if r < 2:
         raise ParameterError("need r >= 2")
+    if r > n:
+        raise ParameterError(f"need r <= n, got r={r} for n={n}")
 
 
 def _check_sizes(g: Graph, sizes) -> list:
     sizes = [int(s) for s in sizes]
     if sum(sizes) != g.n or any(s < 1 for s in sizes):
         raise ParameterError(f"sizes {sizes} do not sum to n={g.n}")
-    _check_r(len(sizes))
+    _check_r(len(sizes), g.n)
     return sizes
 
 
@@ -111,7 +131,7 @@ def build_known_sizes(g: Graph, sizes) -> SdpProblem:
 
 def build_unknown_sizes(g: Graph, r: int, omega: float) -> SdpProblem:
     """Unknown-sizes program: maximize <A - omega J, X>."""
-    _check_r(r)
+    _check_r(r, g.n)
     _check_omega(omega)
     return SdpProblem(n=g.n, r=r, objective=g.adjacency() - omega)
 
@@ -290,13 +310,57 @@ def _kmeans(rows: np.ndarray, r: int) -> np.ndarray | None:
     return assign
 
 
-def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
-    """Cluster the rows of the top r-1 eigenvectors of X, scaled by their
-    eigenvalues; None when a cluster comes out empty."""
-    w, v = np.linalg.eigh(X)
-    rows = v[:, -(r - 1):] * w[-(r - 1):]
-    assign = _kmeans(rows, r)
+def _eigen_labels(w: np.ndarray, v: np.ndarray, r: int) -> PartitionLabels | None:
+    """Cluster the rows of the eigenvectors v (columns) scaled by their
+    eigenvalues w into r communities; None when a cluster comes out empty.
+    Signs and column order do not change the result."""
+    assign = _kmeans(v * w, r)
     return None if assign is None else _first_occurrence_labels(assign, r)
+
+
+def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
+    """`_eigen_labels` on the top r-1 eigenpairs of the dense matrix X."""
+    w, v = np.linalg.eigh(X)
+    return _eigen_labels(w[-(r - 1):], v[:, -(r - 1):], r)
+
+
+def _top_eigenpairs(g: Graph, w: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, V): the k largest Ritz values of B = A - w J, and their Ritz
+    vectors, with B X = A X - w 1 (1^T X) computed by `Graph.matvec`.
+
+    Block Krylov with restarts on b = min(n, max(SPECTRAL_BLOCK, k + 2))
+    columns, started from a fixed pseudo-random block: each round takes the
+    Rayleigh-Ritz pairs of B on [X, BX, ..., B^s X] (s = SPECTRAL_POWERS)
+    and restarts from the b largest.  It stops when the k wanted pairs have
+    residuals |B v - theta v| at most SPECTRAL_RTOL times the largest
+    |Ritz value| of the round, or after SPECTRAL_ROUNDS rounds.  When the
+    Krylov space spans the whole space, as it does when b = n, the pairs
+    are exact after one round.  Memory is O(m + n b).
+    """
+    n = g.n
+    b = min(n, max(SPECTRAL_BLOCK, k + 2))
+
+    def op(x):
+        y = g.matvec(x)
+        y -= w * x.sum(axis=0)
+        return y
+
+    x = pair_uniforms(SPECTRAL_SEED, np.repeat(np.arange(n), b), np.tile(np.arange(b), n))
+    x = x.reshape(n, b) - 0.5
+    bx = op(x)
+    for _ in range(SPECTRAL_ROUNDS):
+        blocks = [x, bx]
+        for _ in range(SPECTRAL_POWERS - 1):
+            blocks.append(op(blocks[-1]))
+        q = np.linalg.qr(np.hstack(blocks))[0]
+        bq = op(q)
+        theta, s = np.linalg.eigh(q.T @ bq)
+        theta, s = theta[::-1][:b], s[:, ::-1][:, :b]
+        x, bx = q @ s, bq @ s
+        residual = np.linalg.norm(bx[:, :k] - x[:, :k] * theta[:k], axis=0)
+        if residual.max() <= SPECTRAL_RTOL * float(np.abs(theta).max()):
+            break
+    return theta[:k], x[:, :k]
 
 
 def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
@@ -308,8 +372,8 @@ def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
     accepted only if its centered partition matrix is entrywise within
     ROUND_TOL of the solved matrix.
     """
-    _check_r(r)
     X = sol.X
+    _check_r(r, len(X))
     mid = 0.5 * (1.0 - 1.0 / (r - 1))
     same = X > mid
     np.fill_diagonal(same, True)
@@ -331,8 +395,9 @@ def certified_partition(
     of the SDP, with its certificate report, or None.
 
     The candidate clusters the top r-1 eigenvectors of A - w J, where w is
-    `omega`, or the edge density 2m/n^2 when no omega is given.  With `sizes`
-    (known sizes) the candidate must have those sizes.  The edge densities
+    `omega`, or the edge density 2m/n^2 when no omega is given; they are
+    computed from the edge pairs (`_top_eigenpairs`), with no n x n array.
+    With `sizes` (known sizes) the candidate must have those sizes.  The edge densities
     p_hat, q_hat within and across its communities must satisfy
     0 < q_hat < p_hat < 1; without `omega` the certificate uses
     omega(p_hat, q_hat).  The candidate is accepted only when the certificate
@@ -345,14 +410,12 @@ def certified_partition(
     """
     if sizes is not None:
         sizes = sorted(_check_sizes(g, sizes))
-    _check_r(r)
+    _check_r(r, g.n)
     if omega is not None:
         _check_omega(omega)
     n = g.n
-    c = g.adjacency()
-    c -= 2.0 * g.m / n**2 if omega is None else omega
-    labels = _spectral_labels(c, r)
-    del c
+    w = 2.0 * g.m / n**2 if omega is None else omega
+    labels = _eigen_labels(*_top_eigenpairs(g, w, r - 1), r)
     if labels is None:
         return None
     cand = labels.sizes()

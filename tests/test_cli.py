@@ -202,6 +202,21 @@ class TestSolve:
         x = np.loadtxt(mat)
         assert np.array_equal(x, centered_partition_matrix(read_labels(lp)))
 
+    @pytest.mark.parametrize("mode", [
+        ("known", "--sizes", "60,60"), ("unknown", "--r", "2", "--omega", "0.2"),
+    ])
+    def test_certified_solve_builds_no_adjacency(self, capsys, sampled, monkeypatch, mode):
+        gp, _ = sampled
+        argv = ("solve", "--graph", str(gp), "--mode", *mode)
+        code, want = run(capsys, *argv)
+        assert code == EXIT_OK and json.loads(want)["method"] == "certificate"
+
+        def refuse(self):
+            raise AssertionError("a certified solve built the dense adjacency")
+
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        assert run(capsys, *argv) == (EXIT_OK, want)
+
     def test_certified_solve_does_not_import_scipy(self, capsys, sampled):
         gp, _ = sampled
         src = str(Path(ppm_sdp.__file__).resolve().parent.parent)
@@ -409,6 +424,42 @@ class TestUsageErrors:
         assert "--r 3" in line and "--sizes" in line
         code, out = run(capsys, *argv, "--r", "2")
         assert code == EXIT_OK and json.loads(out)["rounded"] is True
+
+    @pytest.mark.parametrize("command", ["solve", "omega-sweep"])
+    def test_r_above_n_runs_no_solve(self, capsys, sampled, monkeypatch, command):
+        gp, _ = sampled
+        monkeypatch.setattr(sdp, "solve", None)  # any solve would raise TypeError
+        argv = ["--mode", "unknown", "--omega", "0.2"] if command == "solve" else ["--omegas", "0.2"]
+        line = self.usage_error(capsys, command, "--graph", str(gp), "--r", "121", *argv)
+        assert "r <= n" in line and "n=120" in line
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "inf"), ("--max-iters", "0"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "omega-sweep"])
+    def test_bad_stopping_rule_runs_no_solve(self, capsys, sampled, monkeypatch, command, flag, value):
+        gp, _ = sampled
+        monkeypatch.setattr(sdp, "solve", None)
+        if command == "solve":
+            argv = ["--mode", "known", "--sizes", "60,60"]
+        else:
+            argv = ["--r", "2", "--omegas", "0.2"]
+        line = self.usage_error(capsys, command, "--graph", str(gp), *argv, flag, value)
+        assert flag[2:].replace("-", "_") in line
+
+    @pytest.mark.parametrize("command", ["phase", "robustness"])
+    @pytest.mark.parametrize("field, value", [("tol", -1.0), ("max_iters", 0)])
+    def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p_tilde_grid": [16.0], "q_tilde_grid": [2.0], "pi": [0.5, 0.5], "n_grid": [40],
+            "trials": 1, "seed_base": 1, field: value,
+            "adversary": {"kind": "random_monotone", "params": {"delta_add": 0.1, "delta_rem": 0.1}},
+        }))
+        monkeypatch.setattr(ppm_sdp.harness, "run_trial", None)  # no trial may start
+        out = tmp_path / "out.csv"
+        line = self.usage_error(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert field in line and not out.exists()
 
     def test_sizes_that_are_not_integers(self, capsys, sampled):
         gp, _ = sampled

@@ -173,6 +173,25 @@ class TestGraph:
                 Graph(4, bad)
         assert Graph(4, []).m == Graph(4, np.empty((0, 2))).m == 0
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n, edges", [
+        (5, []),  # the empty graph
+        (7, [(0, 1), (1, 2), (0, 6)]),  # vertices 3, 4 and 5 are isolated
+        (1, []),
+    ])
+    def test_matvec_matches_the_dense_product(self, n, edges, k):
+        g = Graph(n, edges)
+        x = np.random.default_rng(n + k).normal(size=(n, k))
+        assert g.matvec(x).shape == (n, k)
+        assert np.max(np.abs(g.matvec(x) - g.adjacency() @ x)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_matvec_matches_the_dense_product_on_a_sample(self, k):
+        g, _ = sample_ppm(PINNED, 5)
+        x = np.random.default_rng(k).normal(size=(g.n, k))
+        assert np.max(np.abs(g.matvec(x) - g.adjacency() @ x)) <= 1e-12
+        assert np.array_equal(g.matvec(x[:, :1]), g.matvec(x)[:, :1])
+
     def test_adjacency_roundtrip(self):
         g = Graph(n=4, edges=frozenset({(0, 1), (2, 3), (1, 3)}))
         a = g.adjacency()

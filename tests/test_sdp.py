@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -449,3 +450,107 @@ class TestCertifiedPartition:
             certified_partition(g, 2, omega=1.5)
         with pytest.raises(ParameterError, match="r >= 2"):
             certified_partition(g, 1, omega=0.3)
+        with pytest.raises(ParameterError, match="r <= n"):
+            certified_partition(g, 7, omega=0.3)
+
+
+MATRIX_FREE_TOP = sdp._top_eigenpairs  # saved: certified_both_ways patches sdp's name
+
+
+def dense_top_eigenpairs(g, w, k):
+    """The eigenpairs before the matrix-free ones: a full eigh of the dense
+    A - w J, the reference `sdp._top_eigenpairs` must agree with."""
+    theta, v = np.linalg.eigh(g.adjacency() - w)
+    return theta[-k:], v[:, -k:]
+
+
+def candidates(g, r, w):
+    """The candidate labels (or None) from the matrix-free eigenpairs and
+    from the dense reference."""
+    out = []
+    for top in (MATRIX_FREE_TOP, dense_top_eigenpairs):
+        labels = sdp._eigen_labels(*top(g, w, r - 1), r)
+        out.append(None if labels is None else labels.labels)
+    return out
+
+
+def certified_both_ways(g, r, monkeypatch, **kwargs):
+    """(labels, report JSON) or None from `certified_partition`, with the
+    matrix-free eigenpairs and then with the dense reference."""
+    out = []
+    for top in (MATRIX_FREE_TOP, dense_top_eigenpairs):
+        monkeypatch.setattr(sdp, "_top_eigenpairs", top)
+        got = certified_partition(g, r, **kwargs)
+        out.append(got and (got[0].labels, json.dumps(got[1].to_dict())))
+    return out
+
+
+GRID_PI = {2: (0.6, 0.4), 3: (0.5, 0.3, 0.2), 4: (0.4, 0.3, 0.2, 0.1)}
+
+
+class TestMatrixFreeCandidate:
+    """The candidate's eigenpairs come from block Krylov on the edge pairs;
+    its labels, and so every verdict, equal the dense eigh's."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("p_tilde", [10, 12, 14, 21])
+    @pytest.mark.parametrize("n", [120, 300, 600])
+    def test_matches_the_dense_candidate(self, n, p_tilde, r, monkeypatch):
+        par = PlantedPartitionParams(n=n, r=r, pi=GRID_PI[r], p_tilde=p_tilde, q_tilde=2)
+        g, truth = sample_ppm(par, 1000 * r + n + p_tilde)
+        omega = compute_omega(par.p, par.q)
+        for w in (omega, 2.0 * g.m / n**2):
+            got, want = candidates(g, r, w)
+            assert got == want
+        for kwargs in ({"omega": omega}, {}, {"sizes": truth.sizes()}):
+            got, want = certified_both_ways(g, r, monkeypatch, **kwargs)
+            assert got == want
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_dense_candidate_at_n_2000(self, seed, monkeypatch):
+        par = PlantedPartitionParams(n=2000, r=3, pi=GRID_PI[3], p_tilde=12, q_tilde=2)
+        g, _ = sample_ppm(par, seed)
+        omega = compute_omega(par.p, par.q)
+        got, want = candidates(g, 3, omega)
+        assert got is not None and got == want
+        got, want = certified_both_ways(g, 3, monkeypatch, omega=omega)
+        assert got == want
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 5), (8, 4), (12, 6)])
+    def test_exact_when_the_block_reaches_n(self, n, r):
+        # b = max(SPECTRAL_BLOCK, r + 1) columns clamped to n: whenever the
+        # Krylov space spans the whole space the Ritz pairs are the top
+        # eigenpairs of the dense A - w J
+        rng = np.random.default_rng(n)
+        g = Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.5, 1)))
+        w = 2.0 * g.m / n**2
+        theta, v = sdp._top_eigenpairs(g, w, r - 1)
+        b = g.adjacency() - w
+        eig = np.linalg.eigvalsh(b)[::-1][: r - 1]
+        scale = max(1.0, float(np.abs(eig).max()))
+        assert np.allclose(theta, eig, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(v.T @ v, np.eye(r - 1), atol=1e-12)
+        assert np.abs(b @ v - v * theta).max() <= 1e-10 * scale
+
+    def test_no_adjacency_is_built(self, monkeypatch):
+        g, truth = sample_ppm(TestCertifiedPartition.PARAMS, 1)
+
+        def refuse(self):
+            raise AssertionError("the candidate built the dense adjacency")
+
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        labels, report = certified_partition(g, 3)
+        assert labels_agree(labels, truth) and report.unique_optimum
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            SolverOptions(tol=tol)
+
+    def test_rejects_max_iters_below_one(self):
+        with pytest.raises(ParameterError, match="max_iters"):
+            SolverOptions(max_iters=0)
+        assert SolverOptions(tol=1e-3, max_iters=1).max_iters == 1

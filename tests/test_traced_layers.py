@@ -57,11 +57,12 @@ def test_every_layer_has_spans(tmp_path, tracer):
     weak, _ = sample(tmp_path, tracer, 4)
     solve = ["solve", "--mode", "known", "--sizes", "60,60", "--max-iters", "20"]
 
-    # solve-unknown: a solve the certificate settles, with no ADMM
+    # solve-unknown: a solve the certificate settles, with no ADMM and no
+    # dense adjacency (the candidate is computed from the edge pairs)
     code, names = command(tracer, [*solve, "--graph", str(strong)])
     assert code == EXIT_OK
-    assert names == {"graph_model.read_graph", "graph_model.adjacency",
-                     "certificate.build", "certificate.verify"}
+    assert names == {"graph_model.read_graph", "certificate.build", "certificate.verify"}
+    assert "graph_model.adjacency" not in names
 
     # a solve the certificate rejects runs ADMM: build, solve and round
     code, names = command(tracer, [*solve, "--graph", str(weak)])
