@@ -4,14 +4,16 @@ and the one routine that turns a graph into a partition.
 Two programs are supported: known community sizes (objective <A, X> with an
 all-ones-sum equality constraint) and unknown sizes (objective
 <A, X> - omega <J, X>).  Both share the constraints diag(X) = 1, entrywise
-X >= -1/(r-1), and X PSD.  The solver is consensus ADMM over the three
-constraint sets; robust and adequate at desk scale (n up to ~2000).  The
-PSD projection is warm-started from the positive eigenspace of the previous
-one when that has 1 to r dimensions: Rayleigh-Ritz on a small block Krylov
-space gives the projection, and one Cholesky factorization proves that no
-positive eigenvalue was missed.  A full symmetric eigendecomposition runs
-when the proof fails or the rank is outside 1..r, as it is while the
-iterate's rank is still falling.
+X >= -1/(r-1), and X PSD.  The solver is two-block ADMM between the PSD
+cone and the set C of the other constraints (diag 1, the box, and the sum
+with known sizes), whose projection is exact: a clip, shifted with known
+sizes by the root of a piecewise-linear sum; adequate at desk scale (n up
+to ~2000).  The PSD projection is warm-started from the positive
+eigenspace of the previous one when that has 1 to r dimensions:
+Rayleigh-Ritz on a small block Krylov space gives the projection, and one
+Cholesky factorization proves that no positive eigenvalue was missed.  A
+full symmetric eigendecomposition runs when the proof fails or the rank is
+outside 1..r, as it is while the iterate's rank is still falling.
 
 `recover` tries the dual certificate first and falls back to `recover_admm`
 (build, solve, round); these are the only graph-to-partition routines.  The
@@ -108,11 +110,13 @@ def _check_r(r: int, n: int) -> None:
         raise ParameterError(f"need r <= n, got r={r} for n={n}")
 
 
-def _check_sizes(g: Graph, sizes) -> list:
+def _check_sizes(g: Graph, sizes, r: int) -> list:
     sizes = [int(s) for s in sizes]
+    if len(sizes) != r:
+        raise ParameterError(f"r={r} disagrees with the {len(sizes)} sizes {sizes}")
     if sum(sizes) != g.n or any(s < 1 for s in sizes):
         raise ParameterError(f"sizes {sizes} do not sum to n={g.n}")
-    _check_r(len(sizes), g.n)
+    _check_r(r, g.n)
     return sizes
 
 
@@ -123,7 +127,7 @@ def _check_omega(omega: float | None) -> None:
 
 def build_known_sizes(g: Graph, sizes) -> SdpProblem:
     """Known-sizes program: maximize <A, X> subject to the sum constraint."""
-    sizes = _check_sizes(g, sizes)
+    sizes = _check_sizes(g, sizes, len(sizes))
     return SdpProblem(
         n=g.n, r=len(sizes), objective=g.adjacency(), j_target=j_constraint_target(sizes)
     )
@@ -191,66 +195,99 @@ def _warm_projection(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return p, vp
 
 
-def _project_affine(y: np.ndarray, j_target: float | None) -> np.ndarray:
-    out = y.copy()
-    np.fill_diagonal(out, 1.0)
+def _box_shift(y: np.ndarray, lb: float, total: float) -> float:
+    """The shift t with sum(clip(y + t, lb, 1)) = total over the 1-D array y.
+
+    With a = sort(lb - y) and w = 1 - lb, entry k sits at lb for t <= a_k,
+    at 1 for t >= a_k + w, and between them moves with t, so the sum is
+    nondecreasing and piecewise linear in t with knots at a and a + w.
+    Bisection on t, each step placing t among the knots by binary search
+    and summing from prefix sums of a, shrinks a bracket until no knot lies
+    inside it; t then solves the linear equation over the entries free
+    there.  A total outside [lb len(y), len(y)] gives an end of the range.
+    """
+    width = 1.0 - lb
+    a = np.sort(lb - y)
+    prefix = np.concatenate(([0.0], np.cumsum(a)))
+    target = total - lb * len(a)  # the sum of clip(t - a, 0, w)
+
+    def split(t):  # a[:j] are at 1 and a[j:i] are free at t
+        return int(np.searchsorted(a, t - width, "right")), int(np.searchsorted(a, t, "right"))
+
+    lo, hi = float(a[0]), float(a[-1]) + width
+    at_lo, at_hi = split(lo), split(hi)
+    for _ in range(60):  # the bracket's width reaches the rounding of t
+        if at_lo == at_hi:
+            break
+        mid = 0.5 * (lo + hi)
+        j, i = at_mid = split(mid)
+        if j * width + (i - j) * mid - (prefix[i] - prefix[j]) < target:
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    mid = 0.5 * (lo + hi)
+    j, i = split(mid)
+    if i == j:  # the sum is flat here: every t in the bracket meets it
+        return mid
+    return (target - j * width + float(np.sum(a[j:i]))) / (i - j)
+
+
+def _project_box(y: np.ndarray, lb: float, j_target: float | None) -> np.ndarray:
+    """The projection of the symmetric y onto C = {diag 1, lb <= entries <= 1,
+    and <J, Z> = j_target when it is given}: clip(y + t, lb, 1) off the
+    diagonal and 1 on it, with t = 0 without j_target and otherwise the
+    shift (`_box_shift`, on the upper triangle) that meets the sum."""
+    n = len(y)
+    z = y.copy()
     if j_target is not None:
-        n = y.shape[0]
-        off = float(out.sum()) - n
-        shift = (j_target - n - off) / (n * n - n)
-        out += shift
-        np.fill_diagonal(out, 1.0)
-    return out
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        z += _box_shift(y[upper], lb, (j_target - n) / 2.0)
+    np.clip(z, lb, 1.0, out=z)
+    np.fill_diagonal(z, 1.0)
+    return z
 
 
 def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
-    """Consensus ADMM over {PSD} x {affine} x {box}; never raises on
-    non-convergence (returns the best iterate with converged=False)."""
+    """Two-block ADMM between the PSD cone and the set C of `_project_box`:
+    X = P_PSD(Z - U + C/rho), Z = P_C(X + U), U += X - Z, from Z = I and
+    U = 0.  It stops when the primal residual |X - Z|/n and the dual
+    residual rho |Z - Z_prev|/n are both below `tol`; every ADAPT_EVERY
+    iterations rho doubles (halves) when the primal (dual) residual is more
+    than 10 times the other, and U is rescaled by the inverse factor.
+    Returns X, the PSD block, and <C, X>; never raises on non-convergence
+    (the last iterate comes back with converged=False)."""
     opts = opts or SolverOptions()
     n = prob.n
     lb = -1.0 / (prob.r - 1)  # entrywise lower bound of the box
     c_mat = prob.objective
     rho = RHO
-    c_step = c_mat / (3.0 * rho)
-    x = np.eye(n)
-    z = [x.copy(), x.copy(), x.copy()]
-    u = [np.zeros((n, n)) for _ in range(3)]
+    z = np.eye(n)
+    u = np.zeros((n, n))
     basis = np.zeros((n, 0))  # positive eigenspace of the last PSD projection
     full_projections = 0
     scale = n  # residual normalization
     primal = dual = math.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
-        x_new = z[0] - u[0]
-        x_new += z[1]
-        x_new -= u[1]
-        x_new += z[2]
-        x_new -= u[2]
-        x_new /= 3.0
-        x_new += c_step
-        x_new += x_new.T
-        x_new *= 0.5
-        dual = rho * float(np.linalg.norm(x_new - x)) / scale
-        x = x_new  # the previous iterate is freed before the projections
-        z[0], basis, full = _project_psd(x + u[0], basis, prob.r)
+        y = c_mat / rho
+        y += z
+        y -= u
+        x, basis, full = _project_psd(y, basis, prob.r)
+        del y  # freed before the box projection
         full_projections += full
-        z[1] = _project_affine(x + u[1], prob.j_target)
-        z[2] = np.clip(x + u[2], lb, 1.0)
-        primal = 0.0
-        for k in range(3):
-            step = x - z[k]
-            u[k] += step
-            primal = max(primal, float(np.linalg.norm(step)))
+        z_new = _project_box(x + u, lb, prob.j_target)
+        dual = rho * float(np.linalg.norm(z_new - z)) / scale
+        z = z_new
+        step = x - z
+        u += step
+        primal = float(np.linalg.norm(step)) / scale
         del step  # freed before the next iteration's projections
-        primal /= scale
         if max(primal, dual) < opts.tol:
             break
         if it % ADAPT_EVERY == 0 and max(primal, dual) > 10.0 * min(primal, dual):
             factor = 2.0 if primal > dual else 0.5  # raise rho when primal lags
             rho *= factor
-            for k in range(3):
-                u[k] /= factor
-            c_step = c_mat / (3.0 * rho)
+            u /= factor
     converged = max(primal, dual) < opts.tol
     return SdpSolution(
         X=x,
@@ -405,11 +442,11 @@ def certified_partition(
     needs Lambda strictly positive on the complement of span{1_i - 1_j}.
 
     Raises ParameterError on the inputs build_known_sizes and
-    build_unknown_sizes reject; a candidate that fails any check above
-    returns None.
+    build_unknown_sizes reject, and when r is not the number of sizes; a
+    candidate that fails any check above returns None.
     """
     if sizes is not None:
-        sizes = sorted(_check_sizes(g, sizes))
+        sizes = sorted(_check_sizes(g, sizes, r))
     _check_r(r, g.n)
     if omega is not None:
         _check_omega(omega)
@@ -464,9 +501,10 @@ def recover_admm(
     opts: SolverOptions | None = None,
 ) -> Recovery:
     """Solve the known-sizes program when `sizes` is given and the
-    unknown-sizes one (which needs `omega`) otherwise, then round."""
+    unknown-sizes one (which needs `omega`) otherwise, then round.  Raises
+    ParameterError, before any work, when r is not the number of sizes."""
     if sizes is not None:
-        prob = build_known_sizes(g, sizes)
+        prob = build_known_sizes(g, _check_sizes(g, sizes, r))
     else:
         prob = build_unknown_sizes(g, r, omega)
     sol = solve(prob, opts)
@@ -484,6 +522,8 @@ def recover(
     without); otherwise `recover_admm` with the same arguments."""
     if sizes is None:
         _check_omega(omega)
+    else:
+        _check_sizes(g, sizes, r)
     certified = certified_partition(g, r, omega=omega, sizes=sizes)
     if certified is None:
         return recover_admm(g, r, sizes=sizes, omega=omega, opts=opts)

@@ -243,6 +243,7 @@ class TestOmegaSweep:
         entry = omega_sweep(g, 2, [omega])[0]
         assert entry.is_partition and labels_agree(entry.labels, truth)
 
+    @pytest.mark.slow
     def test_absurd_omega_yields_no_partition(self):
         par = PlantedPartitionParams(n=300, r=2, pi=(0.6, 0.4), p_tilde=8.0, q_tilde=2.0)
         g, _ = sample_ppm(par, 3)
