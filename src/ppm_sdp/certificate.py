@@ -17,8 +17,8 @@ T), without the dense adjacency, and keeps only its lower triangle, in row
 blocks of _CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large
 array of a verification.  Every check reads that store: the largest entry,
 the kernel product, the compression onto the orthogonal complement of
-span{1_i - 1_j}, Lanczos, which gives the PSD margin as the least Ritz value
-and so bounds the least eigenvalue from above only, and one in-place
+span{1_i - 1_j}, Lanczos (`lanczos`), whose least Ritz value is the PSD
+margin and bounds the least eigenvalue from above only, and one in-place
 Cholesky factorization of the compressed matrix, shifted to just below that
 value, which proves the bound from below.  Only when the factorization fails
 is the store assembled again and expanded to a dense matrix for an exact
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, pair_uniforms
+from . import lanczos
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
 from .thresholds import ParameterError, compute_omega
 
 
@@ -367,56 +368,6 @@ def _compressed_spectrum(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarra
     return np.linalg.eigvalsh(lam.lower_dense())[: truth.n - truth.r + 1]
 
 
-_LANCZOS_SEED = 0  # fixed start vector: a report is reproducible
-_LANCZOS_CHECK = 10  # steps between convergence checks
-_RITZ_RTOL = 1e-10  # Ritz value change per check, relative to the spectral scale
-_BASIS_ROWS = 32  # Lanczos vectors per block of the basis
-
-
-def _lanczos_ends(m: _LowerBlocks, u: np.ndarray) -> tuple[float, float]:
-    """(theta_min, theta_max): the extreme Ritz values of the stored
-    symmetric m on the orthogonal complement of the orthonormal columns u.
-
-    Lanczos with full reorthogonalization, applied twice, against the basis
-    and against u after every step, so the Krylov space never leaves the
-    complement.  It stops when both extreme Ritz values moved by at most
-    _RITZ_RTOL * max(|theta_min|, |theta_max|, 1) since the previous check,
-    when beta_k = 0 (the Krylov space is invariant) or after n - r + 1
-    steps, the dimension of the complement.  A Ritz value is a Rayleigh
-    quotient, so theta_min bounds the least eigenvalue from above only; the
-    caller proves the bound from below.  The basis is held as zero-filled
-    (_BASIS_ROWS, n) row blocks, added as the iteration needs them and never
-    copied.
-    """
-    n, cap = len(m), len(m) - u.shape[1]
-    q = pair_uniforms(_LANCZOS_SEED, np.arange(n), np.zeros(n, dtype=np.int64)) - 0.5
-    q -= u @ (u.T @ q)
-    q /= np.linalg.norm(q)
-    q_prev, b, ends = q, 0.0, np.full(2, np.inf)
-    basis, alpha, beta = [], [], []
-    while True:
-        if len(alpha) % _BASIS_ROWS == 0:
-            basis.append(np.zeros((_BASIS_ROWS, n)))
-        basis[-1][len(alpha) % _BASIS_ROWS] = q
-        w = m @ q
-        alpha.append(float(q @ w))
-        w -= alpha[-1] * q + b * q_prev
-        for _ in range(2):
-            w -= u @ (u.T @ w)
-            for block in basis:
-                w -= (block @ w) @ block
-        b = float(np.linalg.norm(w))
-        k = len(alpha)
-        if b == 0.0 or k == cap or k % _LANCZOS_CHECK == 0:
-            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            last, ends = ends, np.linalg.eigh(t)[0][[0, -1]]
-            scale = max(float(np.abs(ends).max()), 1.0)
-            if b == 0.0 or k == cap or np.abs(ends - last).max() <= _RITZ_RTOL * scale:
-                return float(ends[0]), float(ends[1])
-        beta.append(b)
-        q_prev, q = q, w / b
-
-
 def _cholesky_in_place(a: _LowerBlocks) -> _LowerBlocks:
     """The lower Cholesky factor of the symmetric positive definite `a`,
     written over its store; only the lower triangle is read, and the strict
@@ -457,7 +408,7 @@ def _proven_ends(lam: _LowerBlocks, truth: PartitionLabels) -> tuple[float, floa
     A failure means Lanczos missed the bottom of the spectrum.
     """
     u = _compress(lam, truth)
-    lo, hi = _lanczos_ends(lam, u)
+    (lo, hi), _ = lanczos.extreme_pairs(lam.__matmul__, len(lam), 1, [0, -1], deflate=u)
     lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)

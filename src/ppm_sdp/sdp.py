@@ -17,10 +17,10 @@ outside 1..r, as it is while the iterate's rank is still falling.
 
 `recover` tries the dual certificate first and falls back to `recover_admm`
 (build, solve, round); these are the only graph-to-partition routines.  The
-certificate's candidate partition is computed from the edge pairs, in
-O(m + n b) memory: the top r-1 eigenpairs of A - w J come from block Krylov
-and Rayleigh-Ritz on b columns, with A applied by `Graph.matvec`, so a
-certified solve builds no n x n array before the certificate.
+certificate's candidate partition is computed from the edge pairs: the top
+r-1 eigenpairs of A - w J come from block Lanczos (`lanczos`) on r + 1
+columns, with A applied by `Graph.matvec`, so a certified solve builds no
+n x n array before the certificate.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import certificate
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, pair_uniforms
+from . import certificate, lanczos
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
 from .thresholds import ParameterError, compute_omega
 
 
@@ -56,11 +56,6 @@ ADAPT_EVERY = 50  # iterations between penalty rebalancing steps
 ROUND_TOL = 0.1  # largest entrywise distance rounding accepts
 KRYLOV_POWERS = 10  # s: the warm PSD projection searches [V, YV, ..., Y^s V]
 PROOF_SHIFT = 1e-12  # the Cholesky proof's delta over the largest |Ritz value|
-SPECTRAL_BLOCK = 4  # b: least columns of the candidate's block Krylov iteration
-SPECTRAL_POWERS = 2  # its Krylov space is [X, BX, ..., B^s X]
-SPECTRAL_RTOL = 1e-8  # Ritz residual bound, relative to the largest |Ritz value|
-SPECTRAL_ROUNDS = 100  # restarts before the candidate uses unconverged Ritz pairs
-SPECTRAL_SEED = 0  # the fixed start block: candidates are reproducible
 
 
 @dataclass
@@ -111,6 +106,8 @@ def _check_r(r: int, n: int) -> None:
 
 
 def _check_sizes(g: Graph, sizes, r: int) -> list:
+    if not all(float(s).is_integer() for s in sizes):
+        raise ParameterError(f"sizes {list(sizes)} are not all integers")
     sizes = [int(s) for s in sizes]
     if len(sizes) != r:
         raise ParameterError(f"r={r} disagrees with the {len(sizes)} sizes {sizes}")
@@ -362,42 +359,16 @@ def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
 
 
 def _top_eigenpairs(g: Graph, w: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, V): the k largest Ritz values of B = A - w J, and their Ritz
-    vectors, with B X = A X - w 1 (1^T X) computed by `Graph.matvec`.
-
-    Block Krylov with restarts on b = min(n, max(SPECTRAL_BLOCK, k + 2))
-    columns, started from a fixed pseudo-random block: each round takes the
-    Rayleigh-Ritz pairs of B on [X, BX, ..., B^s X] (s = SPECTRAL_POWERS)
-    and restarts from the b largest.  It stops when the k wanted pairs have
-    residuals |B v - theta v| at most SPECTRAL_RTOL times the largest
-    |Ritz value| of the round, or after SPECTRAL_ROUNDS rounds.  When the
-    Krylov space spans the whole space, as it does when b = n, the pairs
-    are exact after one round.  Memory is O(m + n b).
-    """
-    n = g.n
-    b = min(n, max(SPECTRAL_BLOCK, k + 2))
+    """(theta, V): the k largest Ritz values of B = A - w J, descending, and
+    their Ritz vectors, from block Lanczos on k + 2 columns, with
+    B X = A X - w 1 (1^T X) computed by `Graph.matvec`."""
 
     def op(x):
         y = g.matvec(x)
         y -= w * x.sum(axis=0)
         return y
 
-    x = pair_uniforms(SPECTRAL_SEED, np.repeat(np.arange(n), b), np.tile(np.arange(b), n))
-    x = x.reshape(n, b) - 0.5
-    bx = op(x)
-    for _ in range(SPECTRAL_ROUNDS):
-        blocks = [x, bx]
-        for _ in range(SPECTRAL_POWERS - 1):
-            blocks.append(op(blocks[-1]))
-        q = np.linalg.qr(np.hstack(blocks))[0]
-        bq = op(q)
-        theta, s = np.linalg.eigh(q.T @ bq)
-        theta, s = theta[::-1][:b], s[:, ::-1][:, :b]
-        x, bx = q @ s, bq @ s
-        residual = np.linalg.norm(bx[:, :k] - x[:, :k] * theta[:k], axis=0)
-        if residual.max() <= SPECTRAL_RTOL * float(np.abs(theta).max()):
-            break
-    return theta[:k], x[:, :k]
+    return lanczos.extreme_pairs(op, g.n, k + 2, -1 - np.arange(k), vectors=True)
 
 
 def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:

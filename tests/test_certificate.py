@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import helmert
 
-from ppm_sdp import certificate
+from ppm_sdp import certificate, lanczos
 from ppm_sdp.certificate import (
     _cholesky_in_place,
     _compressed_spectrum,
@@ -538,19 +538,36 @@ class TestPsdProof:
         assert not calls
         assert report.verified == (labels == "planted")
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("labels", ["planted", "swapped"])
+    def test_certify_large_needs_no_eigvalsh(self, labels, seed, monkeypatch):
+        # the benchmark's certify-large pair: Lanczos must converge tightly
+        # enough that the Cholesky proof holds without the dense fallback
+        par = PlantedPartitionParams(n=2000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, seed)
+        if labels == "swapped":
+            truth = swap_two(truth)
+        cert = build_certificate(g, truth, par)
+        calls = self.count_fallbacks(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        report = verify_certificate(g, truth, cert)
+        assert not calls
+        assert report.verified == report.unique_optimum == (labels == "planted")
+
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
     def test_missed_bottom_falls_back_to_eigvalsh(self, labels, monkeypatch):
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
         if labels == "swapped":
             truth = swap_two(truth)
-        lanczos = certificate._lanczos_ends
+        ritz = lanczos.extreme_pairs
 
-        def missed(m, u):  # a Ritz value 1.0 above the least eigenvalue
-            lo, hi = lanczos(m, u)
-            return lo + 1.0, hi
+        def missed(*args, **kwargs):  # a Ritz value 1.0 above the least eigenvalue
+            theta, v = ritz(*args, **kwargs)
+            return theta + [1.0, 0.0], v
 
-        monkeypatch.setattr(certificate, "_lanczos_ends", missed)
+        monkeypatch.setattr(lanczos, "extreme_pairs", missed)
         calls = self.count_fallbacks(monkeypatch)
         cert = build_certificate(g, truth, par)
         TestDenseReference.assert_same_verdicts(g, truth, cert)

@@ -4,6 +4,7 @@ diagram."""
 
 import csv
 import json
+import math
 import re
 import types
 from pathlib import Path
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 import ppm_sdp
-from ppm_sdp import harness, sdp
+from ppm_sdp import harness, lanczos, sdp
 from ppm_sdp.cli import EXIT_NO_CONVERGENCE, EXIT_ROUNDING_FAILURE, main
-from ppm_sdp.graph_model import PlantedPartitionParams, sample_ppm, write_graph
+from ppm_sdp.graph_model import Graph, PlantedPartitionParams, sample_ppm, write_graph
 from ppm_sdp.harness import labels_agree
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
@@ -108,6 +109,24 @@ class TestRecover:
                 call(g, 3, sizes=(60, 60))
             with pytest.raises(ParameterError, match="disagrees"):
                 call(g, 2, sizes=(40, 40, 40))
+
+
+    def test_sizes_must_be_integers(self, monkeypatch):
+        g, _ = sample_ppm(WEAK, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the sizes were checked")
+
+        monkeypatch.setattr(sdp, "solve", refuse)
+        monkeypatch.setattr(lanczos, "extreme_pairs", refuse)
+        monkeypatch.setattr(Graph, "adjacency", refuse)
+        # (60.5, 60.4) once passed as [60, 60]; (60.5, 59.5) even sums to n
+        for sizes in ((60.5, 60.4), (60.5, 59.5), (60, math.nan), (60, math.inf)):
+            for call in (sdp.recover, sdp.recover_admm, sdp.certified_partition):
+                with pytest.raises(ParameterError, match="integers"):
+                    call(g, 2, sizes=sizes)
+            with pytest.raises(ParameterError, match="integers"):
+                sdp.build_known_sizes(g, sizes)
 
 
 def test_only_sdp_builds_solves_or_rounds():

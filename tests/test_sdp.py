@@ -649,14 +649,11 @@ class TestMatrixFreeCandidate:
         got, want = certified_both_ways(g, 3, monkeypatch, omega=omega)
         assert got == want
 
-    @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 5), (8, 4), (12, 6)])
-    def test_exact_when_the_block_reaches_n(self, n, r):
-        # b = max(SPECTRAL_BLOCK, r + 1) columns clamped to n: whenever the
-        # Krylov space spans the whole space the Ritz pairs are the top
-        # eigenpairs of the dense A - w J
-        rng = np.random.default_rng(n)
-        g = Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.5, 1)))
-        w = 2.0 * g.m / n**2
+    @staticmethod
+    def assert_exact_top_pairs(g, r):
+        """The candidate's r - 1 Ritz pairs are the top eigenpairs of the
+        dense A - w J, w the edge density, to rounding."""
+        w = 2.0 * g.m / g.n**2
         theta, v = sdp._top_eigenpairs(g, w, r - 1)
         b = g.adjacency() - w
         eig = np.linalg.eigvalsh(b)[::-1][: r - 1]
@@ -664,6 +661,31 @@ class TestMatrixFreeCandidate:
         assert np.allclose(theta, eig, rtol=0, atol=1e-12 * scale)
         assert np.allclose(v.T @ v, np.eye(r - 1), atol=1e-12)
         assert np.abs(b @ v - v * theta).max() <= 1e-10 * scale
+        return theta, v
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 3), (5, 2), (6, 5), (8, 4), (12, 6)])
+    def test_exact_when_the_block_reaches_n(self, n, r):
+        # r + 1 start columns, clamped to n: the basis spans the whole space
+        # within two steps, before the first convergence check, so the next
+        # block is empty and the Ritz pairs are exact
+        rng = np.random.default_rng(n)
+        g = Graph(n, np.argwhere(np.triu(rng.random((n, n)) < 0.5, 1)))
+        self.assert_exact_top_pairs(g, r)
+
+    @pytest.mark.parametrize("graph", ["empty", "complete", "cliques"])
+    def test_exact_on_degenerate_spectra(self, graph):
+        # n = 60 with 4 start columns: A - w J has at most three distinct
+        # eigenvalues (0; 0 and -1; 19 twice, 0 and -1), so the Krylov space
+        # is invariant within two steps and the next block comes out empty
+        n, r = 60, 3
+        cliques = np.repeat(np.arange(3), 20)
+        same = {"empty": np.zeros((n, n), dtype=bool), "complete": np.ones((n, n), dtype=bool),
+                "cliques": cliques[:, None] == cliques[None, :]}[graph]
+        g = Graph(n, np.argwhere(np.triu(same, 1)))
+        theta, v = self.assert_exact_top_pairs(g, r)
+        if graph == "cliques":  # both copies of 19 found: the labels are the cliques
+            labels = sdp._eigen_labels(theta, v, r)
+            assert labels.labels == tuple(cliques.tolist())
 
     def test_no_adjacency_is_built(self, monkeypatch):
         g, truth = sample_ppm(TestCertifiedPartition.PARAMS, 1)
