@@ -283,6 +283,16 @@ def community_sizes(n: int, pi) -> np.ndarray:
     return sizes
 
 
+def check_sizes(sizes, n: int) -> list:
+    """The sizes as ints; ParameterError unless positive integers summing to n."""
+    if not all(float(s).is_integer() for s in sizes):
+        raise ParameterError(f"sizes {list(sizes)} are not all integers")
+    sizes = [int(s) for s in sizes]
+    if sum(sizes) != n or any(s < 1 for s in sizes):
+        raise ParameterError(f"sizes {sizes} do not sum to n={n}")
+    return sizes
+
+
 def planted_labels(n: int, pi) -> PartitionLabels:
     """Ground-truth labels: contiguous blocks sized by largest remainder."""
     sizes = community_sizes(n, pi)

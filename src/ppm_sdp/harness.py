@@ -309,7 +309,10 @@ def tail_exponent_demo(
 ) -> TailDemoResult:
     """Estimate the exponent of the tail event that a community-i vertex has
     no more in-community than cross-community edges (after the size-skew
-    shift tau (pi_i - pi_j) log n)."""
+    shift tau (pi_i - pi_j) log n); a bad pair or trials < 1 raises before sampling."""
+    div = thresholds.ch_divergence_closed_form(params, i, j)
+    if trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
     sizes = params.sizes()
     tau = thresholds.rate_constant_tau(params.p_tilde, params.q_tilde)
     pi = np.asarray(params.pi)
@@ -326,7 +329,6 @@ def tail_exponent_demo(
     else:
         exponent = -math.log(freq) / logn
         one_sided = False
-    div = thresholds.ch_divergence_closed_form(params, i, j)
     return TailDemoResult(
         divergence=div,
         threshold=threshold,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_model import Graph, PartitionLabels
+from .graph_model import Graph, PartitionLabels, check_sizes
 from .thresholds import ParameterError
 
 MAX_N = 14
@@ -86,9 +86,7 @@ def _check_guard(g: Graph, max_n: int):
 def mle_known_sizes(g: Graph, sizes, max_n: int = MAX_N) -> MleResult:
     """Exhaustive argmax of <A, X> over partitions with the given size multiset."""
     _check_guard(g, max_n)
-    sizes = [int(s) for s in sizes]
-    if sum(sizes) != g.n or any(s < 1 for s in sizes):
-        raise ParameterError(f"sizes {sizes} do not sum to n={g.n}")
+    sizes = check_sizes(sizes, g.n)
     r = len(sizes)
     target = sorted(sizes)
     best = {"obj": -math.inf, "argmax": []}

@@ -16,11 +16,15 @@ full symmetric eigendecomposition runs when the proof fails or the rank is
 outside 1..r, as it is while the iterate's rank is still falling.
 
 `recover` tries the dual certificate first and falls back to `recover_admm`
-(build, solve, round); these are the only graph-to-partition routines.  The
-certificate's candidate partition is computed from the edge pairs: the top
-r-1 eigenpairs of A - w J come from block Lanczos (`lanczos`) on r + 1
-columns, with A applied by `Graph.matvec`, so a certified solve builds no
-n x n array before the certificate.
+(build, solve, round); these are the only graph-to-partition routines.
+Rounding reads the labels off X thresholded at the midpoint between 1 and
+-1/(r-1); its `max_deviation`, X's distance from that pattern, is the
+distance to the labels' centered partition matrix on success and a lower
+bound on the distance to every one on failure.  The certificate's candidate
+partition is computed from the edge pairs: the top r-1 eigenpairs of
+A - w J come from block Lanczos (`lanczos`) on r + 1 columns, with A
+applied by `Graph.matvec`, so a certified solve builds no n x n array
+before the certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificate, lanczos
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, check_sizes
 from .thresholds import ParameterError, compute_omega
 
 
@@ -106,13 +110,9 @@ def _check_r(r: int, n: int) -> None:
 
 
 def _check_sizes(g: Graph, sizes, r: int) -> list:
-    if not all(float(s).is_integer() for s in sizes):
-        raise ParameterError(f"sizes {list(sizes)} are not all integers")
-    sizes = [int(s) for s in sizes]
+    sizes = check_sizes(sizes, g.n)
     if len(sizes) != r:
         raise ParameterError(f"r={r} disagrees with the {len(sizes)} sizes {sizes}")
-    if sum(sizes) != g.n or any(s < 1 for s in sizes):
-        raise ParameterError(f"sizes {sizes} do not sum to n={g.n}")
     _check_r(r, g.n)
     return sizes
 
@@ -352,12 +352,6 @@ def _eigen_labels(w: np.ndarray, v: np.ndarray, r: int) -> PartitionLabels | Non
     return None if assign is None else _first_occurrence_labels(assign, r)
 
 
-def _spectral_labels(X: np.ndarray, r: int) -> PartitionLabels | None:
-    """`_eigen_labels` on the top r-1 eigenpairs of the dense matrix X."""
-    w, v = np.linalg.eigh(X)
-    return _eigen_labels(w[-(r - 1):], v[:, -(r - 1):], r)
-
-
 def _top_eigenpairs(g: Graph, w: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(theta, V): the k largest Ritz values of B = A - w J, descending, and
     their Ritz vectors, from block Lanczos on k + 2 columns, with
@@ -372,26 +366,24 @@ def _top_eigenpairs(g: Graph, w: float, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
-    """Snap a solved matrix to the nearest centered partition matrix.
+    """Read the partition off a solved matrix by its thresholded pattern.
 
-    Entries are thresholded at the midpoint between 1 and -1/(r-1); if the
-    resulting same-community relation is not exactly r disjoint cliques, fall
-    back to clustering rows by the top r-1 eigenvectors.  The candidate is
-    accepted only if its centered partition matrix is entrywise within
-    ROUND_TOL of the solved matrix.
+    The pattern, 1 where X exceeds the midpoint between 1 and -1/(r-1) or on
+    the diagonal and -1/(r-1) elsewhere, is entrywise the nearest matrix of
+    those values to X; `max_deviation` is X's largest entrywise distance
+    from it.  The labels are accepted only when the pattern is r disjoint
+    cliques (it is then their centered partition matrix) and the deviation
+    is at most ROUND_TOL.  On failure no centered partition matrix is within
+    ROUND_TOL of X, and `max_deviation` bounds the distance to each below.
     """
     X = sol.X
     _check_r(r, len(X))
-    mid = 0.5 * (1.0 - 1.0 / (r - 1))
-    same = X > mid
+    low = -1.0 / (r - 1)
+    same = X > 0.5 * (1.0 + low)
     np.fill_diagonal(same, True)
+    deviation = float(np.max(np.abs(np.where(same, 1.0, low) - X)))
     labels = _labels_from_components(same, r)
-    if labels is None:
-        labels = _spectral_labels(X, r)
-    if labels is None:
-        return RoundingResult(labels=None, success=False, max_deviation=math.inf)
-    deviation = float(np.max(np.abs(centered_partition_matrix(labels) - X)))
-    if deviation > ROUND_TOL:
+    if labels is None or deviation > ROUND_TOL:
         return RoundingResult(labels=None, success=False, max_deviation=deviation)
     return RoundingResult(labels=labels, success=True, max_deviation=deviation)
 

@@ -80,6 +80,22 @@ def _check_pi(pi: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, pi) as arrays; ParameterError unless Q is r x r and positive, i != j in 0..r-1."""
+    q_tilde = np.asarray(q_tilde, dtype=float)
+    pi = _check_pi(pi)
+    r = len(pi)
+    if q_tilde.shape != (r, r):
+        raise ParameterError(f"rate matrix must be {r}x{r}")
+    if np.any(q_tilde <= 0):
+        raise ParameterError("rate matrix entries must be positive")
+    if i == j:
+        raise ParameterError("communities i and j must differ")
+    if not (0 <= i < r and 0 <= j < r):
+        raise ParameterError(f"community index out of range 0..{r - 1}: i={i}, j={j}")
+    return q_tilde, pi
+
+
 def _supremand(t: float, qi: np.ndarray, qj: np.ndarray, pi: np.ndarray) -> float:
     return float(np.sum(pi * (t * qi + (1.0 - t) * qj - qi**t * qj ** (1.0 - t))))
 
@@ -114,24 +130,12 @@ def _maximize_concave(qi, qj, pi) -> tuple[float, float]:
     return _supremand(t_star, qi, qj, pi), t_star
 
 
-def ch_divergence_numeric(
-    q_tilde: np.ndarray, pi, i: int, j: int
-) -> tuple[float, float]:
+def ch_divergence_numeric(q_tilde: np.ndarray, pi, i: int, j: int) -> tuple[float, float]:
     """CH-divergence D_+(i, j) for a general rate matrix, by 1-d maximization.
 
     Returns (value, t_star) with the value accurate to ~1e-10 absolute.
     """
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    pi = _check_pi(pi)
-    r = len(pi)
-    if q_tilde.shape != (r, r):
-        raise ParameterError(f"rate matrix must be {r}x{r}")
-    if np.any(q_tilde <= 0):
-        raise ParameterError("rate matrix entries must be positive")
-    if i == j:
-        raise ParameterError("communities i and j must differ")
-    if not (0 <= i < r and 0 <= j < r):
-        raise ParameterError("community index out of range")
+    q_tilde, pi = _check_pair(q_tilde, pi, i, j)
     return _maximize_concave(q_tilde[i], q_tilde[j], pi)
 
 
@@ -141,12 +145,7 @@ def monotone_divergence(q_tilde: np.ndarray, pi, i: int, j: int) -> float:
     Equals D_+(i, j) after overwriting rows/columns k outside {i, j} so that
     Q_ik = Q_jk; always at most D_+(i, j).
     """
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    pi = _check_pi(pi)
-    if i == j:
-        raise ParameterError("communities i and j must differ")
-    if np.any(q_tilde <= 0):
-        raise ParameterError("rate matrix entries must be positive")
+    q_tilde, pi = _check_pair(q_tilde, pi, i, j)
     keep = np.array([i, j])
     value, _ = _maximize_concave(q_tilde[i, keep], q_tilde[j, keep], pi[keep])
     return value
@@ -159,9 +158,7 @@ def ch_divergence_closed_form(params, i: int, j: int) -> float:
     Returns 0 at p_tilde == q_tilde (continuity); rejects p_tilde < q_tilde.
     """
     pt, qt = float(params.p_tilde), float(params.q_tilde)
-    pi = _check_pi(params.pi)
-    if i == j:
-        raise ParameterError("communities i and j must differ")
+    _, pi = _check_pair(ppm_rate_matrix(pt, qt, len(params.pi)), params.pi, i, j)
     if pt < qt:
         raise ParameterError("assortative case only: p_tilde >= q_tilde")
     if pt == qt:

@@ -402,6 +402,18 @@ class TestUsageErrors:
         line = self.usage_error(capsys, "solve", "--graph", str(gp))
         assert "--mode" in line
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--i", "5", "--j", "0"], "out of range"),
+        (["--i", "-1", "--j", "0"], "out of range"),
+        (["--i", "0", "--j", "1", "--trials", "0"], "trials"),
+        (["--i", "0", "--j", "1", "--trials", "-5"], "trials"),
+    ])
+    def test_tails_bad_pair_or_trials(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(np.random, "default_rng", None)  # no sampling may start
+        line = self.usage_error(capsys, "tails", "--n", "300", "--pi", "0.5,0.3,0.2",
+                                "--p-tilde", "21", "--q-tilde", "2", *flags)
+        assert message in line
+
     def test_solve_unknown_without_omega(self, capsys, sampled):
         gp, _ = sampled
         line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "unknown", "--r", "2")

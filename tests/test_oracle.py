@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ppm_sdp import oracle
 from ppm_sdp.graph_model import Graph, PartitionLabels, PlantedPartitionParams, sample_ppm
 from ppm_sdp.oracle import (
     MAX_N,
@@ -11,7 +12,7 @@ from ppm_sdp.oracle import (
     mle_known_sizes,
     mle_unknown_sizes,
 )
-from ppm_sdp.sdp import objective_value
+from ppm_sdp.sdp import build_known_sizes, objective_value
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
 
@@ -67,6 +68,21 @@ class TestKnownSizes:
         g = Graph(n=4, edges=frozenset())
         with pytest.raises(ParameterError):
             mle_known_sizes(g, (3, 3))
+
+    @pytest.mark.parametrize("sizes", [(2.7, 2.2), (2.5, 2.5), (2, math.nan)])
+    def test_sizes_must_be_integers(self, monkeypatch, sizes):
+        # truncation would run (2.7, 2.2) and (2.5, 2.5) as [2, 2]; the SDP shares the rule
+        g = Graph(4, [(0, 1), (2, 3)])
+        monkeypatch.setattr(oracle, "_enumerate_partitions", None)
+        with pytest.raises(ParameterError, match="not all integers"):
+            mle_known_sizes(g, sizes)
+        with pytest.raises(ParameterError, match="not all integers"):
+            build_known_sizes(g, sizes)
+
+    def test_integral_floats_and_one_community_pass(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert mle_known_sizes(g, (2.0, 2.0)).best_labels.labels == (0, 0, 1, 1)
+        assert mle_known_sizes(g, (4,)).best_labels.labels == (0, 0, 0, 0)
 
 
 class TestUnknownSizes:

@@ -152,11 +152,11 @@ class TestPinnedAdmmOutputs:
         [
             ("known", EXIT_NO_CONVERGENCE, {
                 "iterations": 1000, "converged": False, "rounded": False,
-                "objective": 701.9600604917557, "max_deviation": 1.9375814656787922,
+                "objective": 701.9600604917557, "max_deviation": 0.9998221183305481,
             }),
             ("unknown", EXIT_ROUNDING_FAILURE, {
                 "iterations": 426, "converged": True, "rounded": False,
-                "objective": 702.3033199175281, "max_deviation": 1.945185197124787,
+                "objective": 702.3033199175281, "max_deviation": 0.9999484532436309,
             }),
         ],
     )
@@ -175,6 +175,22 @@ class TestPinnedAdmmOutputs:
             assert info[key] == pinned[key]
         assert info["objective"] == rel(pinned["objective"])
         assert info["max_deviation"] == rel(pinned["max_deviation"])
+
+    def test_failed_rounding_runs_no_eigensolver(self, monkeypatch):
+        g, _ = sample_ppm(WEAK, 3)
+        opts = sdp.SolverOptions(tol=1e-5, max_iters=1000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rounding ran a dense eigensolver")
+
+        for prob in (sdp.build_known_sizes(g, (60, 60)),
+                     sdp.build_unknown_sizes(g, 2, compute_omega(WEAK.p, WEAK.q))):
+            sol = sdp.solve(prob, opts)
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "eigh", refuse)
+                rounding = sdp.round_to_partition(sol, 2)
+            assert not rounding.success and rounding.labels is None
+            assert sdp.ROUND_TOL < rounding.max_deviation < math.inf
 
     def test_omega_sweep_entry(self):
         par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14, q_tilde=2)

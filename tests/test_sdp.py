@@ -22,7 +22,6 @@ from ppm_sdp.sdp import (
     _project_psd,
     build_known_sizes,
     _labels_from_components,
-    _spectral_labels,
     build_unknown_sizes,
     centered_partition_matrix,
     certified_partition,
@@ -447,6 +446,38 @@ class TestSolutionAccuracy:
             assert round_to_partition(sol, 3).labels == labels
 
 
+def round_by_threshold_then_kmeans(x, r):
+    """(labels or None, deviation) by the rule rounding used to follow:
+    labels from the thresholded pattern, or else k-means on the top r-1
+    eigenpairs of a dense eigh of x; accepted within ROUND_TOL."""
+    same = x > 0.5 * (1.0 - 1.0 / (r - 1))
+    np.fill_diagonal(same, True)
+    labels = _labels_from_components(same, r)
+    if labels is None:
+        w, v = np.linalg.eigh(x)
+        labels = sdp._eigen_labels(w[-(r - 1):], v[:, -(r - 1):], r)
+    if labels is None:
+        return None, math.inf
+    deviation = float(np.max(np.abs(centered_partition_matrix(labels) - x)))
+    return (labels if deviation <= sdp.ROUND_TOL else None), deviation
+
+
+@st.composite
+def near_partition_matrices(draw):
+    """(X, r): a centered partition matrix for random labels in 0..r-1 (a
+    community may be empty), scaled and given symmetric uniform noise, so
+    exact, near and far partitions all occur; n = 2..30, r = 2..min(n, 6)."""
+    n = draw(st.integers(2, 30))
+    r = draw(st.integers(2, min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, r, size=n)
+    x = np.where(labels[:, None] == labels[None, :], 1.0, -1.0 / (r - 1))
+    x *= draw(st.sampled_from([1.0, 1.0, 0.97, 0.5]))
+    noise = rng.uniform(-1.0, 1.0, size=(n, n))
+    x += draw(st.sampled_from([0.0, 0.01, 0.09, 0.12, 0.3, 1.0])) * 0.5 * (noise + noise.T)
+    return x, r
+
+
 class TestRounding:
     def test_exact_input(self):
         lab = PartitionLabels(labels=(0, 0, 1, 1, 2), r=3)
@@ -483,14 +514,16 @@ class TestRounding:
         assert not result.success
         assert result.max_deviation > 0.1
 
-    @pytest.mark.parametrize("sizes", [(7, 3), (6, 4, 2), (5, 4, 3, 1)])
-    def test_spectral_labels_on_exact_matrix(self, sizes):
-        r = len(sizes)
-        labels = np.repeat(np.arange(r), sizes)
-        np.random.default_rng(r).shuffle(labels)
-        lab = PartitionLabels(labels=tuple(labels.tolist()), r=r)
-        got = _spectral_labels(centered_partition_matrix(lab), r)
-        assert got is not None and labels_agree(got, lab)
+    @settings(max_examples=300, deadline=None)
+    @given(near_partition_matrices())
+    def test_matches_the_two_path_rule(self, case):
+        x, r = case
+        result = round_to_partition(SdpSolution(x, 0.0, 0.0, 0.0, 0, True), r)
+        labels, deviation = round_by_threshold_then_kmeans(x, r)
+        assert result.success == (labels is not None)
+        assert result.labels == labels
+        if result.success:
+            assert result.max_deviation == deviation
 
 
 def labels_by_component_loop(same, r):

@@ -216,6 +216,41 @@ class TestMonotoneDivergence:
             assert monotone_divergence(q, pi, int(i), int(j)) <= full + 1e-10
 
 
+PAIR_PI = (0.5, 0.3, 0.2)
+PAIR_CALLS = {
+    "numeric": lambda q, i, j: ch_divergence_numeric(q, PAIR_PI, i, j)[0],
+    "monotone": lambda q, i, j: monotone_divergence(q, PAIR_PI, i, j),
+    "closed_form": lambda q, i, j: ch_divergence_closed_form(ppm(q[0, 0], q[0, 1], PAIR_PI), i, j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CALLS))
+class TestPairChecks:
+    """The three divergences check the pair and the rate matrix alike."""
+
+    Q = ppm_rate_matrix(21.0, 2.0, 3)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_index_out_of_range(self, name, i, j):
+        with pytest.raises(ParameterError, match="out of range"):
+            PAIR_CALLS[name](self.Q, i, j)
+
+    def test_equal_indices(self, name):
+        with pytest.raises(ParameterError, match="differ"):
+            PAIR_CALLS[name](self.Q, 1, 1)
+
+    def test_nonpositive_rate(self, name):
+        with pytest.raises(ParameterError, match="positive"):
+            PAIR_CALLS[name](ppm_rate_matrix(21.0, 0.0, 3), 0, 1)
+
+
+@pytest.mark.parametrize("name", ["numeric", "monotone"])
+def test_rate_matrix_must_match_pi(name):
+    # the closed form builds its rate matrix from pi, so it cannot mismatch
+    with pytest.raises(ParameterError, match="3x3"):
+        PAIR_CALLS[name](ppm_rate_matrix(21.0, 2.0, 2), 0, 1)
+
+
 class TestFeasibilityReport:
     def test_boundary_is_infeasible(self):
         report = feasibility_report(q_tilde=ppm_rate_matrix(8, 2, 2), pi=[0.5, 0.5])
