@@ -68,8 +68,11 @@ class ExperimentConfig:
             self.adversary = AdversarySpec(**self.adversary)
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
-        if self.trials < 1:
-            raise ParameterError("need at least one trial per cell")
+        if not (float(self.trials).is_integer() and self.trials >= 1):
+            raise ParameterError(f"need an integer number of trials >= 1, got {self.trials}")
+        if not all(float(n).is_integer() for n in self.n_grid):
+            raise ParameterError(f"n_grid {self.n_grid} is not all integers")
+        self.trials = int(self.trials)
         if not self.cells():
             raise ParameterError("the grid has no cell with p_tilde > q_tilde")
         sdp.SolverOptions(tol=self.tol, max_iters=self.max_iters)  # raises when invalid

@@ -1,9 +1,9 @@
 """Brute-force maximum-likelihood oracle for tiny instances.
 
-Enumerates set partitions into exactly r blocks (restricted growth strings,
+Enumerates set partitions into at most r blocks (restricted growth strings,
 so community relabelings are never visited twice) and maximizes the relevant
-objective exactly.  Intended for validating the SDP and certificate modules
-at n <= 14.
+objective exactly in one pass that keeps every tie.  Intended for
+validating the SDP and certificate modules at n <= 14.
 """
 
 from __future__ import annotations
@@ -36,34 +36,39 @@ def _adjacency_masks(g: Graph) -> list:
     return masks
 
 
-def _enumerate_partitions(g: Graph, r: int, score_leaf, prune_block_size=None,
-                          min_blocks=None):
-    """DFS over partitions with at most r blocks, in canonical
+def _enumerate_partitions(g: Graph, r: int, objective, min_blocks: int,
+                          max_size: int) -> MleResult:
+    """Exhaustive argmax of objective over partitions with min_blocks to r
+    blocks of at most max_size vertices, visited once each in canonical
     (first-occurrence) order.
 
-    score_leaf(labels, block_sizes, used) is called at each complete
-    partition with at least min_blocks (default r) blocks; intra edge counts
-    are maintained incrementally via bitmasks.
+    objective(block_sizes, intra_edges) is called at each complete partition;
+    a return of None skips it.  Intra edge counts are maintained
+    incrementally via bitmasks.  Objectives within _TIE_TOL of the best are
+    ties.  Raises ParameterError when the best objective is not finite.
     """
     n = g.n
     adj = _adjacency_masks(g)
     labels = [0] * n
     block_masks = [0] * r
     block_sizes = [0] * r
-    max_size = prune_block_size if prune_block_size is not None else n
-    need = r if min_blocks is None else min_blocks
+    best = -math.inf
+    argmax = []
 
     def rec(v: int, used: int, intra: int):
+        nonlocal best, argmax
         if v == n:
-            if used >= need:
-                score_leaf(labels, block_sizes[:used], intra)
+            if used >= min_blocks and (obj := objective(block_sizes[:used], intra)) is not None:
+                if obj > best + _TIE_TOL:
+                    best, argmax = obj, [tuple(labels)]
+                elif obj > best - _TIE_TOL:
+                    argmax.append(tuple(labels))
             return
         # may join an existing block or open the next one
-        open_limit = min(used + 1, r)
-        for b in range(open_limit):
+        for b in range(min(used + 1, r)):
             if block_sizes[b] >= max_size:
                 continue
-            if n - v < need - used - (1 if b == used else 0):
+            if n - v < min_blocks - used - (1 if b == used else 0):
                 continue
             gain = (adj[v] & block_masks[b]).bit_count()
             labels[v] = b
@@ -74,6 +79,11 @@ def _enumerate_partitions(g: Graph, r: int, score_leaf, prune_block_size=None,
             block_sizes[b] -= 1
 
     rec(0, 0, 0)
+    if not math.isfinite(best):
+        raise ParameterError("no partition has a finite objective")
+    argmax = [PartitionLabels(labels=lab, r=max(lab) + 1) for lab in sorted(argmax)]
+    return MleResult(best_labels=argmax[0], best_objective=best,
+                     is_unique=len(argmax) == 1, argmax=argmax)
 
 
 def _check_guard(g: Graph, max_n: int):
@@ -87,22 +97,12 @@ def mle_known_sizes(g: Graph, sizes, max_n: int = MAX_N) -> MleResult:
     """Exhaustive argmax of <A, X> over partitions with the given size multiset."""
     _check_guard(g, max_n)
     sizes = check_sizes(sizes, g.n)
-    r = len(sizes)
     target = sorted(sizes)
-    best = {"obj": -math.inf, "argmax": []}
 
-    def leaf(labels, block_sizes, intra):
-        if sorted(block_sizes) != target:
-            return
-        obj = 2.0 * intra
-        if obj > best["obj"] + _TIE_TOL:
-            best["obj"] = obj
-            best["argmax"] = [tuple(labels)]
-        elif obj > best["obj"] - _TIE_TOL:
-            best["argmax"].append(tuple(labels))
+    def objective(block_sizes, intra):
+        return 2.0 * intra if sorted(block_sizes) == target else None
 
-    _enumerate_partitions(g, r, leaf, prune_block_size=max(sizes))
-    return _finish(best, r)
+    return _enumerate_partitions(g, len(sizes), objective, len(sizes), max(sizes))
 
 
 def mle_unknown_sizes(g: Graph, r: int, omega: float, max_n: int = MAX_N) -> MleResult:
@@ -111,31 +111,11 @@ def mle_unknown_sizes(g: Graph, r: int, omega: float, max_n: int = MAX_N) -> Mle
     _check_guard(g, max_n)
     if r < 1 or r > g.n:
         raise ParameterError(f"need 1 <= r <= n, got r={r}")
-    best = {"obj": -math.inf, "argmax": []}
 
-    def leaf(labels, block_sizes, intra):
-        obj = 2.0 * intra - omega * sum(s * s for s in block_sizes)
-        if obj > best["obj"] + _TIE_TOL:
-            best["obj"] = obj
-            best["argmax"] = [tuple(labels)]
-        elif obj > best["obj"] - _TIE_TOL:
-            best["argmax"].append(tuple(labels))
+    def objective(block_sizes, intra):
+        return 2.0 * intra - omega * sum(s * s for s in block_sizes)
 
-    _enumerate_partitions(g, r, leaf, min_blocks=1)
-    return _finish(best, None)
-
-
-def _finish(best, r) -> MleResult:
-    argmax = [
-        PartitionLabels(labels=lab, r=r if r is not None else max(lab) + 1)
-        for lab in sorted(best["argmax"])
-    ]
-    return MleResult(
-        best_labels=argmax[0],
-        best_objective=best["obj"],
-        is_unique=len(argmax) == 1,
-        argmax=argmax,
-    )
+    return _enumerate_partitions(g, r, objective, 1, g.n)
 
 
 def loglikelihood(g: Graph, labels: PartitionLabels, p: float, q: float) -> float:

@@ -65,7 +65,8 @@ PROOF_SHIFT = 1e-12  # the Cholesky proof's delta over the largest |Ritz value|
 @dataclass
 class SolverOptions:
     """ADMM stopping rule: residuals below `tol` (finite, > 0), or
-    `max_iters` (>= 1) iterations; anything else raises ParameterError."""
+    `max_iters` (an integer >= 1, such as 50 or 50.0) iterations; anything
+    else raises ParameterError."""
 
     tol: float = 1e-6
     max_iters: int = 20000
@@ -73,8 +74,9 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"need a finite tol > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ParameterError(f"need max_iters >= 1, got {self.max_iters}")
+        if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
+            raise ParameterError(f"need an integer max_iters >= 1, got {self.max_iters}")
+        self.max_iters = int(self.max_iters)
 
 
 @dataclass

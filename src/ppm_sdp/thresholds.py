@@ -81,14 +81,17 @@ def _check_pi(pi: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, pi) as arrays; ParameterError unless Q is r x r and positive, i != j in 0..r-1."""
+    """(Q, pi) as arrays; ParameterError unless Q is r x r, symmetric and
+    positive, and i != j in 0..r-1."""
     q_tilde = np.asarray(q_tilde, dtype=float)
     pi = _check_pi(pi)
     r = len(pi)
     if q_tilde.shape != (r, r):
         raise ParameterError(f"rate matrix must be {r}x{r}")
-    if np.any(q_tilde <= 0):
+    if not np.all(q_tilde > 0):  # NaN included
         raise ParameterError("rate matrix entries must be positive")
+    if not np.allclose(q_tilde, q_tilde.T):
+        raise ParameterError("rate matrix must be symmetric")
     if i == j:
         raise ParameterError("communities i and j must differ")
     if not (0 <= i < r and 0 <= j < r):

@@ -460,7 +460,11 @@ class TestUsageErrors:
         assert flag[2:].replace("-", "_") in line
 
     @pytest.mark.parametrize("command", ["phase", "robustness"])
-    @pytest.mark.parametrize("field, value", [("tol", -1.0), ("max_iters", 0)])
+    @pytest.mark.parametrize("field, value", [
+        ("tol", -1.0), ("max_iters", 0),
+        # fractional counts: range() would raise inside a trial, int() would truncate
+        ("max_iters", 50.5), ("trials", 1.5), ("n_grid", [60.7]),
+    ])
     def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -483,6 +487,20 @@ class TestUsageErrors:
         write_graph(Graph(n=2, edges=frozenset({(0, 1)})), gp)
         line = self.usage_error(capsys, "oracle", "--graph", str(gp), "--mode", "unknown", "--omega", "0.5")
         assert "--r" in line
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e308", "-1e308"])
+    def test_oracle_without_a_finite_objective(self, tmp_path, capsys, omega):
+        gp = tmp_path / "g.txt"
+        write_graph(Graph(n=4, edges=frozenset({(0, 1), (2, 3)})), gp)
+        line = self.usage_error(capsys, "oracle", "--graph", str(gp), "--mode", "unknown",
+                                "--r", "2", f"--omega={omega}")
+        assert "no partition has a finite objective" in line
+
+    def test_threshold_with_an_asymmetric_rate_matrix(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"q_tilde_matrix": [[5, 1], [3, 5]], "pi": [0.5, 0.5]}))
+        line = self.usage_error(capsys, "threshold", "--model", str(model))
+        assert "symmetric" in line
 
     def test_threshold_without_model_or_flags(self, capsys):
         line = self.usage_error(capsys, "threshold", "--n", "300")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppm_sdp import oracle
 from ppm_sdp.graph_model import Graph, PartitionLabels, PlantedPartitionParams, sample_ppm
@@ -117,6 +119,76 @@ class TestUnknownSizes:
         g = complete_blocks([0, 1, 2], [3, 4, 5])
         res = mle_unknown_sizes(g, 3, 0.05)
         assert res.best_labels.r == 2
+
+
+def canonical(labels):
+    """First-occurrence relabelling: the first vertex of each block names it."""
+    names = {}
+    return tuple(names.setdefault(x, len(names)) for x in labels)
+
+
+def brute_force(g, r, objective):
+    """(best objective, sorted argmax) over every labelling in range(r)^n,
+    with objective(labels) -> float or None for a labelling to skip."""
+    scores = {}
+    for labels in itertools.product(range(r), repeat=g.n):
+        lab = canonical(labels)
+        if lab not in scores and (obj := objective(lab)) is not None:
+            scores[lab] = obj
+    best = max(scores.values())
+    return best, sorted(lab for lab, obj in scores.items() if obj > best - 1e-9)
+
+
+def intra_edges(g, lab):
+    return sum(lab[u] == lab[v] for u, v in g.pairs.tolist())
+
+
+@st.composite
+def small_graphs(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, present) if keep]), r
+
+
+class TestAgainstBruteForce:
+    """The enumeration agrees with a scan of every labelling in range(r)^n."""
+
+    @staticmethod
+    def check(res, best, argmax):
+        assert res.best_objective == pytest.approx(best, abs=1e-9)
+        assert [lab.labels for lab in res.argmax] == argmax
+        assert res.is_unique == (len(argmax) == 1)
+        assert res.best_labels == res.argmax[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_known_sizes(self, graph_r, data):
+        g, r = graph_r
+        cuts = sorted(data.draw(st.lists(st.integers(1, g.n - 1), min_size=r - 1,
+                                         max_size=r - 1, unique=True)))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, g.n])]
+        target = sorted(sizes)
+
+        def objective(lab):
+            counts = sorted(lab.count(b) for b in range(r))
+            return 2.0 * intra_edges(g, lab) if counts == target else None
+
+        self.check(mle_known_sizes(g, sizes), *brute_force(g, r, objective))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_graphs(), st.integers(-200, 200))
+    def test_unknown_sizes(self, graph_r, k):
+        # omega on a 0.01 grid: objectives that differ do so by >= 0.01, so
+        # the tie tolerance is never ambiguous
+        g, r = graph_r
+        omega = k / 100
+
+        def objective(lab):
+            return 2.0 * intra_edges(g, lab) - omega * sum(lab.count(b) ** 2 for b in range(r))
+
+        self.check(mle_unknown_sizes(g, r, omega), *brute_force(g, r, objective))
 
 
 class TestLoglikelihood:

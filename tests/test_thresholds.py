@@ -251,6 +251,21 @@ def test_rate_matrix_must_match_pi(name):
         PAIR_CALLS[name](ppm_rate_matrix(21.0, 2.0, 2), 0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: ch_divergence_numeric(q, [0.5, 0.5], 0, 1),
+    lambda q: monotone_divergence(q, [0.5, 0.5], 0, 1),
+    lambda q: feasibility_report(q_tilde=q, pi=[0.5, 0.5]),
+], ids=["numeric", "monotone", "report"])
+@pytest.mark.parametrize("q_tilde, message", [
+    # Q[i, j] and Q[j, i] rate the same pairs, so they cannot differ
+    ([[5.0, 1.0], [3.0, 5.0]], "symmetric"),
+    ([[5.0, math.nan], [math.nan, 5.0]], "positive"),
+], ids=["asymmetric", "nan"])
+def test_rate_matrix_must_be_symmetric_and_positive(call, q_tilde, message):
+    with pytest.raises(ParameterError, match=message):
+        call(np.array(q_tilde))
+
+
 class TestFeasibilityReport:
     def test_boundary_is_infeasible(self):
         report = feasibility_report(q_tilde=ppm_rate_matrix(8, 2, 2), pi=[0.5, 0.5])
