@@ -54,13 +54,11 @@ class DualCertificate:
     beta_bar: np.ndarray  # deterministic proxy for the summed upper endpoint
     R: np.ndarray = field(repr=False)  # vertex x community row-sum table
     T: np.ndarray  # community-pair block totals
-    intervals_nonempty: bool
-    construction_ok: bool  # False when some block total T_ij <= 0
 
 
 @dataclass
 class CertificateReport:
-    intervals_nonempty: bool
+    intervals_nonempty: bool  # interval_margin >= 0
     interval_margin: float  # min over vertices of beta_v - alpha_v
     nu_min: float
     nu_target: float  # log n / log log n
@@ -79,7 +77,7 @@ class CertificateReport:
     psd_ok: bool
     slackness_gap: float
     slackness_ok: bool
-    construction_ok: bool
+    construction_ok: bool  # t_positive: no block total T_ij <= 0
     verified: bool
 
     @property
@@ -173,7 +171,6 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
         "R": big_r,
         "T": t_mat,
         "c": c,
-        "intervals_nonempty": bool(np.all(nonempty)),
     }
 
 
@@ -258,39 +255,33 @@ class _LowerBlocks:
         return dense
 
 
-def _gamma_blocks(truth, t_mat):
-    """(i, j, S_i, S_j) for each community pair i < j whose total is
-    positive; the other blocks of Gamma are zero."""
-    for i in range(truth.r):
-        for j in range(i + 1, truth.r):
-            if t_mat[i, j] > 0:
-                yield i, j, truth.members(i), truth.members(j)
-
-
 def _assemble_lower(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> _LowerBlocks:
     """Lambda = diag(nu) + omega J - A - Gamma as a `_LowerBlocks` store,
-    built from (nu, omega, g.pairs, R, T) without the dense adjacency.  Each
-    off-diagonal block of Gamma is outer(R[S_i, j], R[S_j, i]) / T_ij; a row
-    block takes its rows of that block and of its transpose, a few rows at a
-    time, so its whole diagonal block is exactly symmetric and no
-    temporary exceeds _CHUNK_ENTRIES entries."""
+    built from (nu, omega, g.pairs, R, T) without the dense adjacency.  Gamma
+    comes entry by entry from R and T: Gamma_uv = R[u, c(v)] R[v, c(u)] /
+    T[c(u), c(v)], c(v) the community of v, over the row blocks a few rows at
+    a time, so each whole diagonal block is exactly symmetric and no
+    temporary exceeds _CHUNK_ENTRIES entries.  Dividing by an infinite total
+    on the diagonal of T and wherever T_ij <= 0 leaves those entries 0."""
     n, h = g.n, _CHOLESKY_BLOCK
+    lab = truth.as_array()
     lam = _LowerBlocks(n, cert.omega)
     for part in _row_blocks(len(g.pairs), 2):
         u, v = g.pairs[part].T
         lam.buf[lam.index(v, u)] -= 1.0
         same = u // h == v // h  # (u, v) lies in a diagonal block too
         lam.buf[lam.index(u[same], v[same])] -= 1.0
-    for i, j, vi, vj in _gamma_blocks(truth, cert.T):
-        # rows in S_i meet columns in S_j, then rows in S_j meet S_i
-        for rows_v, cols_v, rc, cc in ((vi, vj, j, i), (vj, vi, i, j)):
-            for k0, k1, blk in lam.blocks:
-                rows = rows_v[np.searchsorted(rows_v, k0) : np.searchsorted(rows_v, k1)]
-                cols = cols_v[: np.searchsorted(cols_v, k1)]
-                col = cert.R[cols, cc]
-                for part in _row_blocks(len(rows), len(cols)):
-                    gam = np.outer(cert.R[rows[part], rc], col) / cert.T[i, j]
-                    blk[np.ix_(rows[part] - k0, cols)] -= gam
+    totals = np.where(cert.T > 0, cert.T, math.inf)
+    np.fill_diagonal(totals, math.inf)
+    r_t = np.ascontiguousarray(cert.R.T)
+    for k0, k1, blk in lam.blocks:
+        cols = lab[:k1]
+        for rows in _row_blocks(k1 - k0, k1):
+            span = slice(k0 + rows.start, k0 + rows.stop)
+            gam = np.take(cert.R[span], cols, axis=1)
+            gam *= r_t[lab[span], :k1]
+            gam /= np.take(totals[lab[span]], cols, axis=1)
+            blk[rows] -= gam
     lam.buf[lam.diag] += cert.nu
     return lam
 
@@ -326,11 +317,7 @@ def build_certificate(
     eps1 = dmax + omega + base
     eps2 = dmax + 1.0
     out = _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c)
-    # a block total T_ij <= 0 leaves no rank-one block with those row sums
-    construction_ok = bool(np.all(out["T"][np.triu_indices(truth.r, 1)] > 0))
-    return DualCertificate(
-        omega=omega, eps1=eps1, eps2=eps2, construction_ok=construction_ok, **out
-    )
+    return DualCertificate(omega=omega, eps1=eps1, eps2=eps2, **out)
 
 
 def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
@@ -445,23 +432,25 @@ def verify_certificate(
 
     # Gamma is zero inside communities: v's row sum within its own is zero
     gamma_blocks_zero = bool(np.all(cert.R[np.arange(n), lab] == 0.0))
+    member = lab == np.arange(r)[:, None]  # member[i, v]: v lies in S_i
+    # R[v, j] is stored per (vertex, community); select v outside S_j
+    r_min = float(np.min(cert.R[~member.T]))
+    iu = np.triu_indices(r, 1)
+    t_min = float(np.min(cert.T[iu]))
+    # a block total T_ij <= 0 leaves no rank-one block with those row sums
+    t_positive = t_min > 0.0
+
     # Off-block, Gamma is outer(R[S_i, j], R[S_j, i]) / T_ij, or zero where
     # T_ij <= 0.  Rounding is monotone, so each block's least entry is the
     # least product of the extreme entries of its two factors.
-    iu = np.triu_indices(r, 1)
-    gamma_off_min = math.inf if np.all(cert.T[iu] > 0) else 0.0
+    gamma_off_min = math.inf if t_positive else 0.0
     gamma_sum = 0.0
-    for i, j, vi, vj in _gamma_blocks(truth, cert.T):
-        a, b = cert.R[vi, j], cert.R[vj, i]
-        corners = [x * y for x in (a.min(), a.max()) for y in (b.min(), b.max())]
-        gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
-        gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / cert.T[i, j]
-
-    # R[v, j] is stored per (vertex, community); select v outside S_j
-    comm_mask = np.ones((n, r), dtype=bool)
-    comm_mask[np.arange(n), lab] = False
-    r_min = float(np.min(cert.R[comm_mask]))
-    t_min = float(np.min(cert.T[iu]))
+    for i, j in zip(*iu):
+        if cert.T[i, j] > 0:
+            a, b = cert.R[member[i], j], cert.R[member[j], i]
+            corners = [x * y for x in (a.min(), a.max()) for y in (b.min(), b.max())]
+            gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
+            gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / cert.T[i, j]
 
     lam = _assemble_lower(g, truth, cert)
     lam_max = lam.abs_max()
@@ -489,13 +478,12 @@ def verify_certificate(
     slackness_ok = slackness_gap <= 1e-6 * scale
 
     interval_margin = float(np.min(cert.beta_v - cert.alpha_v))
+    intervals_nonempty = interval_margin >= 0.0
     nu_ok = nu_min >= nu_target
     r_positive = r_min > 0.0
-    t_positive = t_min > 0.0
     gamma_off_positive = gamma_off_min > 0.0
     verified = bool(
-        cert.construction_ok
-        and cert.intervals_nonempty
+        intervals_nonempty
         and nu_ok
         and r_positive
         and t_positive
@@ -506,7 +494,7 @@ def verify_certificate(
         and slackness_ok
     )
     return CertificateReport(
-        intervals_nonempty=cert.intervals_nonempty,
+        intervals_nonempty=intervals_nonempty,
         interval_margin=interval_margin,
         nu_min=nu_min,
         nu_target=nu_target,
@@ -525,6 +513,6 @@ def verify_certificate(
         psd_ok=psd_ok,
         slackness_gap=slackness_gap,
         slackness_ok=slackness_ok,
-        construction_ok=cert.construction_ok,
+        construction_ok=t_positive,
         verified=verified,
     )

@@ -77,14 +77,18 @@ def _require_mode_args(args) -> int:
     return args.r if args.r is not None else len(args.sizes)
 
 
-def int_list(text: str) -> list:
-    """A comma-separated list of integers, such as --sizes 60,40,20."""
-    return [int(x) for x in text.split(",")]
+def comma_list(kind):
+    """The argparse type of a comma-separated list of `kind` values, such as
+    --sizes 60,40,20 (int) or --pi 0.5,0.3,0.2 (float)."""
+    def parse(text: str) -> list:
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in the error
+    return parse
 
 
 def _params_from_args(args) -> PlantedPartitionParams:
     _require(args, "--n", "--pi", "--p-tilde", "--q-tilde")
-    pi = tuple(float(x) for x in args.pi.split(","))
+    pi = tuple(args.pi)
     return PlantedPartitionParams(
         n=args.n, r=len(pi), pi=pi, p_tilde=args.p_tilde, q_tilde=args.q_tilde
     )
@@ -92,7 +96,7 @@ def _params_from_args(args) -> PlantedPartitionParams:
 
 def _add_model_args(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pi", type=str, required=True, help="comma-separated proportions")
+    p.add_argument("--pi", type=comma_list(float), required=True, help="comma-separated proportions")
     p.add_argument("--p-tilde", type=float, required=True)
     p.add_argument("--q-tilde", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -241,9 +245,8 @@ def cmd_tails(args) -> int:
 
 def cmd_omega_sweep(args) -> int:
     g = read_graph(args.graph)
-    omegas = [float(x) for x in args.omegas.split(",")]
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
-    entries = harness.omega_sweep(g, args.r, omegas, opts)
+    entries = harness.omega_sweep(g, args.r, args.omegas, opts)
     out = [
         {
             "omega": e.omega,
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="divergence / feasibility report")
     p.add_argument("--model", help="JSON model file")
     p.add_argument("--n", type=int)
-    p.add_argument("--pi", type=str)
+    p.add_argument("--pi", type=comma_list(float))
     p.add_argument("--p-tilde", type=float)
     p.add_argument("--q-tilde", type=float)
     p.set_defaults(func=cmd_threshold)
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an SDP and round to a partition")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("known", "unknown"), required=True)
-    p.add_argument("--sizes", type=int_list, help="comma-separated sizes (known mode)")
+    p.add_argument("--sizes", type=comma_list(int), help="comma-separated sizes (known mode)")
     p.add_argument("--omega", type=float, help="regularizer (unknown mode)")
     p.add_argument("--r", type=int)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force MLE on tiny instances")
     p.add_argument("--graph", required=True)
     p.add_argument("--mode", choices=("known", "unknown"), required=True)
-    p.add_argument("--sizes", type=int_list)
+    p.add_argument("--sizes", type=comma_list(int))
     p.add_argument("--omega", type=float)
     p.add_argument("--r", type=int)
     p.add_argument("--max-n", type=int, default=oracle.MAX_N)
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-sweep", help="unknown-sizes sweep over omega")
     p.add_argument("--graph", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--omegas", required=True, help="comma-separated omega grid")
+    p.add_argument("--omegas", type=comma_list(float), required=True, help="comma-separated omega grid")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iters", type=int, default=5000)
     p.set_defaults(func=cmd_omega_sweep)

@@ -95,9 +95,9 @@ class Graph:
 
     `pairs` is the one edge form every program path reads: a read-only,
     sorted, duplicate-free int64 (m, 2) array of the edges (u, v), u < v.
-    `Graph(n, edges)` takes integer (u, v) pairs or an (m, 2) integer array;
-    repeats collapse, and a non-integer id or the first pair outside
-    0 <= u < v < n raises ParameterError.  `edges` and `sorted_edges()` are
+    `Graph(n, edges)` takes n >= 0 and integer (u, v) pairs or an (m, 2)
+    integer array; repeats collapse, and a negative n, a non-integer id or
+    the first pair outside 0 <= u < v < n raises ParameterError.  `edges` and `sorted_edges()` are
     tuple views built on each call, for callers outside the program.
     """
 
@@ -106,6 +106,8 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         n = int(n)
+        if n < 0:
+            raise ParameterError(f"need n >= 0, got n={n}")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if e.size and (e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu"):
             raise ParameterError(f"edges must be integer (u, v) pairs, got {e.dtype} {e.shape}")
@@ -637,6 +639,8 @@ def write_labels(labels: PartitionLabels, path) -> None:
 def read_labels(path) -> PartitionLabels:
     with open(path) as f:
         lines = f.read().splitlines()
+    if not lines:
+        raise GraphFormatError("empty file", line=1)
     assignment = {}
     for k, line in enumerate(lines, start=1):
         try:

@@ -227,8 +227,25 @@ def swap_two(truth):
     return PartitionLabels(labels=tuple(lab.tolist()), r=truth.r)
 
 
+def case_instance(par, seed, labels):
+    """A sampled graph with its planted labels, with two of them swapped, or
+    with its vertices renumbered at random, so that no community is a
+    contiguous range of vertices."""
+    g, truth = sample_ppm(par, seed)
+    if labels == "swapped":
+        truth = swap_two(truth)
+    elif labels == "shuffled":
+        perm = np.random.default_rng(0).permutation(g.n)  # v becomes perm[v]
+        lab = np.empty(g.n, dtype=int)
+        lab[perm] = truth.as_array()
+        g = Graph(g.n, np.sort(perm[g.pairs], axis=1))
+        truth = PartitionLabels(labels=tuple(lab.tolist()), r=truth.r)
+    return g, truth
+
+
 STRONG = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
 UNEQUAL_PI = [(0.6, 0.4), (0.5, 0.3, 0.2), (0.4, 0.3, 0.2, 0.1)]
+PI_8 = (0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08)
 
 
 @pytest.fixture(scope="module")
@@ -281,19 +298,28 @@ class TestConstruction:
         assert margin == pytest.approx(expected, abs=1e-12)
         assert np.all(beta - alpha == pytest.approx(expected))
 
-    def test_lambda_assembly_identity(self, strong_instance, monkeypatch):
-        g, truth, cert = strong_instance
-        expected = dense_lambda(g, cert, dense_gamma(truth, cert))
-        assert np.array_equal(expected, expected.T)
-        # every row block holds its rows of the lower triangle and its whole
-        # diagonal block; blocks written a few rows at a time agree
-        for chunk in (None, 997):
-            if chunk is not None:
+    def test_lambda_assembly_identity(self, monkeypatch):
+        # the strong instance and r = 8 on shuffled vertices, so that no
+        # community is a contiguous range; each also at omega = q/2, where
+        # the construction fails: every T_ij <= 0 at r = 3, some at r = 8
+        default = certificate._CHUNK_ENTRIES
+        for (pi, labels), low_omega in itertools.product(
+            [(STRONG.pi, "planted"), (PI_8, "shuffled")], (False, True)
+        ):
+            par = dataclasses.replace(STRONG, r=len(pi), pi=pi)
+            g, truth = case_instance(par, 0, labels)
+            cert = build_certificate(g, truth, par, omega=par.q / 2 if low_omega else None)
+            assert np.all(cert.T[np.triu_indices(truth.r, 1)] > 0) != low_omega
+            expected = dense_lambda(g, cert, dense_gamma(truth, cert))
+            assert np.array_equal(expected, expected.T)
+            # every row block holds its rows of the lower triangle and its
+            # whole diagonal block; blocks written a few rows at a time agree
+            for chunk in (default, 997):
                 monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
-            lam = certificate._assemble_lower(g, truth, cert)
-            assert len(lam.blocks) == math.ceil(g.n / certificate._CHOLESKY_BLOCK)
-            for k0, k1, blk in lam.blocks:
-                assert np.array_equal(blk, expected[k0:k1, :k1])
+                lam = certificate._assemble_lower(g, truth, cert)
+                assert len(lam.blocks) == math.ceil(g.n / certificate._CHOLESKY_BLOCK)
+                for k0, k1, blk in lam.blocks:
+                    assert np.array_equal(blk, expected[k0:k1, :k1])
 
     def test_community_gamma_sums_equal_c(self, strong_instance):
         g, truth, cert = strong_instance
@@ -342,6 +368,14 @@ class TestVerification:
         bad.R[u, 1] = -1.0
         report = verify_certificate(g, truth, bad)
         assert not report.gamma_off_positive
+        assert not report.verified
+
+    def test_empty_interval_fails(self, strong_instance):
+        g, truth, cert = strong_instance
+        alpha = cert.alpha_v.copy()
+        alpha[0] = cert.beta_v[0] + 1.0  # alpha_v > beta_v for one vertex
+        report = verify_certificate(g, truth, dataclasses.replace(cert, alpha_v=alpha))
+        assert not report.intervals_nonempty
         assert not report.verified
 
     def test_corrupt_nu_fails_kernel(self, strong_instance):
@@ -416,7 +450,10 @@ class TestCompressedPsd:
 class TestDenseReference:
     """The factored verifier against the dense Gamma/Lambda one it replaced."""
 
+    # r = 8 at n <= 300 is past the construction's reach: its shuffled
+    # planted labels do not verify either
     CASES = [(pi, labels) for pi in UNEQUAL_PI for labels in ("planted", "swapped")]
+    CASES.append((PI_8, "shuffled"))
 
     @staticmethod
     def assert_same_verdicts(g, truth, cert):
@@ -438,9 +475,7 @@ class TestDenseReference:
         if chunk is not None:  # blocks and updates span several row blocks
             monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
-        g, truth = sample_ppm(par, 7)
-        if labels == "swapped":
-            truth = swap_two(truth)
+        g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par)
         report = self.assert_same_verdicts(g, truth, cert)
         assert report.verified == (labels == "planted")
@@ -449,8 +484,8 @@ class TestDenseReference:
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
         cert = build_certificate(g, truth, par, omega=par.q / 2)
-        assert not cert.construction_ok
         report = self.assert_same_verdicts(g, truth, cert)
+        assert not report.construction_ok
         assert report.gamma_off_min <= 0.0 and not report.verified
 
 
@@ -461,9 +496,7 @@ class TestLowerStore:
     @pytest.mark.parametrize("pi, labels", TestDenseReference.CASES)
     def test_verifies_without_the_dense_adjacency(self, pi, labels, monkeypatch):
         par = PlantedPartitionParams(n=300, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
-        g, truth = sample_ppm(par, 7)
-        if labels == "swapped":
-            truth = swap_two(truth)
+        g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par)
 
         def refuse(self):

@@ -482,6 +482,46 @@ class TestUsageErrors:
         line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "known", "--sizes", "60,x")
         assert "--sizes" in line
 
+    @pytest.mark.parametrize("pi", ["0.5,x", "0.5,"])
+    @pytest.mark.parametrize("command, extra", [
+        ("sample", ["--out-graph", "g.txt", "--out-labels", "l.txt"]),
+        ("threshold", []),
+        ("tails", ["--i", "0", "--j", "1"]),
+    ])
+    def test_pi_that_is_not_a_float_list(self, tmp_path, capsys, monkeypatch, command, extra, pi):
+        monkeypatch.chdir(tmp_path)
+        line = self.usage_error(capsys, command, "--n", "30", f"--pi={pi}",
+                                "--p-tilde", "21", "--q-tilde", "2", *extra)
+        assert "--pi" in line and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("omegas", ["0.2,abc", ""])
+    def test_omegas_that_are_not_a_float_list(self, capsys, sampled, monkeypatch, omegas):
+        gp, _ = sampled
+        monkeypatch.setattr(sdp, "solve", None)
+        line = self.usage_error(capsys, "omega-sweep", "--graph", str(gp), "--r", "2", f"--omegas={omegas}")
+        assert "--omegas" in line
+
+    @pytest.mark.parametrize("command", ["certify", "adversary"])
+    def test_empty_label_file(self, tmp_path, capsys, sampled, command):
+        gp, _ = sampled
+        lp = tmp_path / "empty.labels"
+        lp.write_text("")
+        if command == "certify":
+            extra = ["--p-tilde", "21", "--q-tilde", "2"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"kind": "none"}))
+            extra = ["--spec", str(spec), "--out-graph", str(tmp_path / "out.txt")]
+        line = self.usage_error(capsys, command, "--graph", str(gp), "--labels", str(lp), *extra)
+        assert "line 1: empty file" in line
+
+    def test_graph_with_a_negative_n(self, tmp_path, capsys):
+        gp = tmp_path / "neg.txt"
+        gp.write_text("-3 0\n")
+        line = self.usage_error(capsys, "solve", "--graph", str(gp), "--mode", "unknown",
+                                "--r", "2", "--omega", "0.2")
+        assert "n >= 0" in line and "n=-3" in line
+
     def test_oracle_unknown_without_r(self, tmp_path, capsys):
         gp = tmp_path / "g.txt"
         write_graph(Graph(n=2, edges=frozenset({(0, 1)})), gp)
