@@ -258,11 +258,9 @@ class _LowerBlocks:
 def _assemble_lower(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> _LowerBlocks:
     """Lambda = diag(nu) + omega J - A - Gamma as a `_LowerBlocks` store,
     built from (nu, omega, g.pairs, R, T) without the dense adjacency.  Gamma
-    comes entry by entry from R and T: Gamma_uv = R[u, c(v)] R[v, c(u)] /
-    T[c(u), c(v)], c(v) the community of v, over the row blocks a few rows at
-    a time, so each whole diagonal block is exactly symmetric and no
-    temporary exceeds _CHUNK_ENTRIES entries.  Dividing by an infinite total
-    on the diagonal of T and wherever T_ij <= 0 leaves those entries 0."""
+    comes entry by entry from R and T (`_gamma_rows`) over the row blocks a
+    few rows at a time, so each whole diagonal block is exactly symmetric and
+    no temporary exceeds _CHUNK_ENTRIES entries."""
     n, h = g.n, _CHOLESKY_BLOCK
     lab = truth.as_array()
     lam = _LowerBlocks(n, cert.omega)
@@ -271,19 +269,42 @@ def _assemble_lower(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> 
         lam.buf[lam.index(v, u)] -= 1.0
         same = u // h == v // h  # (u, v) lies in a diagonal block too
         lam.buf[lam.index(u[same], v[same])] -= 1.0
+    gamma = _gamma_rows(cert, lab)
+    for k0, k1, blk in lam.blocks:
+        for rows in _row_blocks(k1 - k0, k1):
+            blk[rows] -= gamma(slice(k0 + rows.start, k0 + rows.stop), k1)
+    lam.buf[lam.diag] += cert.nu
+    return lam
+
+
+def _gamma_rows(cert: DualCertificate, lab: np.ndarray):
+    """gamma(rows, k): the rows `rows` (a slice) of Gamma, columns [0, k),
+    by the entry formula Gamma_uv = R[u, c(v)] R[v, c(u)] / T[c(u), c(v)],
+    c = lab.  The totals table is infinite on its diagonal and wherever
+    T_ij <= 0, so those entries are exactly 0."""
     totals = np.where(cert.T > 0, cert.T, math.inf)
     np.fill_diagonal(totals, math.inf)
     r_t = np.ascontiguousarray(cert.R.T)
-    for k0, k1, blk in lam.blocks:
-        cols = lab[:k1]
-        for rows in _row_blocks(k1 - k0, k1):
-            span = slice(k0 + rows.start, k0 + rows.stop)
-            gam = np.take(cert.R[span], cols, axis=1)
-            gam *= r_t[lab[span], :k1]
-            gam /= np.take(totals[lab[span]], cols, axis=1)
-            blk[rows] -= gam
-    lam.buf[lam.diag] += cert.nu
-    return lam
+
+    def gamma(rows: slice, k: int) -> np.ndarray:
+        cols = lab[:k]
+        gam = np.take(cert.R[rows], cols, axis=1)
+        gam *= r_t[lab[rows], :k]
+        gam /= np.take(totals[lab[rows]], cols, axis=1)
+        return gam
+
+    return gamma
+
+
+def gamma_matrix(truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
+    """Gamma as a dense n x n matrix, a few rows at a time, by the entry
+    formula (`_gamma_rows`) that `_assemble_lower` uses."""
+    n = truth.n
+    gamma = _gamma_rows(cert, truth.as_array())
+    out = np.empty((n, n))
+    for rows in _row_blocks(n, n):
+        out[rows] = gamma(rows, n)
+    return out
 
 
 def build_certificate(
@@ -416,6 +437,16 @@ def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> fl
     return within - across / (r - 1) - omega * (same - (n * n - same) / (r - 1))
 
 
+def sign_minima(truth: PartitionLabels, cert: DualCertificate) -> tuple[float, float]:
+    """(r_min, t_min): the least row sum R[v, j] over v outside S_j and the
+    least block total T_ij over i < j.  The construction is sign-feasible,
+    Gamma > 0 off the diagonal blocks, when both are positive."""
+    member = truth.as_array() == np.arange(truth.r)[:, None]
+    # R[v, j] is stored per (vertex, community); select v outside S_j
+    r_min = float(np.min(cert.R[~member.T]))
+    return r_min, float(np.min(cert.T[np.triu_indices(truth.r, 1)]))
+
+
 def verify_certificate(
     g: Graph, truth: PartitionLabels, cert: DualCertificate
 ) -> CertificateReport:
@@ -433,10 +464,8 @@ def verify_certificate(
     # Gamma is zero inside communities: v's row sum within its own is zero
     gamma_blocks_zero = bool(np.all(cert.R[np.arange(n), lab] == 0.0))
     member = lab == np.arange(r)[:, None]  # member[i, v]: v lies in S_i
-    # R[v, j] is stored per (vertex, community); select v outside S_j
-    r_min = float(np.min(cert.R[~member.T]))
+    r_min, t_min = sign_minima(truth, cert)
     iu = np.triu_indices(r, 1)
-    t_min = float(np.min(cert.T[iu]))
     # a block total T_ij <= 0 leaves no rank-one block with those row sums
     t_positive = t_min > 0.0
 

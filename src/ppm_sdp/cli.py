@@ -4,7 +4,8 @@
 builds and verifies the certificate for a spectral candidate partition, and
 when that proves the candidate the unique SDP optimum it reports the
 candidate without running ADMM ("method": "certificate", iterations 0).
-Otherwise it runs ADMM and rounds ("method": "admm").
+Otherwise it runs ADMM, started from that candidate when `sdp.admm_start`
+accepts it, and rounds ("method": "admm").
 
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate

@@ -26,7 +26,8 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None, vectors=False):
     T = Q^T op Q and subtracts from op(Q_k), twice, its parts along U and
     the basis; the SVD of that remainder W_k, less the singular values at
     most 1e-12 times the largest |entry| of T or singular value so far,
-    gives the next block and T's subdiagonal block.
+    gives the next block and T's subdiagonal block (for one column, w / |w|
+    and |w|, with no SVD call).
     Checking every CHECK steps, it stops when each wanted Ritz pair
     (theta, Q s) has residual |W_k s_k| <= RTOL max|theta|, or when the next
     block is empty: the basis then spans an invariant subspace (at most the
@@ -58,7 +59,10 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None, vectors=False):
             w -= u @ (u.T @ w)
             for chunk in basis:
                 w -= chunk.T @ (chunk @ w)
-        left, s, right = np.linalg.svd(w, full_matrices=False)
+        if w.shape[1] == 1:  # its SVD is w / |w|, |w|, 1
+            s = np.linalg.norm(w, axis=0)
+        else:
+            left, s, right = np.linalg.svd(w, full_matrices=False)
         t_max = max(t_max, float(np.abs(t[start:size]).max()), float(s[0]))
         # s is descending; the basis cannot outgrow the complement
         keep = min(int(np.count_nonzero(s > 1e-12 * t_max)), cap - size)
@@ -67,7 +71,10 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None, vectors=False):
             residual = np.linalg.norm(w @ y[start:, wanted], axis=0)
             if not keep or residual.max() <= RTOL * float(np.abs(theta).max()):
                 break
-        q, coupling = left[:, :keep], s[:keep, None] * right[:keep]
+        if w.shape[1] == 1:
+            q, coupling = w / s[0], s[:, None]
+        else:
+            q, coupling = left[:, :keep], s[:keep, None] * right[:keep]
     if not vectors:
         return theta[wanted], None
     v = np.zeros((n, len(wanted)))

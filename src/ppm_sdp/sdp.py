@@ -15,8 +15,19 @@ Cholesky factorization proves that no positive eigenvalue was missed.  A
 full symmetric eigendecomposition runs when the proof fails or the rank is
 outside 1..r, as it is while the iterate's rank is still falling.
 
-`recover` tries the dual certificate first and falls back to `recover_admm`
-(build, solve, round); these are the only graph-to-partition routines.
+ADMM starts from the spectral candidate's primal-dual pair when it can
+(`admm_start`): Z is the candidate's centered partition matrix X, U is
+(C + Lambda)/rho for its unverified certificate Lambda = diag(nu) + omega J
+- A - Gamma, and the warm basis spans range(X).  The start is used only when
+the construction is sign-feasible (every R entry off a vertex's own
+community and every T_ij positive), so that U lies in the normal cone of C
+at X; otherwise, or with no candidate, ADMM starts cold from Z = I, U = 0.
+When Lambda is PSD the pair is a fixed point and one iteration meets the
+stop; the stop itself is the same from either start.
+
+`recover` tries the dual certificate first and falls back to ADMM (build,
+start, solve, round) from the same candidate; with `recover_admm`, which
+always runs ADMM, these are the only graph-to-partition routines.
 Rounding reads the labels off X thresholded at the midpoint between 1 and
 -1/(r-1); its `max_deviation`, X's distance from that pattern, is the
 distance to the labels' centered partition matrix on success and a lower
@@ -246,10 +257,15 @@ def _project_box(y: np.ndarray, lb: float, j_target: float | None) -> np.ndarray
     return z
 
 
-def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
+def solve(
+    prob: SdpProblem, opts: SolverOptions | None = None, start: tuple | None = None
+) -> SdpSolution:
     """Two-block ADMM between the PSD cone and the set C of `_project_box`:
     X = P_PSD(Z - U + C/rho), Z = P_C(X + U), U += X - Z, from Z = I and
-    U = 0.  It stops when the primal residual |X - Z|/n and the dual
+    U = 0, or from `start` = (Z0, U0, basis), basis the orthonormal columns
+    that seed the warm PSD projection (`admm_start`); U0 is copied, so no
+    array of `start` changes.
+    It stops when the primal residual |X - Z|/n and the dual
     residual rho |Z - Z_prev|/n are both below `tol`; every ADAPT_EVERY
     iterations rho doubles (halves) when the primal (dual) residual is more
     than 10 times the other, and U is rescaled by the inverse factor.
@@ -260,9 +276,12 @@ def solve(prob: SdpProblem, opts: SolverOptions | None = None) -> SdpSolution:
     lb = -1.0 / (prob.r - 1)  # entrywise lower bound of the box
     c_mat = prob.objective
     rho = RHO
-    z = np.eye(n)
-    u = np.zeros((n, n))
-    basis = np.zeros((n, 0))  # positive eigenspace of the last PSD projection
+    if start is None:
+        z, u = np.eye(n), np.zeros((n, n))
+        basis = np.zeros((n, 0))  # positive eigenspace of the last PSD projection
+    else:
+        z, u, basis = start  # z and basis are only ever rebound
+        u = np.array(u, dtype=float)
     full_projections = 0
     scale = n  # residual normalization
     primal = dual = math.inf
@@ -390,21 +409,19 @@ def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
     return RoundingResult(labels=labels, success=True, max_deviation=deviation)
 
 
-def certified_partition(
+def spectral_candidate(
     g: Graph, r: int, omega: float | None = None, sizes=None
-) -> tuple[PartitionLabels, certificate.CertificateReport] | None:
-    """A partition that the dual certificate proves to be the unique optimum
-    of the SDP, with its certificate report, or None.
+) -> tuple[PartitionLabels, certificate.DualCertificate] | None:
+    """The certificate's candidate partition and the paper's construction
+    on it, unverified, or None.
 
     The candidate clusters the top r-1 eigenvectors of A - w J, where w is
     `omega`, or the edge density 2m/n^2 when no omega is given; they are
     computed from the edge pairs (`_top_eigenpairs`), with no n x n array.
-    With `sizes` (known sizes) the candidate must have those sizes.  The edge densities
-    p_hat, q_hat within and across its communities must satisfy
-    0 < q_hat < p_hat < 1; without `omega` the certificate uses
-    omega(p_hat, q_hat).  The candidate is accepted only when the certificate
-    verifies with a PSD margin above the verifier's tolerance: uniqueness
-    needs Lambda strictly positive on the complement of span{1_i - 1_j}.
+    With `sizes` (known sizes) the candidate must have those sizes.  The
+    edge densities p_hat, q_hat within and across its communities must
+    satisfy 0 < q_hat < p_hat < 1; without `omega` the construction uses
+    omega(p_hat, q_hat), the free multiplier of <J, X> with known sizes.
 
     Raises ParameterError on the inputs build_known_sizes and
     build_unknown_sizes reject, and when r is not the number of sizes; a
@@ -440,11 +457,62 @@ def certified_partition(
     )
     if omega is None:
         omega = compute_omega(p_hat, q_hat)
-    cert = certificate.build_certificate(g, labels, params, omega=omega)
-    report = certificate.verify_certificate(g, labels, cert)
-    if not report.unique_optimum:
+    return labels, certificate.build_certificate(g, labels, params, omega=omega)
+
+
+def certified_partition(
+    g: Graph, r: int, omega: float | None = None, sizes=None
+) -> tuple[PartitionLabels, certificate.CertificateReport] | None:
+    """The `spectral_candidate` partition with its certificate report when
+    the certificate proves it the unique optimum of the SDP, or None.
+
+    The candidate is accepted only when the certificate verifies with a PSD
+    margin above the verifier's tolerance: uniqueness needs Lambda strictly
+    positive on the complement of span{1_i - 1_j}.  Raises ParameterError
+    as `spectral_candidate` does.
+    """
+    return _certified(g, spectral_candidate(g, r, omega=omega, sizes=sizes))
+
+
+def _certified(g: Graph, candidate):
+    """(labels, report) when the candidate's certificate proves it, else None."""
+    if candidate is None:
         return None
-    return labels, report
+    labels, cert = candidate
+    report = certificate.verify_certificate(g, labels, cert)
+    return (labels, report) if report.unique_optimum else None
+
+
+def admm_start(prob: SdpProblem, candidate) -> tuple | None:
+    """The ADMM start (Z0, U0, basis) that a `spectral_candidate` gives
+    `prob`, or None when there is no candidate or its construction is not
+    sign-feasible.
+
+    Z0 is the candidate's centered partition matrix X and U0 = (C + Lambda)/rho
+    the scaled dual of its certificate Lambda = diag(nu) + omega J - A - Gamma:
+    (diag(nu) - Gamma)/rho without sizes, plus omega J/rho with them, where
+    omega multiplies <J, X> = j_target.  The basis is an orthonormal basis of
+    range(X) = span{1_i - 1_j}, r - 1 columns.  Sign-feasible
+    (`certificate.sign_minima` both positive) means Gamma > 0 off the
+    diagonal blocks, so U0 lies in the normal cone of C at X; when Lambda is
+    also PSD, (X, U0) is a fixed point of `solve`.
+    """
+    if candidate is None:
+        return None
+    labels, cert = candidate
+    r_min, t_min = certificate.sign_minima(labels, cert)
+    if not (r_min > 0.0 and t_min > 0.0):
+        return None
+    n = labels.n
+    u = certificate.gamma_matrix(labels, cert)
+    np.negative(u, out=u)
+    u.flat[:: n + 1] += cert.nu
+    if prob.j_target is not None:
+        u += cert.omega
+    u /= RHO
+    ind = labels.indicator_matrix()
+    basis = np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
+    return centered_partition_matrix(labels), u, basis
 
 
 @dataclass
@@ -461,37 +529,52 @@ class Recovery:
     X: np.ndarray | None = field(default=None, repr=False)
 
 
+def _build(g: Graph, r: int, sizes, omega: float | None) -> SdpProblem:
+    """The known-sizes program when `sizes` is given, else the unknown-sizes
+    one (which needs `omega`); raises ParameterError, before any work, when
+    r is not the number of sizes."""
+    if sizes is not None:
+        return build_known_sizes(g, _check_sizes(g, sizes, r))
+    return build_unknown_sizes(g, r, omega)
+
+
+def _admm(prob: SdpProblem, opts: SolverOptions | None, candidate) -> Recovery:
+    """Solve `prob` from the candidate's `admm_start` (cold when it has
+    none), then round."""
+    sol = solve(prob, opts, admm_start(prob, candidate))
+    rounding = round_to_partition(sol, prob.r)
+    return Recovery("admm", rounding.labels, sol.objective, sol.iterations,
+                    sol.converged, rounding.max_deviation, sol.X)
+
+
 def recover_admm(
     g: Graph, r: int, *, sizes=None, omega: float | None = None,
     opts: SolverOptions | None = None,
 ) -> Recovery:
     """Solve the known-sizes program when `sizes` is given and the
-    unknown-sizes one (which needs `omega`) otherwise, then round.  Raises
+    unknown-sizes one (which needs `omega`) otherwise, started from the
+    spectral candidate when `admm_start` accepts it, then round.  Raises
     ParameterError, before any work, when r is not the number of sizes."""
-    if sizes is not None:
-        prob = build_known_sizes(g, _check_sizes(g, sizes, r))
-    else:
-        prob = build_unknown_sizes(g, r, omega)
-    sol = solve(prob, opts)
-    rounding = round_to_partition(sol, r)
-    return Recovery("admm", rounding.labels, sol.objective, sol.iterations,
-                    sol.converged, rounding.max_deviation, sol.X)
+    prob = _build(g, r, sizes, omega)
+    return _admm(prob, opts, spectral_candidate(g, r, omega=omega, sizes=sizes))
 
 
 def recover(
     g: Graph, r: int, *, sizes=None, omega: float | None = None,
     opts: SolverOptions | None = None,
 ) -> Recovery:
-    """The `certified_partition` candidate when the certificate proves it,
-    with its objective in closed form (<A, X> with `sizes`, <A - omega J, X>
-    without); otherwise `recover_admm` with the same arguments."""
+    """The `spectral_candidate` when its certificate proves it, with its
+    objective in closed form (<A, X> with `sizes`, <A - omega J, X>
+    without); otherwise `recover_admm` with the same arguments, started from
+    that same candidate, computed once."""
     if sizes is None:
         _check_omega(omega)
     else:
         _check_sizes(g, sizes, r)
-    certified = certified_partition(g, r, omega=omega, sizes=sizes)
+    candidate = spectral_candidate(g, r, omega=omega, sizes=sizes)
+    certified = _certified(g, candidate)
     if certified is None:
-        return recover_admm(g, r, sizes=sizes, omega=omega, opts=opts)
+        return _admm(_build(g, r, sizes, omega), opts, candidate)
     labels, _ = certified
     _, e_ij = certificate.edge_counts(g, labels)
     omega_j = 0.0 if sizes is not None else omega

@@ -321,6 +321,17 @@ class TestConstruction:
                 for k0, k1, blk in lam.blocks:
                     assert np.array_equal(blk, expected[k0:k1, :k1])
 
+    def test_gamma_matrix_is_the_dense_gamma(self):
+        # the instances of the assembly identity, T_ij <= 0 blocks included
+        for (pi, labels), low_omega in itertools.product(
+            [(STRONG.pi, "planted"), (PI_8, "shuffled")], (False, True)
+        ):
+            par = dataclasses.replace(STRONG, r=len(pi), pi=pi)
+            g, truth = case_instance(par, 0, labels)
+            cert = build_certificate(g, truth, par, omega=par.q / 2 if low_omega else None)
+            gamma = certificate.gamma_matrix(truth, cert)
+            assert np.array_equal(gamma, dense_gamma(truth, cert))
+
     def test_community_gamma_sums_equal_c(self, strong_instance):
         g, truth, cert = strong_instance
         lab = truth.as_array()
@@ -570,6 +581,22 @@ class TestPsdProof:
         report = verify_certificate(g, truth, build_certificate(g, truth, par))
         assert not calls
         assert report.verified == (labels == "planted")
+
+    def test_one_column_lanczos_runs_no_svd(self, monkeypatch):
+        # the margin's Lanczos has one column per step: the next block is
+        # the remainder over its norm
+        n = 200
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(n, n)))
+        ev = np.linspace(-1.0, 3.0, n)
+        m = (q * ev) @ q.T
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        certs = [(t, build_certificate(g, t, par)) for t in (truth, swap_two(truth))]
+        monkeypatch.setattr(np.linalg, "svd", None)
+        theta, _ = lanczos.extreme_pairs(lambda x: m @ x, n, 1, [0, -1])
+        assert np.max(np.abs(theta - ev[[0, -1]])) <= 1e-9
+        verdicts = [verify_certificate(g, t, cert).verified for t, cert in certs]
+        assert verdicts == [True, False]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3])

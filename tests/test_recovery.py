@@ -15,7 +15,9 @@ import pytest
 import ppm_sdp
 from ppm_sdp import harness, lanczos, sdp
 from ppm_sdp.cli import EXIT_NO_CONVERGENCE, EXIT_ROUNDING_FAILURE, main
-from ppm_sdp.graph_model import Graph, PlantedPartitionParams, sample_ppm, write_graph
+from ppm_sdp.graph_model import (
+    AdversarySpec, Graph, PlantedPartitionParams, apply_adversary, sample_ppm, write_graph,
+)
 from ppm_sdp.harness import labels_agree
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
@@ -79,7 +81,8 @@ class TestRecover:
             ({"sizes": truth.sizes()}, sdp.build_known_sizes(g, truth.sizes())),
             ({"omega": omega}, sdp.build_unknown_sizes(g, 3, omega)),
         ):
-            sol = sdp.solve(prob, OPTS)
+            start = sdp.admm_start(prob, sdp.spectral_candidate(g, 3, **kwargs))
+            sol = sdp.solve(prob, OPTS, start)
             rounding = sdp.round_to_partition(sol, 3)
             rec = sdp.recover_admm(g, 3, opts=OPTS, **kwargs)
             assert rec.labels == rounding.labels and labels_agree(rec.labels, truth)
@@ -127,6 +130,70 @@ class TestRecover:
                     call(g, 2, sizes=sizes)
             with pytest.raises(ParameterError, match="integers"):
                 sdp.build_known_sizes(g, sizes)
+
+
+# above the threshold, where a cold solve takes 53-59 iterations
+P12 = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=12, q_tilde=2)
+
+
+def both_modes(g, par, truth):
+    """(recover keyword arguments, program) for known and unknown sizes."""
+    omega = compute_omega(par.p, par.q)
+    return (
+        ({"sizes": truth.sizes()}, sdp.build_known_sizes(g, truth.sizes())),
+        ({"omega": omega}, sdp.build_unknown_sizes(g, truth.r, omega)),
+    )
+
+
+class TestAdmmStart:
+    """ADMM starts from the spectral candidate's primal-dual pair when its
+    construction is sign-feasible, and cold otherwise."""
+
+    def test_started_solve_stops_at_once(self):
+        g, truth = sample_ppm(P12, 401)
+        opts = sdp.SolverOptions(tol=1e-5, max_iters=5000)
+        for kwargs, prob in both_modes(g, P12, truth):
+            start = sdp.admm_start(prob, sdp.spectral_candidate(g, 3, **kwargs))
+            assert start is not None
+            cold, started = sdp.solve(prob, opts), sdp.solve(prob, opts, start)
+            assert cold.converged and cold.iterations > 3
+            assert started.converged and started.iterations <= 3
+            assert started.full_projections == 0
+            labels = sdp.round_to_partition(started, 3).labels
+            assert labels == sdp.round_to_partition(cold, 3).labels
+            assert labels_agree(labels, truth)
+            assert np.max(np.abs(started.X - cold.X)) <= 1e-3
+
+    @pytest.mark.parametrize("case", ["weak", "subcommunity_plant"])
+    def test_rejected_start_is_the_cold_start(self, case):
+        if case == "weak":
+            par, (g, truth) = WEAK, sample_ppm(WEAK, 3)
+        else:
+            par, (g, truth) = P12, sample_ppm(P12, 1)
+            spec = AdversarySpec(kind="subcommunity_plant",
+                                 params={"community": 0, "size": 30, "density": 1.0})
+            g = apply_adversary(g, truth, spec, 1)
+        for kwargs, prob in both_modes(g, par, truth):
+            assert sdp.admm_start(prob, sdp.spectral_candidate(g, truth.r, **kwargs)) is None
+            cold = sdp.solve(prob, OPTS)
+            rec = sdp.recover_admm(g, truth.r, opts=OPTS, **kwargs)
+            assert np.array_equal(rec.X, cold.X)
+            assert (rec.objective, rec.iterations, rec.converged) == (
+                cold.objective, cold.iterations, cold.converged
+            )
+
+    def test_solve_leaves_the_start_unchanged(self):
+        g, truth = sample_ppm(STRONG, 2)
+        prob = sdp.build_known_sizes(g, truth.sizes())
+        start = sdp.admm_start(prob, sdp.spectral_candidate(g, 3, sizes=truth.sizes()))
+        before = [a.copy() for a in start]
+        opts = sdp.SolverOptions(tol=1e-300, max_iters=5)  # five updates of Z and U
+        first = sdp.solve(prob, opts, start)
+        assert first.iterations == 5
+        assert all(np.array_equal(a, b) for a, b in zip(start, before))
+        # so a replay of the same call, as the traced benchmark makes, repeats it
+        again = sdp.solve(prob, opts, start)
+        assert np.array_equal(again.X, first.X) and again.objective == first.objective
 
 
 def test_only_sdp_builds_solves_or_rounds():
@@ -216,5 +283,5 @@ class TestPinnedAdmmOutputs:
              "mean_iterations": "500.0"},
             {**common, "p_tilde": "14.0", "min_divergence": "2.7084973778708186",
              "recovered": "2", "cert_verified": "2", "recovery_rate": "1", "verified_rate": "1",
-             "mean_iterations": "13.5"},
+             "mean_iterations": "1.0"},
         ]
