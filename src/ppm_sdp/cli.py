@@ -13,12 +13,13 @@ verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
 a flag its mode needs left out, an --r that disagrees with --sizes or
 exceeds the graph's n, a --tol that is not finite and positive or a
 --max-iters below 1, a config whose max_iters, trials or n_grid entries are
-not integers, an oracle run with no finite objective (such as a non-finite
---omega), a rate matrix that is not symmetric and positive, invalid
-parameters, an adversary spec, model or config whose fields do not fit, an
-adversary that cannot apply to its graph, a malformed graph or label file,
-malformed JSON, or a file that cannot be read or written.  A one-line
-message goes to standard error.
+not integers or whose tol is not a number (a JSON bool is neither), an
+oracle run with no finite objective (such as a non-finite --omega), a rate
+matrix that is not symmetric and positive, invalid parameters, an adversary
+spec, model or config whose fields do not fit, an adversary that cannot
+apply to its graph, a malformed graph or label file, malformed JSON, or a
+file that cannot be read or written.  A one-line message goes to standard
+error.
 """
 
 from __future__ import annotations

@@ -68,9 +68,12 @@ class ExperimentConfig:
             self.adversary = AdversarySpec(**self.adversary)
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
-        if not (float(self.trials).is_integer() and self.trials >= 1):
+        # a JSON bool would pass as the number 0 or 1
+        if isinstance(self.trials, bool) or not (
+            float(self.trials).is_integer() and self.trials >= 1
+        ):
             raise ParameterError(f"need an integer number of trials >= 1, got {self.trials}")
-        if not all(float(n).is_integer() for n in self.n_grid):
+        if not all(not isinstance(n, bool) and float(n).is_integer() for n in self.n_grid):
             raise ParameterError(f"n_grid {self.n_grid} is not all integers")
         self.trials = int(self.trials)
         if not self.cells():

@@ -22,8 +22,9 @@ ADMM starts from the spectral candidate's primal-dual pair when it can
 the construction is sign-feasible (every R entry off a vertex's own
 community and every T_ij positive), so that U lies in the normal cone of C
 at X; otherwise, or with no candidate, ADMM starts cold from Z = I, U = 0.
-When Lambda is PSD the pair is a fixed point and one iteration meets the
-stop; the stop itself is the same from either start.
+When Lambda is PSD the pair is a fixed point: the first projection's
+warm proof holds, and one iteration meets the stop with no full
+eigendecomposition.  The stop itself is the same from either start.
 
 `recover` tries the dual certificate first and falls back to ADMM (build,
 start, solve, round) from the same candidate; with `recover_admm`, which
@@ -77,15 +78,17 @@ PROOF_SHIFT = 1e-12  # the Cholesky proof's delta over the largest |Ritz value|
 class SolverOptions:
     """ADMM stopping rule: residuals below `tol` (finite, > 0), or
     `max_iters` (an integer >= 1, such as 50 or 50.0) iterations; anything
-    else raises ParameterError."""
+    else, a bool too, raises ParameterError."""
 
     tol: float = 1e-6
     max_iters: int = 20000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"need a finite tol > 0, got {self.tol}")
-        if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
+        if isinstance(self.max_iters, bool) or not (
+            float(self.max_iters).is_integer() and self.max_iters >= 1
+        ):
             raise ParameterError(f"need an integer max_iters >= 1, got {self.max_iters}")
         self.max_iters = int(self.max_iters)
 
@@ -98,7 +101,6 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     converged: bool
-    full_projections: int = 0  # PSD projections that ran a full eigh
 
 
 @dataclass
@@ -161,33 +163,25 @@ def objective_value(g: Graph, X: np.ndarray, omega: float | None = None) -> floa
     return value
 
 
-def _project_psd(y: np.ndarray, v: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(P, V, full): the projection of y onto the PSD cone, an orthonormal
-    basis of its positive eigenspace, and whether a full eigendecomposition
-    made them.
-
-    `v` is the basis the previous projection returned.  When it has 1 to r
-    columns, the Rayleigh-Ritz pairs of y on the block Krylov space
-    [v, yv, ..., y^s v] (s = KRYLOV_POWERS) give P = V diag(theta) V^T over
-    the positive Ritz values theta.  A Cholesky factorization of
-    P - y + delta I, delta = PROOF_SHIFT times the largest absolute Ritz
-    value, proves y - P <= delta I: no positive eigenvalue above delta was
-    missed.  When the factorization fails, or v has 0 or more than r columns,
-    a full eigendecomposition of y gives P and reseeds V.
-    """
-    if 1 <= v.shape[1] <= r:
-        warm = _warm_projection(y, v)
-        if warm is not None:
-            return *warm, False
+def _project_psd(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, V): the projection of y onto the PSD cone and an orthonormal
+    basis of its positive eigenspace, from a full eigendecomposition."""
     w, v = np.linalg.eigh(y)
     pos = w > 0
     vp = v[:, pos]
-    return (vp * w[pos]) @ vp.T, vp, True
+    return (vp * w[pos]) @ vp.T, vp
 
 
 def _warm_projection(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(P, V) from the Ritz pairs of y on [v, yv, ..., y^s v] when the
-    Cholesky proof holds, else None."""
+    """(P, V) as `_project_psd` gives them, from the Rayleigh-Ritz pairs of
+    y on the block Krylov space [v, yv, ..., y^s v] (s = KRYLOV_POWERS) when
+    the proof below holds, else None.
+
+    P = V diag(theta) V^T over the positive Ritz values theta and their
+    Ritz vectors V.  A Cholesky factorization of P - y + delta I, delta =
+    PROOF_SHIFT times the largest absolute Ritz value, proves y - P <=
+    delta I: no positive eigenvalue above delta was missed.
+    """
     blocks = [v]
     for _ in range(KRYLOV_POWERS):
         blocks.append(y @ blocks[-1])
@@ -264,7 +258,9 @@ def solve(
     X = P_PSD(Z - U + C/rho), Z = P_C(X + U), U += X - Z, from Z = I and
     U = 0, or from `start` = (Z0, U0, basis), basis the orthonormal columns
     that seed the warm PSD projection (`admm_start`); U0 is copied, so no
-    array of `start` changes.
+    array of `start` changes.  P_PSD is `_warm_projection` from the basis of
+    the last one's positive eigenspace when that has 1 to r columns, and
+    the full `_project_psd` otherwise or when the warm proof fails.
     It stops when the primal residual |X - Z|/n and the dual
     residual rho |Z - Z_prev|/n are both below `tol`; every ADAPT_EVERY
     iterations rho doubles (halves) when the primal (dual) residual is more
@@ -282,7 +278,6 @@ def solve(
     else:
         z, u, basis = start  # z and basis are only ever rebound
         u = np.array(u, dtype=float)
-    full_projections = 0
     scale = n  # residual normalization
     primal = dual = math.inf
     it = 0
@@ -290,9 +285,9 @@ def solve(
         y = c_mat / rho
         y += z
         y -= u
-        x, basis, full = _project_psd(y, basis, prob.r)
+        warm = _warm_projection(y, basis) if 1 <= basis.shape[1] <= prob.r else None
+        x, basis = _project_psd(y) if warm is None else warm
         del y  # freed before the box projection
-        full_projections += full
         z_new = _project_box(x + u, lb, prob.j_target)
         dual = rho * float(np.linalg.norm(z_new - z)) / scale
         z = z_new
@@ -314,7 +309,6 @@ def solve(
         dual_residual=dual,
         iterations=it,
         converged=converged,
-        full_projections=full_projections,
     )
 
 
@@ -495,7 +489,8 @@ def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     range(X) = span{1_i - 1_j}, r - 1 columns.  Sign-feasible
     (`certificate.sign_minima` both positive) means Gamma > 0 off the
     diagonal blocks, so U0 lies in the normal cone of C at X; when Lambda is
-    also PSD, (X, U0) is a fixed point of `solve`.
+    also PSD, (X, U0) is a fixed point of `solve`, and the first projection's
+    warm proof on the basis holds, with no full eigendecomposition.
     """
     if candidate is None:
         return None

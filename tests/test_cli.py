@@ -464,6 +464,8 @@ class TestUsageErrors:
         ("tol", -1.0), ("max_iters", 0),
         # fractional counts: range() would raise inside a trial, int() would truncate
         ("max_iters", 50.5), ("trials", 1.5), ("n_grid", [60.7]),
+        # JSON booleans are not numbers: true once ran as tol 1.0 or 1 iteration
+        ("tol", True), ("max_iters", True), ("trials", True), ("n_grid", [40, True]),
     ])
     def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg = tmp_path / "cfg.json"

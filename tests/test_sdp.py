@@ -201,21 +201,20 @@ class TestSolve:
 
 def reference_projection(y):
     """(P, |y|): the PSD projection from a full eigendecomposition, the
-    dense reference for the warm projection, and the spectral norm of y."""
+    dense reference for `solve`'s projections, and the spectral norm of y."""
     w, v = np.linalg.eigh(y)
     pos = w > 0
     return (v[:, pos] * w[pos]) @ v[:, pos].T, float(np.max(np.abs(w)))
 
 
-def reference_solve(prob, opts, visit=lambda y, p, norm: None):
-    """The two-block loop of `solve` with the reference projection on every
-    iteration; visit(y, P, |y|) sees each projection.  Returns (X, its)."""
+def reference_solve(prob, opts):
+    """The two-block loop of a cold `solve` with the reference projection on
+    every iteration.  Returns (X, its)."""
     n, lb, rho = prob.n, -1.0 / (prob.r - 1), sdp.RHO
     z, u = np.eye(n), np.zeros((n, n))
     for it in range(1, opts.max_iters + 1):
         y = prob.objective / rho + z - u
-        x, norm = reference_projection(y)
-        visit(y, x, norm)
+        x, _ = reference_projection(y)
         z_prev, z = z, sdp._project_box(x + u, lb, prob.j_target)
         u = u + (x - z)
         primal = float(np.linalg.norm(x - z)) / n
@@ -241,6 +240,34 @@ def spectrum_matrix(eigenvalues, seed):
     return 0.5 * (y + y.T), q
 
 
+def record_projections(monkeypatch, r):
+    """Wrap `solve`'s two PSD projections.  The returned list logs each call
+    as ("full", columns of the basis returned) or ("warm", columns of the
+    basis given, whether the proof held); a warm try must be given 1 to r
+    columns, and each proved warm P must be entrywise within 1e-13 |Y| of
+    the full eigh."""
+    log = []
+    full, warm = sdp._project_psd, sdp._warm_projection
+
+    def counted_full(y):
+        p, v = full(y)
+        log.append(("full", v.shape[1]))
+        return p, v
+
+    def checked_warm(y, v):
+        assert 1 <= v.shape[1] <= r
+        out = warm(y, v)
+        log.append(("warm", v.shape[1], out is not None))
+        if out is not None:
+            want, norm = reference_projection(y)
+            assert np.max(np.abs(out[0] - want)) <= 1e-13 * norm
+        return out
+
+    monkeypatch.setattr(sdp, "_project_psd", counted_full)
+    monkeypatch.setattr(sdp, "_warm_projection", checked_warm)
+    return log
+
+
 class TestWarmProjection:
     """The PSD projection warm-started from the last positive eigenspace
     against the full-eigh reference."""
@@ -249,30 +276,32 @@ class TestWarmProjection:
     OPTS = SolverOptions(tol=1e-5, max_iters=5000)
 
     @pytest.mark.parametrize("seed", [401, 402, 403])
-    def test_known_sizes_solve_matches_the_reference(self, seed):
-        # every projection on the reference's iterates, warm-started as in
-        # `solve`, is entrywise within 1e-13 |Y| of the full eigh (the
-        # warm one measured at most 2e-16 |Y| here); the solve then takes the
-        # reference's iteration count.  The iterate's rank falls to r - 1
-        # over the first few iterations, each a full eigh, and that start is
-        # most of a 15-iteration solve: 8 or 9 of them run the eigh
+    def test_known_sizes_solve_matches_the_reference(self, seed, monkeypatch):
+        # the cold solve takes the reference's iteration count and ends
+        # within 1e-12 of its X.  The iterate's rank falls to r - 1 over the
+        # first few iterations, each a full eigh, and that start is most of
+        # a 15-iteration solve: 8 or 9 of them run the eigh.  Started from
+        # the candidate, the solve stops after one warm projection on the
+        # start's r - 1 columns, next to the reference's X
         g, truth = sample_ppm(self.PARAMS, seed)
         prob = build_known_sizes(g, truth.sizes())
-        state = {"basis": np.zeros((g.n, 0)), "warm": 0}
-
-        def visit(y, p, norm):
-            got, state["basis"], full = _project_psd(y, state["basis"], prob.r)
-            state["warm"] += not full
-            assert np.max(np.abs(got - p)) <= 1e-13 * norm
-
-        x_ref, iterations = reference_solve(prob, self.OPTS, visit)
+        x_ref, iterations = reference_solve(prob, self.OPTS)
+        log = record_projections(monkeypatch, prob.r)
         sol = solve(prob, self.OPTS)
-        assert sol.iterations == iterations
-        assert sol.iterations - sol.full_projections == state["warm"]
-        assert sol.full_projections <= 10
+        fulls = sum(e[0] == "full" for e in log)
+        proved = sum(e[0] == "warm" and e[2] for e in log)
+        assert sol.iterations == iterations == fulls + proved
+        assert fulls <= 10
         assert np.max(np.abs(sol.X - x_ref)) <= 1e-12
+        log.clear()
+        start = sdp.admm_start(prob, sdp.spectral_candidate(g, 3, sizes=truth.sizes()))
+        started = solve(prob, self.OPTS, start)
+        assert started.converged and started.iterations == 1
+        assert log == [("warm", 2, True)]
+        assert np.max(np.abs(started.X - x_ref)) <= 1e-3
+        assert labels_agree(round_to_partition(started, 3).labels, truth)
 
-    def test_full_projections_reproduce_the_reference_bit_for_bit(self):
+    def test_full_projections_reproduce_the_reference_bit_for_bit(self, monkeypatch):
         # below the threshold the iterate's rank stays above r, so every
         # projection is a full eigh and the loop must be the reference's
         par = PlantedPartitionParams(n=120, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=2)
@@ -280,34 +309,45 @@ class TestWarmProjection:
         prob = build_known_sizes(g, truth.sizes())
         opts = SolverOptions(tol=1e-5, max_iters=150)
         x_ref, iterations = reference_solve(prob, opts)
+        log = record_projections(monkeypatch, prob.r)
         sol = solve(prob, opts)
-        assert sol.iterations == iterations == sol.full_projections
+        assert sol.iterations == iterations == len(log)
+        assert all(kind == "full" for kind, *_ in log)
         assert np.array_equal(sol.X, x_ref)
 
     def test_a_missed_positive_eigenvalue_fails_the_proof(self):
         # the warm basis spans the eigenvectors of 5 and 3, and the Krylov
         # space never leaves it, so the third positive eigenvalue 2 is
-        # missed; the Cholesky proof rejects, and the full eigh answers
+        # missed and the Cholesky proof rejects.  From the full eigh's
+        # basis, or from the whole space, the warm projection agrees with it
         eigenvalues = [5.0, 3.0, 2.0] + np.linspace(-4.0, -0.5, 57).tolist()
         y, q = spectrum_matrix(eigenvalues, 0)
         want, norm = reference_projection(y)
-        p, basis, full = _project_psd(y, q[:, :2], 3)
-        assert full and basis.shape == (60, 3)
-        assert np.array_equal(p, want)
-        # from that full basis the warm path is taken and agrees
-        p, basis, full = _project_psd(y, basis, 3)
-        assert not full and basis.shape == (60, 3)
-        assert np.max(np.abs(p - want)) <= 1e-13 * norm
+        assert sdp._warm_projection(y, q[:, :2]) is None
+        p, basis = _project_psd(y)
+        assert basis.shape == (60, 3) and np.array_equal(p, want)
+        for v in (basis, q):
+            p, found = sdp._warm_projection(y, v)
+            assert found.shape == (60, 3)
+            assert np.max(np.abs(p - want)) <= 1e-13 * norm
 
-    def test_rank_outside_one_to_r_runs_the_full_eigh(self):
-        y, q = spectrum_matrix([4.0, 3.0, 2.0, 1.0] + [-1.0] * 36, 1)
-        want, _ = reference_projection(y)
-        for basis in (q[:, :0], q[:, :4]):
-            p, new, full = _project_psd(y, basis, 3)
-            assert full and new.shape == (40, 4) and np.array_equal(p, want)
-        # a warm try that finds no positive Ritz value proves P = 0
-        p, new, full = _project_psd(-np.eye(5), np.eye(5)[:, :1], 2)
-        assert not full and new.shape == (5, 0) and not p.any()
+    def test_rank_outside_one_to_r_runs_the_full_eigh(self, monkeypatch):
+        # a warm try needs the last positive eigenspace to have 1 to r
+        # columns: from the fixed point's start with a basis of 0 or r + 1
+        # columns, the first projection is the full eigh
+        g, truth = sample_ppm(self.PARAMS, 401)
+        prob = build_known_sizes(g, truth.sizes())
+        z, u, basis = sdp.admm_start(prob, sdp.spectral_candidate(g, 3, sizes=truth.sizes()))
+        wide = np.linalg.qr(np.hstack([basis, np.eye(g.n)[:, :2]]))[0]
+        log = record_projections(monkeypatch, prob.r)
+        for v in (basis[:, :0], wide):
+            log.clear()
+            solve(prob, SolverOptions(max_iters=1), (z, u, v))
+            assert [kind for kind, *_ in log] == ["full"]
+        # a warm try that finds no positive Ritz value proves P = 0; its
+        # basis of 0 columns then sends the next projection to the full eigh
+        p, v = sdp._warm_projection(-np.eye(5), np.eye(5)[:, :1])
+        assert v.shape == (5, 0) and not p.any()
 
     def test_the_warm_proof_holds_at_n_600(self, monkeypatch):
         # the Cholesky proof fails when the iterate's r-th eigenvalue falls
@@ -732,12 +772,14 @@ class TestMatrixFreeCandidate:
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    # True once passed as tol 1.0
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True])
     def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
         with pytest.raises(ParameterError, match="tol"):
             SolverOptions(tol=tol)
 
     def test_rejects_max_iters_below_one(self):
-        with pytest.raises(ParameterError, match="max_iters"):
-            SolverOptions(max_iters=0)
+        for bad in (0, True):  # True once ran one iteration
+            with pytest.raises(ParameterError, match="max_iters"):
+                SolverOptions(max_iters=bad)
         assert SolverOptions(tol=1e-3, max_iters=1).max_iters == 1
