@@ -12,14 +12,21 @@ failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
 a flag its mode needs left out, an --r that disagrees with --sizes or
 exceeds the graph's n, a --tol that is not finite and positive or a
---max-iters below 1, a config whose max_iters, trials or n_grid entries are
-not integers or whose tol is not a number (a JSON bool is neither), an
-oracle run with no finite objective (such as a non-finite --omega), a rate
-matrix that is not symmetric and positive, invalid parameters, an adversary
-spec, model or config whose fields do not fit, an adversary that cannot
-apply to its graph, a malformed graph or label file, malformed JSON, or a
-file that cannot be read or written.  A one-line message goes to standard
-error.
+--max-iters below 1, a config whose max_iters, trials, seed_base or n_grid
+entries are not integers or whose tol, p_tilde_grid or q_tilde_grid entries
+are not numbers, a model whose n or r is not an integer or whose p_tilde or
+q_tilde is not a number (a JSON bool is neither), an oracle run with no
+finite objective (such as a non-finite --omega), a rate matrix that is not
+symmetric and positive, invalid parameters, an adversary spec, model or
+config whose fields do not fit, an adversary that cannot apply to its graph,
+a malformed graph or label file, malformed JSON, or a file that cannot be
+read or written.  A one-line message goes to standard error.
+
+Each command imports the modules it runs when it runs: `threshold`, `sample`
+and `adversary` load only `graph_model` and `thresholds`, so a process pays
+for `sdp`, `certificate`, `harness` or `oracle` only when its command uses
+them.  `sample_ppm`, `read_graph` and `apply_adversary` stay bound here, where
+`benchmarks/tracing.py` wraps them.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import certificate, harness, oracle, sdp, thresholds
+from . import thresholds
 from .graph_model import (
     AdversarySpec,
     GraphFormatError,
@@ -145,6 +152,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import sdp
+
     r = _require_mode_args(args)
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     g = read_graph(args.graph)
@@ -174,12 +183,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     r = _require_mode_args(args)
     g = read_graph(args.graph)
+    max_n = oracle.MAX_N if args.max_n is None else args.max_n
     if args.mode == "known":
-        result = oracle.mle_known_sizes(g, args.sizes, max_n=args.max_n)
+        result = oracle.mle_known_sizes(g, args.sizes, max_n=max_n)
     else:
-        result = oracle.mle_unknown_sizes(g, r, args.omega, max_n=args.max_n)
+        result = oracle.mle_unknown_sizes(g, r, args.omega, max_n=max_n)
     info = {
         "objective": result.best_objective,
         "is_unique": result.is_unique,
@@ -193,6 +205,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import certificate
+
     g = read_graph(args.graph)
     truth = read_labels(args.labels)
     pi = tuple((truth.sizes() / truth.n).tolist())
@@ -205,12 +219,16 @@ def cmd_certify(args) -> int:
     return EXIT_OK if report.verified else EXIT_NOT_VERIFIED
 
 
-def _config_from_args(args) -> harness.ExperimentConfig:
+def _config_from_args(args):
+    from . import harness
+
     with open(args.config) as f:
         return harness.ExperimentConfig.from_json(f.read())
 
 
 def cmd_phase(args) -> int:
+    from . import harness
+
     cfg = _config_from_args(args)
     harness.run_phase_diagram(cfg, csv_path=args.out)
     cells = len(cfg.cells())
@@ -219,6 +237,8 @@ def cmd_phase(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    from . import harness
+
     cfg = _config_from_args(args)
     result = harness.run_robustness_suite(cfg, csv_path=args.out)
     print(
@@ -235,6 +255,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_tails(args) -> int:
+    from . import harness
+
     params = _params_from_args(args)
     result = harness.tail_exponent_demo(
         params, args.i, args.j, args.trials, seed=args.seed
@@ -246,6 +268,8 @@ def cmd_tails(args) -> int:
 
 
 def cmd_omega_sweep(args) -> int:
+    from . import harness, sdp
+
     g = read_graph(args.graph)
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
     entries = harness.omega_sweep(g, args.r, args.omegas, opts)
@@ -306,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=comma_list(int))
     p.add_argument("--omega", type=float)
     p.add_argument("--r", type=int)
-    p.add_argument("--max-n", type=int, default=oracle.MAX_N)
+    p.add_argument("--max-n", type=int, help="largest n to enumerate (default: oracle.MAX_N)")
     p.add_argument("--out-labels")
     p.set_defaults(func=cmd_oracle)
 

@@ -27,7 +27,7 @@ from .graph_model import (
     apply_adversary,
     sample_ppm,
 )
-from .thresholds import ParameterError, bind_json
+from .thresholds import ParameterError, bind_json, is_integral, is_number
 
 ALGORITHMS = ("solve-known", "solve-unknown", "certify-only")
 
@@ -68,14 +68,18 @@ class ExperimentConfig:
             self.adversary = AdversarySpec(**self.adversary)
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
-        # a JSON bool would pass as the number 0 or 1
-        if isinstance(self.trials, bool) or not (
-            float(self.trials).is_integer() and self.trials >= 1
-        ):
+        # a JSON bool would pass as the number 0 or 1, and a seed_base of
+        # 1.0 or true would hash as "1.0" or "True", not as 1
+        if not (is_integral(self.trials) and self.trials >= 1):
             raise ParameterError(f"need an integer number of trials >= 1, got {self.trials}")
-        if not all(not isinstance(n, bool) and float(n).is_integer() for n in self.n_grid):
+        if not is_integral(self.seed_base):
+            raise ParameterError(f"need an integer seed_base, got {self.seed_base}")
+        if not all(is_integral(n) for n in self.n_grid):
             raise ParameterError(f"n_grid {self.n_grid} is not all integers")
-        self.trials = int(self.trials)
+        for name in ("p_tilde_grid", "q_tilde_grid"):
+            if not all(is_number(x) for x in getattr(self, name)):
+                raise ParameterError(f"{name} {getattr(self, name)} is not all numbers")
+        self.trials, self.seed_base = int(self.trials), int(self.seed_base)
         if not self.cells():
             raise ParameterError("the grid has no cell with p_tilde > q_tilde")
         sdp.SolverOptions(tol=self.tol, max_iters=self.max_iters)  # raises when invalid

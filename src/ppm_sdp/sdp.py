@@ -48,7 +48,7 @@ import numpy as np
 
 from . import certificate, lanczos
 from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, check_sizes
-from .thresholds import ParameterError, compute_omega
+from .thresholds import ParameterError, compute_omega, is_integral, is_number
 
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
@@ -84,11 +84,9 @@ class SolverOptions:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol > 0):
+        if not (is_number(self.tol) and math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"need a finite tol > 0, got {self.tol}")
-        if isinstance(self.max_iters, bool) or not (
-            float(self.max_iters).is_integer() and self.max_iters >= 1
-        ):
+        if not (is_integral(self.max_iters) and self.max_iters >= 1):
             raise ParameterError(f"need an integer max_iters >= 1, got {self.max_iters}")
         self.max_iters = int(self.max_iters)
 

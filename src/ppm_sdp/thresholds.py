@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -17,6 +18,17 @@ import numpy as np
 
 class ParameterError(ValueError):
     """Raised when model parameters are outside their domain."""
+
+
+def is_number(x) -> bool:
+    """Whether x is a real number; a bool, such as a JSON true, is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def is_integral(x) -> bool:
+    """Whether x is a number with an integer value, such as 50 or 50.0; an
+    int too large for a float is one."""
+    return is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 def bind_json(fn, obj, what: str):

@@ -235,6 +235,43 @@ class TestSolve:
         assert json.loads(proc.stderr.splitlines()[-1]) == {"code": EXIT_OK, "scipy": False}
 
 
+# the ppm_sdp modules a command leaves loaded in a fresh interpreter
+LOADED_BY_ALL = ["ppm_sdp", "ppm_sdp.cli", "ppm_sdp.graph_model", "ppm_sdp.thresholds"]
+LOADED_BY_CERTIFY = ["ppm_sdp.certificate", "ppm_sdp.lanczos"]
+
+
+class TestModulesOnDemand:
+    @pytest.mark.parametrize("command, extra", [
+        ("threshold", []),
+        ("sample", []),
+        ("certify", LOADED_BY_CERTIFY),
+        ("solve", ["ppm_sdp.sdp", *LOADED_BY_CERTIFY]),  # sdp certifies first
+    ])
+    def test_a_command_loads_only_its_modules(self, tmp_path, sampled, command, extra):
+        gp, lp = sampled
+        argv = {
+            "threshold": ["--n", "120", "--pi", "0.5,0.5", "--p-tilde", "16", "--q-tilde", "2"],
+            "sample": ["--n", "120", "--pi", "0.5,0.5", "--p-tilde", "16", "--q-tilde", "2",
+                       "--out-graph", str(tmp_path / "s.graph"), "--out-labels", str(tmp_path / "s.labels")],
+            "certify": ["--graph", str(gp), "--labels", str(lp), "--p-tilde", "16", "--q-tilde", "2"],
+            "solve": ["--graph", str(gp), "--mode", "known", "--sizes", "60,60"],
+        }[command]
+        script = (
+            "import json, sys\n"
+            "from ppm_sdp.cli import main\n"
+            f"code = main({[command, *argv]!r})\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'ppm_sdp')\n"
+            "print(json.dumps({'code': code, 'loaded': loaded}), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ppm_sdp.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stderr.splitlines()[-1])
+        assert result == {"code": EXIT_OK, "loaded": sorted(LOADED_BY_ALL + extra)}
+
+
 class TestOracle:
     def test_known_mode(self, tmp_path, capsys):
         gp = tmp_path / "g.txt"
@@ -466,6 +503,8 @@ class TestUsageErrors:
         ("max_iters", 50.5), ("trials", 1.5), ("n_grid", [60.7]),
         # JSON booleans are not numbers: true once ran as tol 1.0 or 1 iteration
         ("tol", True), ("max_iters", True), ("trials", True), ("n_grid", [40, True]),
+        # true once hashed trial seeds from the string "True", or ran q̃ = 1.0
+        ("seed_base", True), ("seed_base", 1.5), ("p_tilde_grid", [True]), ("q_tilde_grid", [True]),
     ])
     def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg = tmp_path / "cfg.json"
@@ -665,6 +704,17 @@ class TestUsageErrors:
             "--spec", str(path), "--out-graph", str(out),
         )
         assert named in line and not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", True), ("p_tilde", True), ("q_tilde", True),
+    ])
+    def test_threshold_model_with_a_bool_or_fraction(self, tmp_path, capsys, field, value):
+        # a p_tilde of true once ran as 1.0 and exited 0
+        model = tmp_path / "model.json"
+        obj = {"n": 100, "r": 2, "pi": [0.5, 0.5], "p_tilde": 8, "q_tilde": 0.5, field: value}
+        model.write_text(json.dumps(obj))
+        line = self.usage_error(capsys, "threshold", "--model", str(model))
+        assert field in line
 
     def test_threshold_model_without_r(self, tmp_path, capsys):
         model = tmp_path / "model.json"

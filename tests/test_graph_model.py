@@ -213,6 +213,19 @@ class TestParams:
         with pytest.raises(ParameterError):
             PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=60, q_tilde=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", True), ("r", 2.5), ("r", True),
+        ("p_tilde", True), ("q_tilde", True), ("q_tilde", "0.5"),
+    ])
+    def test_rejects_a_bool_or_fraction(self, field, value):
+        base = dict(n=100, r=2, pi=(0.5, 0.5), p_tilde=8, q_tilde=0.5)
+        with pytest.raises(ParameterError, match=field):
+            PlantedPartitionParams(**{**base, field: value})
+
+    def test_an_integral_n_is_an_int(self):
+        par = PlantedPartitionParams(n=100.0, r=np.int64(2), pi=(0.5, 0.5), p_tilde=8, q_tilde=0.5)
+        assert (type(par.n), type(par.r)) == (int, int) and (par.n, par.r) == (100, 2)
+
 
 class TestCommunitySizes:
     def test_largest_remainder(self):
@@ -362,11 +375,20 @@ class TestChunkedPairs:
             hashed.append((seed, len(u)))
             return pair_uniforms(seed, u, v)
 
+        # every pair's final hash goes through _uniform: the additions' draw
+        # over the triangle calls it directly, the removals through pair_uniforms
+        uniform, keys = graph_model._uniform, []
+
+        def counting_keys(x):
+            keys.append(len(x))
+            return uniform(x)
+
         monkeypatch.setattr(graph_model, "pair_uniforms", counting)
+        monkeypatch.setattr(graph_model, "_uniform", counting_keys)
         assert apply_adversary(g, truth, spec, 17) == expected
         rem_seed = _derive_seed(17, 0x4E)
         assert sum(k for seed, k in hashed if seed == rem_seed) == g.m
-        assert sum(k for _, k in hashed) == g.m + PINNED.n * (PINNED.n - 1) // 2
+        assert sum(keys) == g.m + PINNED.n * (PINNED.n - 1) // 2
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_random_monotone_on_tiny_graphs(self, n):
@@ -377,6 +399,30 @@ class TestChunkedPairs:
         truth = PartitionLabels(labels=tuple(range(n)), r=n)
         spec = AdversarySpec("random_monotone", {"delta_rem": 1.0})
         assert apply_adversary(Graph(n, [(0, 1)] if n == 2 else ()), truth, spec, 0).m == 0
+
+
+class TestDrawPairs:
+    """_draw_pairs, which hashes each vertex once and each pair once, draws
+    exactly the pairs of pair_uniforms over the whole triangle."""
+
+    @staticmethod
+    def reference(n, lab, rate, seed):
+        iu, iv = np.triu_indices(n, 1)
+        hit = pair_uniforms(seed, iu, iv) < rate[lab[iu], lab[iv]]
+        return np.column_stack((iu[hit], iv[hit]))
+
+    # n = 1000 spans 8 blocks of _CHUNK_PAIRS (TestChunkedPairs)
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 1000])
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_matches_pair_uniforms_over_the_triangle(self, n, seed):
+        lab = np.arange(n) % 3
+        for rate in (
+            np.full((3, 3), 0.5),
+            np.array([[0.9, 0.1, 0.0], [0.1, 0.6, 0.2], [0.0, 0.2, 0.3]]),
+        ):
+            got = graph_model._draw_pairs(n, lab, rate, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self.reference(n, lab, rate, seed))
 
 
 class TestMemory:
@@ -718,6 +764,17 @@ class TestSerialization:
         path = tmp_path / "g.txt"
         write_graph(Graph(n=3, edges=frozenset({(1, 2), (0, 2), (0, 1)})), path)
         assert path.read_text() == "3 3\n0 1\n0 2\n1 2\n"
+
+    @pytest.mark.parametrize("n, p_tilde", [(5, None), (120, 16), (2000, 21)])
+    def test_bytes_are_the_per_edge_format(self, tmp_path, n, p_tilde):
+        if p_tilde is None:  # m = 0
+            g = Graph(n)
+        else:
+            g, _ = sample_ppm(PlantedPartitionParams(n, 2, (0.5, 0.5), p_tilde, 2), 1)
+        path = tmp_path / "g.txt"
+        write_graph(g, path)
+        lines = [f"{g.n} {g.m}\n"] + [f"{u} {v}\n" for u, v in g.sorted_edges()]
+        assert path.read_bytes() == "".join(lines).encode()
 
     def test_roundtrip_fixpoint(self, tmp_path):
         par = PlantedPartitionParams(n=200, r=2, pi=(0.5, 0.5), p_tilde=15, q_tilde=2)

@@ -83,6 +83,12 @@ class TestConfig:
         with pytest.raises(ParameterError):
             small_config(algorithm="magic")
 
+    def test_an_integral_seed_base_is_an_int(self):
+        # trial_seed hashes the text of seed_base: 7.0 must seed as 7 does
+        cfg = small_config(seed_base=7.0)
+        assert type(cfg.seed_base) is int and cfg.seed_base == 7
+        assert small_config(seed_base=10**400).seed_base == 10**400  # beyond a float
+
 
 class TestTrialSeed:
     def test_stable_and_distinct(self):
