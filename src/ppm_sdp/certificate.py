@@ -28,7 +28,7 @@ eigvalsh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,6 @@ class DualCertificate:
     gamma_prime: np.ndarray = field(repr=False)  # pre-correction choice
     alpha_v: np.ndarray = field(repr=False)  # interval lower endpoints
     beta_v: np.ndarray = field(repr=False)  # interval upper endpoints
-    kappa: np.ndarray  # per-community interpolation weight, clamped to [0,1]
-    delta: np.ndarray  # per-community additive correction
     alpha_bar: np.ndarray  # deterministic proxy for the summed lower endpoint
     beta_bar: np.ndarray  # deterministic proxy for the summed upper endpoint
     R: np.ndarray = field(repr=False)  # vertex x community row-sum table
@@ -77,7 +75,6 @@ class CertificateReport:
     psd_ok: bool
     slackness_gap: float
     slackness_ok: bool
-    construction_ok: bool  # t_positive: no block total T_ij <= 0
     verified: bool
 
     @property
@@ -87,15 +84,7 @@ class CertificateReport:
         return self.verified and self.psd_margin > self.psd_tol
 
     def to_dict(self) -> dict:
-        return {k: _jsonable(v) for k, v in self.__dict__.items()}
-
-
-def _jsonable(v):
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
+        return asdict(self)
 
 
 def edge_counts(g: Graph, truth: PartitionLabels) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +104,8 @@ def edge_counts(g: Graph, truth: PartitionLabels) -> tuple[np.ndarray, np.ndarra
 
 
 def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
-    """The per-vertex and per-community quantities of one construction pass."""
+    """(certificate, delta): one construction pass and its per-community
+    additive corrections delta_i."""
     lab = truth.as_array()
     sizes = truth.sizes().astype(float)
     r = truth.r
@@ -158,20 +148,12 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     t_mat = omega * np.outer(sizes, sizes) - e_ij - c
     np.fill_diagonal(t_mat, 0.0)
 
-    return {
-        "alpha_v": alpha_v,
-        "beta_v": beta_v,
-        "gamma_prime": gamma_prime,
-        "gamma_v": gamma_v,
-        "delta": delta,
-        "kappa": kappa,
-        "alpha_bar": alpha_bar,
-        "beta_bar": beta_bar,
-        "nu": nu,
-        "R": big_r,
-        "T": t_mat,
-        "c": c,
-    }
+    cert = DualCertificate(
+        omega=omega, c=c, eps1=eps1, eps2=eps2, nu=nu, gamma_v=gamma_v,
+        gamma_prime=gamma_prime, alpha_v=alpha_v, beta_v=beta_v,
+        alpha_bar=alpha_bar, beta_bar=beta_bar, R=big_r, T=t_mat,
+    )
+    return cert, delta
 
 
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of an update or its temporaries
@@ -333,12 +315,9 @@ def build_certificate(
     base = math.log(n) / math.log(math.log(n))
     e_vj, e_ij = edge_counts(g, truth)
     p, q = params.p, params.q
-    pass1 = _construct(truth, omega, p, q, e_vj, e_ij, omega + base, 1.0, c)
-    dmax = float(np.max(np.abs(pass1["delta"])))
-    eps1 = dmax + omega + base
-    eps2 = dmax + 1.0
-    out = _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c)
-    return DualCertificate(omega=omega, eps1=eps1, eps2=eps2, **out)
+    _, delta = _construct(truth, omega, p, q, e_vj, e_ij, omega + base, 1.0, c)
+    dmax = float(np.max(np.abs(delta)))
+    return _construct(truth, omega, p, q, e_vj, e_ij, dmax + omega + base, dmax + 1.0, c)[0]
 
 
 def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
@@ -416,7 +395,8 @@ def _proven_ends(lam: _LowerBlocks, truth: PartitionLabels) -> tuple[float, floa
     A failure means Lanczos missed the bottom of the spectrum.
     """
     u = _compress(lam, truth)
-    (lo, hi), _ = lanczos.extreme_pairs(lam.__matmul__, len(lam), 1, [0, -1], deflate=u)
+    theta, _ = lanczos.extreme_pairs(lam.__matmul__, len(lam), 1, [0, -1], deflate=u)
+    lo, hi = theta.tolist()  # Python floats, as the report holds
     lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)
@@ -452,9 +432,13 @@ def verify_certificate(
 ) -> CertificateReport:
     """Check the optimality conditions at documented tolerances.
 
-    Never raises; returns a report whose `verified` flag is the conjunction
-    of all component checks.
+    Returns a report, Python floats and bools only, whose `verified` flag is
+    the conjunction of all component checks; a failed check is a verdict,
+    not an error.  Raises ParameterError only when the labels and the graph
+    disagree on n.
     """
+    if truth.n != g.n:
+        raise ParameterError("labels and graph disagree on n")
     lab = truth.as_array()
     sizes = truth.sizes()
     n, r = g.n, truth.r
@@ -479,7 +463,7 @@ def verify_certificate(
             a, b = cert.R[member[i], j], cert.R[member[j], i]
             corners = [x * y for x in (a.min(), a.max()) for y in (b.min(), b.max())]
             gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
-            gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / cert.T[i, j]
+            gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / float(cert.T[i, j])
 
     lam = _assemble_lower(g, truth, cert)
     lam_max = lam.abs_max()
@@ -511,17 +495,10 @@ def verify_certificate(
     nu_ok = nu_min >= nu_target
     r_positive = r_min > 0.0
     gamma_off_positive = gamma_off_min > 0.0
-    verified = bool(
-        intervals_nonempty
-        and nu_ok
-        and r_positive
-        and t_positive
-        and gamma_blocks_zero
-        and gamma_off_positive
-        and kernel_ok
-        and psd_ok
-        and slackness_ok
-    )
+    verified = all((
+        intervals_nonempty, nu_ok, r_positive, t_positive, gamma_blocks_zero,
+        gamma_off_positive, kernel_ok, psd_ok, slackness_ok,
+    ))
     return CertificateReport(
         intervals_nonempty=intervals_nonempty,
         interval_margin=interval_margin,
@@ -542,6 +519,5 @@ def verify_certificate(
         psd_ok=psd_ok,
         slackness_gap=slackness_gap,
         slackness_ok=slackness_ok,
-        construction_ok=t_positive,
         verified=verified,
     )

@@ -43,13 +43,18 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PartitionLabels:
-    """Assignment of each vertex to a community in [0, r)."""
+    """Assignment of each vertex to a community in [0, r): integer labels,
+    by the dtype rule of `Graph`'s vertex ids, and an integral r."""
 
     labels: tuple
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        lab = np.asarray(self.labels)
+        if (lab.size and lab.dtype.kind not in "iu") or not is_integral(self.r):
+            raise ParameterError(f"labels and r must be integers, got {lab.dtype} and {self.r!r}")
+        object.__setattr__(self, "labels", tuple(lab.tolist()))
+        object.__setattr__(self, "r", int(self.r))
         if self.r < 1:
             raise ParameterError("need at least one community")
         seen = set(self.labels)
@@ -487,6 +492,8 @@ def _subcommunity_plant(g, truth, seed, size: int, community: int = 0, density: 
     members = truth.members(community)
     if not 0 <= size <= len(members):
         raise ParameterError(f"sub-community size {size} is not in [0, {len(members)}]")
+    if not 0.0 <= density <= 1.0:  # NaN included
+        raise ParameterError(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(_derive_seed(seed, 0x5B))
     chosen = np.sort(rng.choice(members, size=size, replace=False))
     a, b = np.triu_indices(len(chosen), 1)
@@ -573,13 +580,15 @@ _ADVERSARIES = {
 
 def _fits(value, kind) -> bool:
     """Whether a param value has its annotated type: a number for float, an
-    integer for int (a bool is neither), a rectangular list of numbers for list."""
+    integral number for int, such as 5 or 5.0 (a bool is neither), a
+    rectangular list of numbers for list."""
+    if kind is not list:
+        return (is_integral if kind is int else is_number)(value)
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged list
         return False
-    numeric = array.dtype.kind in ("iu" if kind is int else "iuf")
-    return numeric and (array.ndim > 0) == (kind is list)
+    return array.dtype.kind in "iuf" and array.ndim > 0
 
 
 def _bound_params(spec: AdversarySpec) -> dict:
@@ -596,6 +605,8 @@ def _bound_params(spec: AdversarySpec) -> dict:
             args[name] = bind_json(kind, value, f"{spec.kind} param {name}")
         elif not _fits(value, kind):
             raise ParameterError(f"{spec.kind} param {name} must be {kind.__name__}, got {value!r}")
+        elif kind is int:
+            args[name] = int(value)  # 5.0 as 5: rng.choice takes only an int size
     return args
 
 

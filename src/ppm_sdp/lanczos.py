@@ -14,12 +14,12 @@ BASIS_ROWS = 32  # basis vectors per row chunk of the basis
 SEED = 0  # the fixed start block: results are reproducible
 
 
-def extreme_pairs(op, n: int, block: int, wanted, deflate=None, vectors=False):
+def extreme_pairs(op, n: int, block: int, wanted, deflate=None):
     """(theta, V): the Ritz values of the symmetric `op`, which maps an
     (n, b) block to its product, at the indices `wanted` into the ascending
-    Ritz values ([0, -1] are both ends), and, when `vectors` is set, their
-    Ritz vectors as columns (else V is None).  With `deflate`, orthonormal
-    columns U, the Krylov space stays in the orthogonal complement of U.
+    Ritz values ([0, -1] are both ends), and their Ritz vectors as columns.
+    With `deflate`, orthonormal columns U, the Krylov space stays in the
+    orthogonal complement of U.
 
     Block Lanczos with full reorthogonalization from a fixed pseudo-random
     block of `block` columns.  Step k puts Q_k^T op(Q_k) on the diagonal of
@@ -75,8 +75,6 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None, vectors=False):
             q, coupling = w / s[0], s[:, None]
         else:
             q, coupling = left[:, :keep], s[:keep, None] * right[:keep]
-    if not vectors:
-        return theta[wanted], None
     v = np.zeros((n, len(wanted)))
     for i, chunk in enumerate(basis):
         rows = y[i * BASIS_ROWS : (i + 1) * BASIS_ROWS, wanted]

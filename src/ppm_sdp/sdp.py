@@ -375,7 +375,7 @@ def _top_eigenpairs(g: Graph, w: float, k: int) -> tuple[np.ndarray, np.ndarray]
         y -= w * x.sum(axis=0)
         return y
 
-    return lanczos.extreme_pairs(op, g.n, k + 2, -1 - np.arange(k), vectors=True)
+    return lanczos.extreme_pairs(op, g.n, k + 2, -1 - np.arange(k))
 
 
 def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:

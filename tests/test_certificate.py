@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -10,7 +11,10 @@ from scipy.linalg import helmert
 
 from ppm_sdp import certificate, lanczos
 from ppm_sdp.certificate import (
+    CertificateReport,
+    _assemble_lower,
     _cholesky_in_place,
+    _compress,
     _compressed_spectrum,
     _LowerBlocks,
     build_certificate,
@@ -205,8 +209,7 @@ def dense_reference_report(g, truth, cert):
     ref.psd_ok = ref.psd_margin >= -ref.psd_tol
     ref.slackness_ok = ref.slackness_gap <= 1e-6 * (1.0 + n * math.log(n))
     ref.verified = bool(
-        ref.construction_ok
-        and ref.intervals_nonempty
+        ref.intervals_nonempty
         and ref.nu_ok
         and ref.r_positive
         and ref.t_positive
@@ -399,11 +402,33 @@ class TestVerification:
         assert not report.verified
 
     def test_report_is_jsonable(self, strong_instance):
-        import json
-
         g, truth, cert = strong_instance
         text = json.dumps(verify_certificate(g, truth, cert).to_dict())
         assert "verified" in text
+
+    @pytest.mark.parametrize("case", ["planted", "swapped", "half-q omega"])
+    def test_report_is_plain_data(self, case):
+        # the half-q omega leaves blocks with T_ij <= 0
+        g, truth = sample_ppm(STRONG, 0)
+        truth = swap_two(truth) if case == "swapped" else truth
+        omega = STRONG.q / 2 if case == "half-q omega" else None
+        report = verify_certificate(g, truth, build_certificate(g, truth, STRONG, omega=omega))
+        d = report.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(CertificateReport)]
+        assert d == report.__dict__ and "construction_ok" not in d
+        assert {type(v) for v in d.values()} <= {bool, float}
+        assert json.loads(json.dumps(d)) == d
+        assert (d["verified"], d["t_positive"]) == (case == "planted", case != "half-q omega")
+
+    @pytest.mark.parametrize("size", [299, 301])
+    def test_labels_of_another_n_raise(self, strong_instance, size):
+        # a shorter label tuple once raised IndexError here
+        g, truth, cert = strong_instance
+        other = PartitionLabels(labels=(truth.labels + truth.labels)[:size], r=truth.r)
+        with pytest.raises(ParameterError, match="disagree on n"):
+            verify_certificate(g, other, cert)
+        with pytest.raises(ParameterError, match="disagree on n"):
+            build_certificate(g, other, STRONG)
 
 
 class TestCompressedPsd:
@@ -496,7 +521,7 @@ class TestDenseReference:
         g, truth = sample_ppm(par, 7)
         cert = build_certificate(g, truth, par, omega=par.q / 2)
         report = self.assert_same_verdicts(g, truth, cert)
-        assert not report.construction_ok
+        assert not report.t_positive
         assert report.gamma_off_min <= 0.0 and not report.verified
 
 
@@ -597,6 +622,20 @@ class TestPsdProof:
         assert np.max(np.abs(theta - ev[[0, -1]])) <= 1e-9
         verdicts = [verify_certificate(g, t, cert).verified for t, cert in certs]
         assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("labels", ["planted", "swapped"])
+    def test_margin_lanczos_returns_ritz_pairs(self, labels):
+        # the certificate's call shape: one column, deflated by span{1_i - 1_j}
+        par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, 7, labels)
+        lam = _assemble_lower(g, truth, build_certificate(g, truth, par))
+        u = _compress(lam, truth)
+        theta, v = lanczos.extreme_pairs(lam.__matmul__, g.n, 1, [0, -1], deflate=u)
+        assert v.shape == (g.n, 2)
+        assert np.allclose(v.T @ v, np.eye(2), atol=1e-12, rtol=0)
+        assert np.max(np.abs(u.T @ v)) <= 1e-12
+        residual = np.linalg.norm(lam @ v - v * theta, axis=0)
+        assert np.all(residual <= lanczos.RTOL * np.max(np.abs(theta)))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -311,6 +312,21 @@ class TestAdversary:
         )
         assert code == EXIT_OK
         assert read_graph(og).edges == frozenset({(0, 1), (2, 3)})
+
+    def test_integral_float_size(self, tmp_path, capsys, sampled):
+        # {"size": 5.0} once exited 64, while a config's "trials": 5.0 ran
+        gp, lp = sampled
+        outs = []
+        for size in (5, 5.0):
+            sp, og = tmp_path / f"spec-{size}.json", tmp_path / f"out-{size}.txt"
+            sp.write_text(json.dumps({"kind": "subcommunity_plant", "params": {"size": size}}))
+            code, _ = run(
+                capsys, "adversary", "--graph", str(gp), "--labels", str(lp),
+                "--spec", str(sp), "--out-graph", str(og), "--seed", "1",
+            )
+            assert code == EXIT_OK
+            outs.append(og.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestCertify:
@@ -689,10 +705,17 @@ class TestUsageErrors:
                 },
                 "disagree with the labels",
             ),
+            ({"kind": "subcommunity_plant", "params": {"size": 10, "density": 2.0}}, "density"),
+            ({"kind": "subcommunity_plant", "params": {"size": 10, "density": math.nan}}, "density"),
+            ({"kind": "subcommunity_plant", "params": {"size": 10, "density": math.inf}}, "density"),
+            ({"kind": "subcommunity_plant", "params": {"size": 10, "density": -1.0}}, "density"),
+            ({"kind": "subcommunity_plant", "params": {"size": True}}, "size"),
+            ({"kind": "subcommunity_plant", "params": {"size": 5.5}}, "size"),
         ],
         ids=[
             "misspelt", "missing", "wrong-type", "base-missing-field", "fractional-id",
-            "base-other-pi", "base-other-r",
+            "base-other-pi", "base-other-r", "density-2", "density-nan", "density-inf",
+            "density-negative", "bool-size", "fractional-size",
         ],
     )
     def test_adversary_params_that_do_not_fit(self, tmp_path, capsys, sampled, spec, named):

@@ -117,6 +117,24 @@ class TestPartitionLabels:
         with pytest.raises(ParameterError):
             PartitionLabels(labels=(0, 3), r=2)
 
+    @pytest.mark.parametrize("labels, r", [
+        ((0, 1.7, 1), 2),  # once silently (0, 1, 1)
+        ((0, 1.0, 1), 2),
+        (np.array([0.0, 1.0]), 2),
+        ((0, "1"), 2),
+        ((0, 1, 1), 2.5),  # once a TypeError
+        ((0, 1, 1), True),
+        ((0, 1, 1), "2"),
+    ])
+    def test_rejects_non_integer_labels_or_r(self, labels, r):
+        with pytest.raises(ParameterError, match="integers"):
+            PartitionLabels(labels=labels, r=r)
+
+    def test_integer_arrays_and_an_integral_r(self):
+        lab = PartitionLabels(labels=np.array([0, 1, 1], dtype=np.uint8), r=2.0)
+        assert lab == PartitionLabels(labels=(0, 1, 1), r=2)
+        assert type(lab.r) is int and all(type(x) is int for x in lab.labels)
+
     def test_same_community_matrix(self):
         lab = PartitionLabels(labels=(0, 1, 0), r=2)
         m = lab.same_community_matrix()
@@ -590,15 +608,37 @@ class TestAdversaries:
             ("none", {"delta_add": 0.3}, "delta_add"),
             ("random_monotone", {"delta_add": "0.3"}, "delta_add"),
             ("random_monotone", {"delta_rem": True}, "delta_rem"),
-            ("subcommunity_plant", {"size": 8.0}, "size"),
+            ("subcommunity_plant", {"size": 8.5}, "size"),
             ("scripted", {"add": [[0, 1], [2]]}, "add"),
             ("scripted", {"remove": [[0, "1"]]}, "remove"),
             ("sbm_dominate", {"q_tilde_prime": [[21, 1], [1, 21]], "base": {"n": 200}}, "base"),
+            ("subcommunity_plant", {"size": True}, "size"),
+            ("hub_plant", {"hubs": 2, "degree": math.inf}, "degree"),
         ],
     )
     def test_params_bind_to_the_signature(self, kind, params, named):
         with pytest.raises(ParameterError, match=named):
             AdversarySpec(kind, params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("subcommunity_plant", {"size": 8, "community": 1}),
+        ("hub_plant", {"hubs": 2, "degree": 10, "community": 1}),
+    ])
+    def test_integral_floats_bind_as_ints(self, instance, kind, params):
+        # a JSON 8.0 is the integer 8, as a config's "trials": 5.0 is
+        g, truth = instance
+        as_floats = {name: float(value) for name, value in params.items()}
+        spec = AdversarySpec(kind, as_floats)
+        assert all(type(v) is int for v in graph_model._bound_params(spec).values())
+        assert apply_adversary(g, truth, spec, 3) == apply_adversary(g, truth, AdversarySpec(kind, params), 3)
+
+    @pytest.mark.parametrize("density", [2.0, 1.0 + 1e-12, math.nan, math.inf, -1.0, -math.inf])
+    def test_subcommunity_density_outside_the_unit_interval(self, instance, density):
+        # 2.0, NaN and inf once planted the whole clique, and -1.0 nothing
+        g, truth = instance
+        spec = AdversarySpec("subcommunity_plant", {"size": 10, "density": density})
+        with pytest.raises(ParameterError, match="density"):
+            apply_adversary(g, truth, spec, 3)
 
     def test_defaults_come_from_the_signature(self, instance):
         g, truth = instance
