@@ -12,17 +12,20 @@ then forced, and each off-diagonal block of Gamma is the unique rank-one
 matrix with those row and column sums.  The certificate keeps Gamma in that
 factored form (nu, R, T); nothing in it is n x n.
 
-Verification assembles Lambda straight from (nu, omega, the edge pairs, R,
-T), without the dense adjacency, and keeps only its lower triangle, in row
-blocks of _CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large
-array of a verification.  Every check reads that store: the largest entry,
-the kernel product, the compression onto the orthogonal complement of
-span{1_i - 1_j}, Lanczos (`lanczos`), whose least Ritz value is the PSD
-margin and bounds the least eigenvalue from above only, and one in-place
-Cholesky factorization of the compressed matrix, shifted to just below that
-value, which proves the bound from below.  Only when the factorization fails
-is the store assembled again and expanded to a dense matrix for an exact
-eigvalsh.
+Verification first runs Lanczos (`lanczos`) on the operator x -> Lambda x,
+which reads only the edge pairs, nu, omega and the factored Gamma (R, T),
+restricted to the orthogonal complement of span{1_i - 1_j}: its least Ritz
+value is the PSD margin, and bounds the least compressed eigenvalue from
+above only.  Then it assembles Lambda from the same data, without the dense
+adjacency, and keeps only its lower triangle, in row blocks of
+_CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large array of
+a verification, never live beside the Lanczos basis.  That store gives the
+largest entry, the kernel product, the compression onto the complement and
+one in-place Cholesky factorization of the compressed matrix, shifted to
+just below the margin, which proves the bound from below.  Only when the
+factorization fails is the store assembled again and expanded to a dense
+matrix for an exact eigvalsh.  A poor Ritz value can therefore only send a
+verification down that dense route; it cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -278,6 +281,35 @@ def _gamma_rows(cert: DualCertificate, lab: np.ndarray):
     return gamma
 
 
+def _lambda_operator(g: Graph, truth: PartitionLabels, cert: DualCertificate):
+    """x -> Lambda x for an (n, b) block x, from (nu, omega, g.pairs, R, T)
+    without the store: nu x + omega 1 (1^T x) - A x (`Graph.matvec`) - Gamma x.
+
+    By the entry formula of `_gamma_rows`, (Gamma x)_u is the sum over
+    communities j != c(u) with T[c(u), j] > 0 of
+    R[u, j] / T[c(u), j] * sum_{v in S_j} R[v, c(u)] x_v: the r x r table of
+    inner sums costs O(n r^2 b), and each row then sums r terms."""
+    n, r = g.n, truth.r
+    lab = truth.as_array()
+    totals = np.where(cert.T > 0, cert.T, math.inf)
+    np.fill_diagonal(totals, math.inf)
+    coef = cert.R / totals[lab]  # coef[u, j] = R[u, j] / T[c(u), j], or 0
+    ind = truth.indicator_matrix()
+    nu = cert.nu[:, None]
+
+    def op(x: np.ndarray) -> np.ndarray:
+        b = x.shape[1]
+        # sums[j, i] = sum_{v in S_j} R[v, i] x_v, one row per column of x
+        sums = (ind.T @ (cert.R[:, :, None] * x[:, None, :]).reshape(n, r * b)).reshape(r, r, b)
+        y = nu * x
+        y += cert.omega * x.sum(axis=0)
+        y -= g.matvec(x)
+        y -= np.einsum("uj,jub->ub", coef, sums[:, lab])
+        return y
+
+    return op
+
+
 def gamma_matrix(truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
     """Gamma as a dense n x n matrix, a few rows at a time, by the entry
     formula (`_gamma_rows`) that `_assemble_lower` uses."""
@@ -320,9 +352,16 @@ def build_certificate(
     return _construct(truth, omega, p, q, e_vj, e_ij, dmax + omega + base, dmax + 1.0, c)[0]
 
 
-def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
-    """Overwrite the stored symmetric Lambda with M = P Lambda P + s U U^T
-    and return U, an orthonormal basis of span{1_i - 1_j}, with P = I - U U^T.
+def span_basis(truth: PartitionLabels) -> np.ndarray:
+    """U, an orthonormal basis of span{1_i - 1_j}: r - 1 columns, from the QR
+    factorization of the columns 1_i - 1_{r-1}, i < r - 1."""
+    ind = truth.indicator_matrix()
+    return np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
+
+
+def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> None:
+    """Overwrite the stored symmetric Lambda with M = P Lambda P + s U U^T,
+    with U = `span_basis(truth)` and P = I - U U^T.
 
     M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
     complement of the span, plus s, r - 1 times.  s exceeds the largest
@@ -332,8 +371,7 @@ def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
     each whole diagonal block stays symmetric up to rounding.
     """
     r = truth.r
-    ind = truth.indicator_matrix()
-    u, _ = np.linalg.qr(ind[:, :-1] - ind[:, -1:])
+    u = span_basis(truth)
     s = 1.0 + float(lam.abs_row_sums().max())
     w = lam @ u
     k = u.T @ w
@@ -344,7 +382,6 @@ def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
             span = slice(k0 + rows.start, k0 + rows.stop)
             blk[rows] -= b[span] @ u[:k1].T
             blk[rows] -= u[span] @ b[:k1].T
-    return u
 
 
 def _compressed_spectrum(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
@@ -384,25 +421,39 @@ def _psd_tol(lam_2: float) -> float:
     return 1e-8 * max(lam_2, 1.0)
 
 
-def _proven_ends(lam: _LowerBlocks, truth: PartitionLabels) -> tuple[float, float] | None:
-    """(least, largest) compressed eigenvalue of Lambda, as Ritz values,
-    or None when the proof below fails.  Overwrites `lam`.
+def _margin_ritz(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> tuple[float, float]:
+    """(theta_min, theta_max): the end Ritz values of Lambda on the
+    orthogonal complement of span{1_i - 1_j}, by one-column Lanczos on
+    `_lambda_operator`, deflated by `span_basis`.  Python floats, as the
+    report holds; theta_min bounds the least compressed eigenvalue from
+    above only."""
+    op = _lambda_operator(g, truth, cert)
+    theta, _ = lanczos.extreme_pairs(op, g.n, 1, [0, -1], deflate=span_basis(truth))
+    lo, hi = theta.tolist()
+    return lo, hi
 
-    Lanczos on M (see `_compress`) gives theta_min and theta_max.  Then one
-    Cholesky factorization of M - (theta_min - tol) I, tol = _psd_tol, proves
-    in floating point that no compressed eigenvalue lies below
-    theta_min - tol; the r - 1 copies of s lie above every other eigenvalue.
-    A failure means Lanczos missed the bottom of the spectrum.
+
+def _proven_ends(
+    lam: _LowerBlocks, truth: PartitionLabels, ritz: tuple[float, float]
+) -> tuple[float, float] | None:
+    """`ritz`, the (least, largest) compressed Ritz values of Lambda from
+    `_margin_ritz`, once proven, or None when the proof fails.  Overwrites
+    `lam`.
+
+    One Cholesky factorization of M - (theta_min - tol) I, M from
+    `_compress` and tol = _psd_tol, proves in floating point that no
+    compressed eigenvalue lies below theta_min - tol; the r - 1 copies of s
+    lie above every other eigenvalue.  A failure means Lanczos missed the
+    bottom of the spectrum.
     """
-    u = _compress(lam, truth)
-    theta, _ = lanczos.extreme_pairs(lam.__matmul__, len(lam), 1, [0, -1], deflate=u)
-    lo, hi = theta.tolist()  # Python floats, as the report holds
+    lo, hi = ritz
+    _compress(lam, truth)
     lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)
     except np.linalg.LinAlgError:
         return None
-    return lo, hi
+    return ritz
 
 
 def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
@@ -465,6 +516,7 @@ def verify_certificate(
             gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
             gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / float(cert.T[i, j])
 
+    ritz = _margin_ritz(g, truth, cert)  # before the store: never both at once
     lam = _assemble_lower(g, truth, cert)
     lam_max = lam.abs_max()
     # Lambda (1_i - 1_j) is column i minus column j of K = Lambda [1_0 ... 1_r-1],
@@ -472,7 +524,7 @@ def verify_certificate(
     kernel_residual = float(np.ptp(lam @ truth.indicator_matrix(), axis=1).max())
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
 
-    ends = _proven_ends(lam, truth)
+    ends = _proven_ends(lam, truth, ritz)
     del lam  # its buffer now holds a Cholesky factor
     if ends is None:  # the exact, dense route, from a fresh Lambda
         spectrum = _compressed_spectrum(_assemble_lower(g, truth, cert), truth)

@@ -11,9 +11,11 @@ Every reader and writer works on one edge form, the sorted int64 pair array
 from __future__ import annotations
 
 import inspect
+import io
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +90,14 @@ class PartitionLabels:
         return lab[:, None] == lab[None, :]
 
 
+def _holds_bool(value) -> bool:
+    """Whether a nested list or tuple holds a bool, such as a JSON true,
+    which np.asarray turns into the integer 1 beside integers."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _pair_index(n: int, e: np.ndarray) -> np.ndarray:
     """Position of each pair (u, v), u < v, in the row-major upper triangle
     (the order of np.triu_indices(n, 1)): u n - u(u+1)/2 + v - u - 1, that
@@ -108,9 +118,10 @@ class Graph:
     `pairs` is the one edge form every program path reads: a read-only,
     sorted, duplicate-free int64 (m, 2) array of the edges (u, v), u < v.
     `Graph(n, edges)` takes n >= 0 and integer (u, v) pairs or an (m, 2)
-    integer array; repeats collapse, and a negative n, a non-integer id or
-    the first pair outside 0 <= u < v < n raises ParameterError.  `edges` and `sorted_edges()` are
-    tuple views built on each call, for callers outside the program.
+    integer array; repeats collapse, and a negative n, a non-integer id (a
+    bool is none) or the first pair outside 0 <= u < v < n raises
+    ParameterError.  `edges` and `sorted_edges()` are tuple views built on
+    each call, for callers outside the program.
     """
 
     n: int
@@ -120,7 +131,13 @@ class Graph:
         n = int(n)
         if n < 0:
             raise ParameterError(f"need n >= 0, got n={n}")
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if isinstance(edges, np.ndarray):  # its dtype says it all
+            e = edges
+        else:
+            edges = list(edges)
+            if _holds_bool(edges):
+                raise ParameterError("edges must be integer (u, v) pairs, got a bool")
+            e = np.asarray(edges)
         if e.size and (e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu"):
             raise ParameterError(f"edges must be integer (u, v) pairs, got {e.dtype} {e.shape}")
         e = e.astype(np.int64, copy=False).reshape(-1, 2)
@@ -168,17 +185,35 @@ class Graph:
     def sorted_edges(self) -> list:
         return list(zip(*self.pairs.T.tolist()))
 
+    @cached_property
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nbr, rows, starts): every vertex's neighbours in ascending order,
+        vertex after vertex, as one int64 array, built once from `pairs`;
+        the vertices with at least one neighbour; and where each of their
+        runs begins.  Vertex w's run holds its lower neighbours (pairs
+        (u, w), by a stable sort on v) and then its higher ones (pairs
+        (w, v), already grouped), each placed by a prefix sum of degrees."""
+        u, v = self.pairs.T
+        down, up = np.bincount(v, minlength=self.n), np.bincount(u, minlength=self.n)
+        nbr = np.empty(2 * len(u), dtype=np.int64)
+        k = np.arange(len(u))
+        nbr[k + np.cumsum(down)[u]] = v
+        order = np.argsort(v, kind="stable")
+        nbr[k + (np.cumsum(up) - up)[v[order]]] = u[order]
+        degree = down + up
+        rows = np.flatnonzero(degree)
+        return nbr, rows, (np.cumsum(degree) - degree)[rows]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for an (n, k) block x, summed from the edge pairs by
-        np.bincount, one column at a time: O(m + n k) memory, no dense
-        adjacency."""
-        n = self.n
-        u, v = np.ascontiguousarray(self.pairs.T)
+        """A @ x for an (n, k) block x, one column at a time: each row sums
+        its run of the cached neighbour index by np.add.reduceat.  O(m + n k)
+        memory, no dense adjacency; a vertex without neighbours gets 0."""
+        nbr, rows, starts = self._neighbours
         cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
-        out = np.empty(cols.shape)
-        for col, y in zip(cols, out):
-            y[:] = np.bincount(u, col[v], n)
-            y += np.bincount(v, col[u], n)
+        out = np.zeros(cols.shape)
+        if len(nbr):  # reduceat needs a non-empty array
+            for col, y in zip(cols, out):
+                y[rows] = np.add.reduceat(col[nbr], starts)
         return out.T
 
     def adjacency(self) -> np.ndarray:
@@ -581,14 +616,14 @@ _ADVERSARIES = {
 def _fits(value, kind) -> bool:
     """Whether a param value has its annotated type: a number for float, an
     integral number for int, such as 5 or 5.0 (a bool is neither), a
-    rectangular list of numbers for list."""
+    rectangular list of numbers for list (a bool inside is none)."""
     if kind is not list:
         return (is_integral if kind is int else is_number)(value)
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged list
         return False
-    return array.dtype.kind in "iuf" and array.ndim > 0
+    return array.dtype.kind in "iuf" and array.ndim > 0 and not _holds_bool(value)
 
 
 def _bound_params(spec: AdversarySpec) -> dict:
@@ -648,7 +683,55 @@ def _edges_by_line(body: list, n: int) -> set:
     return edges
 
 
-def read_graph(path) -> Graph:
+_PLAIN = b"0123456789 \t\r\n"  # the bytes write_graph writes, tabs and CRLF line ends
+_SCAN_BYTES = 1 << 16  # bytes per chunk of the layout scan
+
+
+def _plain(chunk: bytes) -> bool:
+    """Whether `chunk` holds only `_PLAIN` bytes, each \\r in a CRLF pair."""
+    return not chunk.translate(None, _PLAIN) and chunk.count(b"\r") == chunk.count(b"\r\n")
+
+
+def _read_plain(path) -> Graph | None:
+    """The graph in a file of `_plain` bytes, a header line and exactly m
+    edge lines, as write_graph writes it: one np.loadtxt streams the body
+    from the open file.  None for any other file, and for a body the graph
+    constructor rejects or whose pairs repeat, so that `_read_by_line`
+    reads or rejects it."""
+    with open(path, "rb") as f:
+        head = f.readline()
+        if not _plain(head):
+            return None
+        try:
+            n, m = (int(x) for x in head.split())
+        except ValueError:
+            return None
+        # the body's lines as str.splitlines counts them; loadtxt skips blank ones
+        lines, last = 0, b"\n"
+        for chunk in iter(lambda: f.read(_SCAN_BYTES), b""):
+            if chunk.endswith(b"\r"):  # keep a CRLF pair in one chunk
+                chunk += f.read(1)
+            if not _plain(chunk):
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+        if lines + (last != b"\n") != m:
+            return None
+        if not m:  # loadtxt would warn of no data
+            return Graph(n)
+        f.seek(len(head))
+        body = io.TextIOWrapper(f, encoding="ascii")  # loadtxt parses str faster than bytes
+        try:
+            g = Graph(n, np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2))
+        except ValueError:  # ParameterError included
+            return None
+    return g if g.m == m else None
+
+
+def _read_by_line(path) -> Graph:
+    """The graph read line by line: the error reporter, which names the
+    first bad line, and the reader of every spelling `_read_plain` leaves
+    out (signs, 1_000 and the other forms int() takes)."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -660,17 +743,12 @@ def read_graph(path) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(body)}", line=1)
-    # one numpy parse, checked by the constructor; a repeated line, or a
-    # blank one that loadtxt skips, shows as fewer edges than lines
-    try:
-        g = Graph(n, np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2) if body else ())
-        if g.m == m:
-            return g
-    except ValueError:  # ParameterError included
-        pass
-    # the per-line parse names the first bad line, and accepts the few
-    # integer spellings loadtxt does not (such as 1_000)
     return Graph(n, _edges_by_line(body, n))
+
+
+def read_graph(path) -> Graph:
+    g = _read_plain(path)
+    return g if g is not None else _read_by_line(path)
 
 
 def write_labels(labels: PartitionLabels, path) -> None:

@@ -503,9 +503,7 @@ def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     if prob.j_target is not None:
         u += cert.omega
     u /= RHO
-    ind = labels.indicator_matrix()
-    basis = np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
-    return centered_partition_matrix(labels), u, basis
+    return centered_partition_matrix(labels), u, certificate.span_basis(labels)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from ppm_sdp.certificate import (
     CertificateReport,
     _assemble_lower,
     _cholesky_in_place,
-    _compress,
     _compressed_spectrum,
     _LowerBlocks,
     build_certificate,
@@ -168,8 +167,10 @@ def pack(m):
 
 
 def inject(monkeypatch, m):
-    """Make verification assemble the symmetric matrix m as its Lambda."""
+    """Make verification take the symmetric matrix m as its Lambda: the
+    store it assembles and the operator its Lanczos runs on."""
     monkeypatch.setattr(certificate, "_assemble_lower", lambda *_: pack(m))
+    monkeypatch.setattr(certificate, "_lambda_operator", lambda *_: m.__matmul__)
 
 
 def dense_reference_report(g, truth, cert):
@@ -559,6 +560,34 @@ class TestLowerStore:
         assert np.array_equal(np.tril(lower.lower_dense()), np.tril(m))
 
 
+class TestLambdaOperator:
+    """The Lanczos operator applies Lambda from the edge pairs, nu, omega and
+    the factored Gamma, without the store."""
+
+    @pytest.mark.parametrize("case", ["planted", "swapped", "half-q omega", "one T <= 0"])
+    @pytest.mark.parametrize("pi", UNEQUAL_PI)
+    def test_matches_the_store_and_the_dense_reference(self, pi, case):
+        par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, 7, "swapped" if case == "swapped" else "planted")
+        cert = build_certificate(g, truth, par, omega=par.q / 2 if case == "half-q omega" else None)
+        if case == "one T <= 0":  # only the block pair (0, 1) loses its Gamma
+            t = cert.T.copy()
+            t[0, 1] = t[1, 0] = -t[0, 1]
+            cert = dataclasses.replace(cert, T=t)
+        t_off = cert.T[np.triu_indices(truth.r, 1)]
+        assert np.any(t_off <= 0) == (case in ("half-q omega", "one T <= 0"))
+        op = certificate._lambda_operator(g, truth, cert)
+        dense = assemble_lambda(g, truth, cert)
+        lower = _assemble_lower(g, truth, cert)
+        scale = float(np.abs(dense).sum(axis=1).max())
+        for x in (np.random.default_rng(1).normal(size=(g.n, k)) for k in (1, 3)):
+            y = op(x)
+            assert y.shape == x.shape
+            bound = 1e-12 * scale * float(np.abs(x).max())
+            assert np.max(np.abs(y - lower @ x)) <= bound
+            assert np.max(np.abs(y - dense @ x)) <= bound
+
+
 class TestPsdProof:
     """The PSD margin is a Lanczos Ritz value, proven from below by one
     Cholesky factorization; the exact eigvalsh route is the fallback."""
@@ -624,18 +653,46 @@ class TestPsdProof:
         assert verdicts == [True, False]
 
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
-    def test_margin_lanczos_returns_ritz_pairs(self, labels):
-        # the certificate's call shape: one column, deflated by span{1_i - 1_j}
+    def test_margin_lanczos_returns_ritz_pairs(self, labels, monkeypatch):
+        # the certificate's own call: one column, deflated by span{1_i - 1_j}
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
-        lam = _assemble_lower(g, truth, build_certificate(g, truth, par))
-        u = _compress(lam, truth)
-        theta, v = lanczos.extreme_pairs(lam.__matmul__, g.n, 1, [0, -1], deflate=u)
+        cert = build_certificate(g, truth, par)
+        calls, ritz = [], lanczos.extreme_pairs
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs, ritz(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(lanczos, "extreme_pairs", record)
+        ends = certificate._margin_ritz(g, truth, cert)
+        [((_, n, block, wanted), kwargs, (theta, v))] = calls
+        assert (n, block, wanted) == (g.n, 1, [0, -1])
+        u = kwargs["deflate"]
+        assert np.array_equal(u, certificate.span_basis(truth))
+        assert ends == tuple(theta.tolist())
+        lam = _assemble_lower(g, truth, cert)
         assert v.shape == (g.n, 2)
         assert np.allclose(v.T @ v, np.eye(2), atol=1e-12, rtol=0)
         assert np.max(np.abs(u.T @ v)) <= 1e-12
         residual = np.linalg.norm(lam @ v - v * theta, axis=0)
         assert np.all(residual <= lanczos.RTOL * np.max(np.abs(theta)))
+
+    @pytest.mark.parametrize("labels", ["planted", "swapped"])
+    def test_lanczos_route_makes_two_store_products(self, labels, monkeypatch):
+        # Lanczos runs on the operator; the store serves only the kernel
+        # check and the compression
+        par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, 7, labels)
+        cert = build_certificate(g, truth, par)
+        products, product = [], _LowerBlocks.__matmul__
+        monkeypatch.setattr(
+            _LowerBlocks, "__matmul__", lambda lam, x: products.append(x.shape) or product(lam, x)
+        )
+        calls = self.count_fallbacks(monkeypatch)
+        report = verify_certificate(g, truth, cert)
+        assert not calls and report.verified == (labels == "planted")
+        assert products == [(g.n, truth.r), (g.n, truth.r - 1)]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3])

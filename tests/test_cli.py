@@ -711,11 +711,22 @@ class TestUsageErrors:
             ({"kind": "subcommunity_plant", "params": {"size": 10, "density": -1.0}}, "density"),
             ({"kind": "subcommunity_plant", "params": {"size": True}}, "size"),
             ({"kind": "subcommunity_plant", "params": {"size": 5.5}}, "size"),
+            ({"kind": "scripted", "params": {"add": [[0, True]]}}, "add"),
+            (
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[True, 1], [1, 8]],
+                        "base": {"n": 120, "r": 2, "pi": [0.5, 0.5], "p_tilde": 16, "q_tilde": 2},
+                    },
+                },
+                "q_tilde_prime",
+            ),
         ],
         ids=[
             "misspelt", "missing", "wrong-type", "base-missing-field", "fractional-id",
             "base-other-pi", "base-other-r", "density-2", "density-nan", "density-inf",
-            "density-negative", "bool-size", "fractional-size",
+            "density-negative", "bool-size", "fractional-size", "bool-in-add", "bool-in-rates",
         ],
     )
     def test_adversary_params_that_do_not_fit(self, tmp_path, capsys, sampled, spec, named):

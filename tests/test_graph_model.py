@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,11 +192,19 @@ class TestGraph:
                 Graph(4, bad)
         assert Graph(4, []).m == Graph(4, np.empty((0, 2))).m == 0
 
+    @pytest.mark.parametrize("edges", [[[0, True]], [(True, 2), (0, 3)], [[0, np.True_]]])
+    def test_a_bool_beside_integers_is_rejected(self, edges):
+        # numpy reads [0, True] as the integer pair (0, 1)
+        with pytest.raises(ParameterError, match="integer"):
+            Graph(4, edges)
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n, edges", [
         (5, []),  # the empty graph
         (7, [(0, 1), (1, 2), (0, 6)]),  # vertices 3, 4 and 5 are isolated
         (1, []),
+        (4, [(1, 2), (2, 3)]),  # vertex 0 is isolated
+        (4, [(0, 1), (1, 2)]),  # vertex n - 1 is isolated
     ])
     def test_matvec_matches_the_dense_product(self, n, edges, k):
         g = Graph(n, edges)
@@ -209,6 +218,15 @@ class TestGraph:
         x = np.random.default_rng(k).normal(size=(g.n, k))
         assert np.max(np.abs(g.matvec(x) - g.adjacency() @ x)) <= 1e-12
         assert np.array_equal(g.matvec(x[:, :1]), g.matvec(x)[:, :1])
+
+    def test_matvec_of_a_header_only_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("5 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file without data
+            g = read_graph(path)
+        assert g == Graph(5)
+        assert np.array_equal(g.matvec(np.ones((5, 2))), np.zeros((5, 2)))
 
     def test_adjacency_roundtrip(self):
         g = Graph(n=4, edges=frozenset({(0, 1), (2, 3), (1, 3)}))
@@ -614,6 +632,9 @@ class TestAdversaries:
             ("sbm_dominate", {"q_tilde_prime": [[21, 1], [1, 21]], "base": {"n": 200}}, "base"),
             ("subcommunity_plant", {"size": True}, "size"),
             ("hub_plant", {"hubs": 2, "degree": math.inf}, "degree"),
+            ("scripted", {"add": [[0, True]]}, "add"),
+            ("scripted", {"remove": [[False, 1]]}, "remove"),
+            ("sbm_dominate", {"q_tilde_prime": [[True, 1], [1, 8]], "base": dataclasses.asdict(PINNED)}, "q_tilde_prime"),
         ],
     )
     def test_params_bind_to_the_signature(self, kind, params, named):
@@ -872,6 +893,53 @@ class TestSerialization:
         # spellings int() accepts and the vectorised parse does not
         path.write_text("20 2\n0 1_0\n\t1 +2 \n")
         assert read_graph(path).edges == frozenset({(0, 10), (1, 2)})
+
+    @pytest.mark.parametrize("scan", [None, 7])
+    def test_written_files_take_the_plain_route(self, tmp_path, monkeypatch, scan):
+        def refuse(*_):
+            raise AssertionError("a written file was read line by line")
+
+        if scan is not None:  # 7-byte chunks split some CRLF pairs
+            monkeypatch.setattr(graph_model, "_SCAN_BYTES", scan)
+        monkeypatch.setattr(graph_model, "_read_by_line", refuse)
+        path = tmp_path / "g.txt"
+        for g in (sample_ppm(PINNED, 3)[0], Graph(5), Graph(4, [(0, 3)])):
+            write_graph(g, path)
+            assert read_graph(path) == g
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            assert read_graph(path) == g
+            path.write_bytes(path.read_bytes().replace(b" ", b"\t"))
+            assert read_graph(path) == g
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1 2",  # no newline at the end
+        "3 2\r\n0 1\r\n1 2\r\n",
+        "3 2\r\n0 1\r1 2\r\n",  # a lone \r ends a line too
+        "3 1\r\n0 1\r",
+        "3 0",
+        "3 0\n\n",
+        "3 2\n0 1\n\n1 2\n",
+        "3 2\n0 1\n  \n",
+        "3 1\n0 1\n\n",
+        "3 1\n0 1\x0c\n",
+        "3\x0c0\n",
+        "3 1\n0\x0c1\n",
+        "3 2\n0 1 1 2\n",
+        "3 1\n0 1 2\n",
+        "",
+    ])
+    def test_both_routes_agree(self, tmp_path, text):
+        # the plain route reads a file only where the per-line route would
+        # read the same graph; every other file goes to the per-line route
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for read in (read_graph, graph_model._read_by_line):
+            try:
+                outcomes.append(read(path))
+            except GraphFormatError as exc:
+                outcomes.append((str(exc), exc.line))
+        assert outcomes[0] == outcomes[1]
 
     def test_label_parse_errors(self, tmp_path):
         path = tmp_path / "l.txt"
