@@ -12,20 +12,21 @@ then forced, and each off-diagonal block of Gamma is the unique rank-one
 matrix with those row and column sums.  The certificate keeps Gamma in that
 factored form (nu, R, T); nothing in it is n x n.
 
-Verification first runs Lanczos (`lanczos`) on the operator x -> Lambda x,
-which reads only the edge pairs, nu, omega and the factored Gamma (R, T),
-restricted to the orthogonal complement of span{1_i - 1_j}: its least Ritz
-value is the PSD margin, and bounds the least compressed eigenvalue from
-above only.  Then it assembles Lambda from the same data, without the dense
-adjacency, and keeps only its lower triangle, in row blocks of
-_CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large array of
-a verification, never live beside the Lanczos basis.  That store gives the
-largest entry, the kernel product, the compression onto the complement and
-one in-place Cholesky factorization of the compressed matrix, shifted to
-just below the margin, which proves the bound from below.  Only when the
-factorization fails is the store assembled again and expanded to a dense
-matrix for an exact eigvalsh.  A poor Ritz value can therefore only send a
-verification down that dense route; it cannot change a verdict.
+Verification applies Lambda only through the operator x -> Lambda x, from
+the edge pairs, nu, omega and the factored Gamma (R, T): Lanczos (`lanczos`)
+on it, restricted to the orthogonal complement of span{1_i - 1_j}, gives
+the PSD margin, its least Ritz value, which bounds the least compressed
+eigenvalue from above only; it also gives the kernel product and Lambda U,
+U a basis of the span.  Only then is Lambda assembled from the same data,
+its lower triangle kept in row blocks of _CHOLESKY_BLOCK rows: about
+n (n + 128) / 2 doubles, the one large array of a verification, never live
+beside an operator product.  That store gives the largest entry, the
+compression onto the complement and one in-place Cholesky factorization of
+the compressed matrix, shifted to just below the margin, which proves the
+bound from below.  Only when the factorization fails is the store assembled
+again and expanded to a dense matrix for an exact eigvalsh.  A poor Ritz
+value can therefore only send a verification down that dense route; it
+cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -179,10 +180,10 @@ class _LowerBlocks:
 
     Block k holds rows [k0, k1), k0 = k h, k1 = min(k0 + h, n), and columns
     [0, k1): those rows' part of the lower triangle plus their whole
-    diagonal block.  Until a Cholesky factorization overwrites the store,
-    each diagonal block is held whole, both triangles, so `m @ x`, the
-    symmetric product, reads the blocks as they are; `_cholesky_in_place`
-    reads only the lower triangle.
+    diagonal block.  Whole diagonal blocks keep every row block one plain
+    2-D view for the assembly, the compression and the Cholesky
+    factorization, at n h / 2 extra doubles; their upper triangles repeat
+    lower entries, which `abs_max` may read and nothing else reads.
     """
 
     def __init__(self, n: int, fill: float):
@@ -203,32 +204,9 @@ class _LowerBlocks:
         k1 = np.minimum(k0 + _CHOLESKY_BLOCK, self.n)
         return k0 * (k0 + _CHOLESKY_BLOCK) // 2 + (rows - k0) * k1 + cols
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """The symmetric product with a vector or an n-row matrix: block k
-        gives rows [k0, k1) directly and, transposed, its part left of the
-        diagonal block to rows [0, k0)."""
-        y = np.zeros((self.n, *x.shape[1:]))
-        for k0, k1, blk in self.blocks:
-            y[k0:k1] += blk @ x[:k1]
-            y[:k0] += blk[:, :k0].T @ x[k0:k1]
-        return y
-
     def abs_max(self) -> float:
         """max_ij |m_ij|."""
         return max(float(self.buf.max()), -float(self.buf.min()))
-
-    def abs_row_sums(self) -> np.ndarray:
-        """Sum_j |m_ij| for every row i, a few rows at a time."""
-        sums = np.zeros(self.n)
-        for k0, k1, blk in self.blocks:
-            for rows in _row_blocks(k1 - k0, k1):
-                a = np.abs(blk[rows])
-                sums[k0 + rows.start : k0 + rows.stop] += a.sum(axis=1)
-                sums[:k0] += a[:, :k0].sum(axis=0)
-        return sums
 
     def lower_dense(self) -> np.ndarray:
         """A dense n x n copy whose lower triangle is the stored one and whose
@@ -359,24 +337,20 @@ def span_basis(truth: PartitionLabels) -> np.ndarray:
     return np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
 
 
-def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> None:
+def _compress(lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, s: float) -> None:
     """Overwrite the stored symmetric Lambda with M = P Lambda P + s U U^T,
-    with U = `span_basis(truth)` and P = I - U U^T.
+    given U = `span_basis`, lam_u = Lambda U and P = I - U U^T.
 
     M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
-    complement of the span, plus s, r - 1 times.  s exceeds the largest
-    absolute row sum of Lambda, which bounds its spectral norm, so the
-    copies of s are the top r - 1 eigenvalues.  The shift costs rank-(r - 1)
-    updates of the stored entries, O(n^2 r), made a few rows at a time;
-    each whole diagonal block stays symmetric up to rounding.
+    complement of the span, plus s, r - 1 times; for s between that
+    spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
+    quotient on the complement) the copies move neither end.  The shift
+    costs rank-(r - 1) updates of the stored entries, O(n^2 r), made a few
+    rows at a time.
     """
-    r = truth.r
-    u = span_basis(truth)
-    s = 1.0 + float(lam.abs_row_sums().max())
-    w = lam @ u
-    k = u.T @ w
+    k = u.T @ lam_u
     # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
-    b = w - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(r - 1))
+    b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
     for k0, k1, blk in lam.blocks:
         for rows in _row_blocks(k1 - k0, k1):
             span = slice(k0 + rows.start, k0 + rows.stop)
@@ -384,12 +358,15 @@ def _compress(lam: _LowerBlocks, truth: PartitionLabels) -> None:
             blk[rows] -= u[span] @ b[:k1].T
 
 
-def _compressed_spectrum(lam: _LowerBlocks, truth: PartitionLabels) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric Lambda compressed onto the
-    orthogonal complement of span{1_i - 1_j}, from one dense eigvalsh of M
-    (see `_compress`), expanded from the store.  Overwrites `lam`."""
-    _compress(lam, truth)
-    return np.linalg.eigvalsh(lam.lower_dense())[: truth.n - truth.r + 1]
+def _exact_ends(
+    lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, s: float
+) -> tuple[float, float]:
+    """(least, largest) eigenvalue of Lambda compressed onto the orthogonal
+    complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M
+    (`_compress`, s inside those ends) from the store.  Overwrites `lam`."""
+    _compress(lam, u, lam_u, s)
+    lo, hi = np.linalg.eigvalsh(lam.lower_dense())[[0, -1]].tolist()
+    return lo, hi
 
 
 def _cholesky_in_place(a: _LowerBlocks) -> _LowerBlocks:
@@ -421,33 +398,31 @@ def _psd_tol(lam_2: float) -> float:
     return 1e-8 * max(lam_2, 1.0)
 
 
-def _margin_ritz(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> tuple[float, float]:
-    """(theta_min, theta_max): the end Ritz values of Lambda on the
-    orthogonal complement of span{1_i - 1_j}, by one-column Lanczos on
-    `_lambda_operator`, deflated by `span_basis`.  Python floats, as the
-    report holds; theta_min bounds the least compressed eigenvalue from
-    above only."""
-    op = _lambda_operator(g, truth, cert)
-    theta, _ = lanczos.extreme_pairs(op, g.n, 1, [0, -1], deflate=span_basis(truth))
+def _margin_ritz(op, n: int, u: np.ndarray) -> tuple[float, float]:
+    """(theta_min, theta_max): the end Ritz values of the operator `op`
+    (x -> Lambda x) on the orthogonal complement of the span of U = `u`, by
+    one-column Lanczos deflated by U.  Python floats, as the report holds;
+    theta_min bounds the least compressed eigenvalue from above only."""
+    theta, _ = lanczos.extreme_pairs(op, n, 1, [0, -1], deflate=u)
     lo, hi = theta.tolist()
     return lo, hi
 
 
 def _proven_ends(
-    lam: _LowerBlocks, truth: PartitionLabels, ritz: tuple[float, float]
+    lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, ritz: tuple[float, float]
 ) -> tuple[float, float] | None:
     """`ritz`, the (least, largest) compressed Ritz values of Lambda from
     `_margin_ritz`, once proven, or None when the proof fails.  Overwrites
     `lam`.
 
     One Cholesky factorization of M - (theta_min - tol) I, M from
-    `_compress` and tol = _psd_tol, proves in floating point that no
-    compressed eigenvalue lies below theta_min - tol; the r - 1 copies of s
-    lie above every other eigenvalue.  A failure means Lanczos missed the
-    bottom of the spectrum.
+    `_compress` with s = theta_max and tol = _psd_tol, proves in floating
+    point that no compressed eigenvalue lies below theta_min - tol; the
+    r - 1 copies of s sit at theta_max - theta_min + tol > 0.  A failure
+    means Lanczos missed the bottom of the spectrum.
     """
     lo, hi = ritz
-    _compress(lam, truth)
+    _compress(lam, u, lam_u, hi)
     lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)
@@ -486,13 +461,16 @@ def verify_certificate(
     Returns a report, Python floats and bools only, whose `verified` flag is
     the conjunction of all component checks; a failed check is a verdict,
     not an error.  Raises ParameterError only when the labels and the graph
-    disagree on n.
+    disagree on n, or when nu, R and T are not shaped (n,), (n, r) and
+    (r, r) for those labels.
     """
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
+    n, r = g.n, truth.r
+    if cert.nu.shape != (n,) or cert.R.shape != (n, r) or cert.T.shape != (r, r):
+        raise ParameterError("certificate and labels disagree on n or r")
     lab = truth.as_array()
     sizes = truth.sizes()
-    n, r = g.n, truth.r
     nu_target = math.log(n) / math.log(math.log(n))
     nu_min = float(np.min(cert.nu))
 
@@ -516,19 +494,21 @@ def verify_certificate(
             gamma_off_min = min(gamma_off_min, float(min(corners) / cert.T[i, j]))
             gamma_sum += 2.0 * float(a.sum()) * float(b.sum()) / float(cert.T[i, j])
 
-    ritz = _margin_ritz(g, truth, cert)  # before the store: never both at once
-    lam = _assemble_lower(g, truth, cert)
-    lam_max = lam.abs_max()
+    # every operator product comes before the store: never both at once
+    u = span_basis(truth)
+    op = _lambda_operator(g, truth, cert)
+    ritz = _margin_ritz(op, n, u)
     # Lambda (1_i - 1_j) is column i minus column j of K = Lambda [1_0 ... 1_r-1],
     # so the largest entry over all pairs i < j is the largest range of a row of K
-    kernel_residual = float(np.ptp(lam @ truth.indicator_matrix(), axis=1).max())
-    kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
-
-    ends = _proven_ends(lam, truth, ritz)
+    kernel_residual = float(np.ptp(op(truth.indicator_matrix()), axis=1).max())
+    lam_u = op(u)
+    del op  # its (n, r) tables need not live beside the store
+    lam = _assemble_lower(g, truth, cert)
+    kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam.abs_max())
+    ends = _proven_ends(lam, u, lam_u, ritz)
     del lam  # its buffer now holds a Cholesky factor
     if ends is None:  # the exact, dense route, from a fresh Lambda
-        spectrum = _compressed_spectrum(_assemble_lower(g, truth, cert), truth)
-        ends = float(spectrum[0]), float(spectrum[-1])
+        ends = _exact_ends(_assemble_lower(g, truth, cert), u, lam_u, ritz[1])
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = max(abs(ends[0]), abs(ends[1]))

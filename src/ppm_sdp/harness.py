@@ -186,9 +186,10 @@ def _sweep(cfg: ExperimentConfig):
 def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
     """Sweep the model grid; one CellResult per (n, p_tilde, q_tilde) cell.
 
-    Per-trial errors are recorded in the error column and do not abort the
-    sweep, except ParameterError: a spec that cannot apply to the sampled
-    instance is bad input, raised before any CSV is written.
+    A trial whose linear algebra fails (LinAlgError) is counted in the
+    error column and does not abort the sweep.  Any other exception is
+    raised before any CSV is written: ParameterError, a spec that cannot
+    apply to the sampled instance, is bad input, and the rest are bugs.
     """
     results = []
     for params, seeds in _sweep(cfg):
@@ -199,9 +200,7 @@ def run_phase_diagram(cfg: ExperimentConfig, csv_path=None) -> list:
         for seed in seeds:
             try:
                 out = run_trial(cfg, params, seed)
-            except ParameterError:
-                raise
-            except Exception:
+            except np.linalg.LinAlgError:
                 errors += 1
                 continue
             recovered += bool(out["recovered"])
@@ -373,8 +372,8 @@ def omega_sweep(
     Distinct omega values can surface distinct (e.g. hierarchical)
     partitions.  An omega outside (0, 1) or an r outside [2, n] is bad
     input, as in run_phase_diagram: every value is checked before the first
-    solve, and ParameterError is raised.  Other failures at individual omegas are
-    recorded, not raised.
+    solve, and ParameterError is raised.  A solve whose linear algebra fails
+    (LinAlgError) is recorded as not converged; any other exception is raised.
     """
     omegas = [float(w) for w in omegas]
     sdp._check_r(r, g.n)
@@ -385,7 +384,7 @@ def omega_sweep(
     for omega in omegas:
         try:
             rec = sdp.recover_admm(g, r, omega=omega, opts=opts)
-        except Exception:
+        except np.linalg.LinAlgError:
             out.append(OmegaSweepEntry(omega=omega, converged=False, labels=None))
             continue
         out.append(OmegaSweepEntry(omega=omega, converged=rec.converged, labels=rec.labels))

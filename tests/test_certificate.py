@@ -14,7 +14,7 @@ from ppm_sdp.certificate import (
     CertificateReport,
     _assemble_lower,
     _cholesky_in_place,
-    _compressed_spectrum,
+    _exact_ends,
     _LowerBlocks,
     build_certificate,
     edge_counts,
@@ -431,6 +431,20 @@ class TestVerification:
         with pytest.raises(ParameterError, match="disagree on n"):
             build_certificate(g, other, STRONG)
 
+    @pytest.mark.parametrize("case", ["r=2", "r=1", "n=301"])
+    def test_certificate_of_other_labels_raises(self, strong_instance, case):
+        # a certificate built for r = 3 labels once raised IndexError on
+        # r = 2 or r = 1 labels of the same n
+        g, truth, cert = strong_instance
+        if case == "n=301":
+            g = Graph(301, g.pairs)
+            other = PartitionLabels(labels=truth.labels + (0,), r=truth.r)
+        else:
+            r = int(case[-1])
+            other = PartitionLabels(labels=tuple(min(c, r - 1) for c in truth.labels), r=r)
+        with pytest.raises(ParameterError, match="disagree on n or r"):
+            verify_certificate(g, other, cert)
+
 
 class TestCompressedPsd:
     @pytest.mark.parametrize("pi", UNEQUAL_PI)
@@ -443,12 +457,16 @@ class TestCompressedPsd:
         # so the compression itself, not the kernel property, is exercised
         noise = np.random.default_rng(0).normal(size=lam.shape)
         basis = complement_basis(truth)
+        u = certificate.span_basis(truth)
         for m in (lam, lam + noise + noise.T):
             reduced = basis.T @ m @ basis
-            expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+            expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[[0, -1]]
             scale = max(1.0, float(np.max(np.abs(expected))))
-            spectrum = _compressed_spectrum(pack(m), truth)
-            assert np.max(np.abs(spectrum - expected)) <= 1e-9 * scale
+            # the exact route's ends hold for any shift s between them
+            lo, hi = certificate._margin_ritz(m.__matmul__, g.n, u)
+            for s in (lo, hi, 0.5 * (lo + hi)):
+                ends = _exact_ends(pack(m), u, m @ u, s)
+                assert np.max(np.abs(np.subtract(ends, expected))) <= 1e-9 * scale
             inject(monkeypatch, m)
             report = verify_certificate(g, truth, cert)
             assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
@@ -550,13 +568,8 @@ class TestLowerStore:
         x = rng.normal(size=(n, n))
         m = x + x.T
         lower = pack(m)
-        assert len(lower) == n
         assert lower.buf.size == sum((k1 - k0) * k1 for k0, k1, _ in lower.blocks)
-        scale = float(np.abs(m).sum(axis=1).max())
-        for v in (rng.normal(size=n), rng.normal(size=(n, 3))):
-            assert np.max(np.abs(lower @ v - m @ v)) <= 1e-12 * scale * np.abs(v).max()
         assert lower.abs_max() == np.abs(m).max()
-        assert np.max(np.abs(lower.abs_row_sums() - np.abs(m).sum(axis=1))) <= 1e-12 * scale
         assert np.array_equal(np.tril(lower.lower_dense()), np.tril(m))
 
 
@@ -578,14 +591,15 @@ class TestLambdaOperator:
         assert np.any(t_off <= 0) == (case in ("half-q omega", "one T <= 0"))
         op = certificate._lambda_operator(g, truth, cert)
         dense = assemble_lambda(g, truth, cert)
-        lower = _assemble_lower(g, truth, cert)
+        stored = np.tril(_assemble_lower(g, truth, cert).lower_dense())
+        stored += np.tril(stored, -1).T  # the symmetric matrix the store holds
         scale = float(np.abs(dense).sum(axis=1).max())
         for x in (np.random.default_rng(1).normal(size=(g.n, k)) for k in (1, 3)):
             y = op(x)
             assert y.shape == x.shape
             bound = 1e-12 * scale * float(np.abs(x).max())
-            assert np.max(np.abs(y - lower @ x)) <= bound
             assert np.max(np.abs(y - dense @ x)) <= bound
+            assert np.max(np.abs(y - stored @ x)) <= bound
 
 
 class TestPsdProof:
@@ -618,10 +632,8 @@ class TestPsdProof:
     @staticmethod
     def count_fallbacks(monkeypatch):
         calls = []
-        exact = certificate._compressed_spectrum
-        monkeypatch.setattr(
-            certificate, "_compressed_spectrum", lambda *a: calls.append(1) or exact(*a)
-        )
+        exact = certificate._exact_ends
+        monkeypatch.setattr(certificate, "_exact_ends", lambda *a: calls.append(1) or exact(*a))
         return calls
 
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
@@ -665,13 +677,13 @@ class TestPsdProof:
             return calls[-1][2]
 
         monkeypatch.setattr(lanczos, "extreme_pairs", record)
-        ends = certificate._margin_ritz(g, truth, cert)
+        u = certificate.span_basis(truth)
+        ends = certificate._margin_ritz(certificate._lambda_operator(g, truth, cert), g.n, u)
         [((_, n, block, wanted), kwargs, (theta, v))] = calls
         assert (n, block, wanted) == (g.n, 1, [0, -1])
-        u = kwargs["deflate"]
-        assert np.array_equal(u, certificate.span_basis(truth))
+        assert kwargs["deflate"] is u
         assert ends == tuple(theta.tolist())
-        lam = _assemble_lower(g, truth, cert)
+        lam = assemble_lambda(g, truth, cert)
         assert v.shape == (g.n, 2)
         assert np.allclose(v.T @ v, np.eye(2), atol=1e-12, rtol=0)
         assert np.max(np.abs(u.T @ v)) <= 1e-12
@@ -679,20 +691,27 @@ class TestPsdProof:
         assert np.all(residual <= lanczos.RTOL * np.max(np.abs(theta)))
 
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
-    def test_lanczos_route_makes_two_store_products(self, labels, monkeypatch):
-        # Lanczos runs on the operator; the store serves only the kernel
-        # check and the compression
+    def test_operator_products_come_before_the_store(self, labels, monkeypatch):
+        # Lambda is applied only by the operator: the kernel product and
+        # Lambda U, like the Lanczos steps, are made before the store exists
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par)
-        products, product = [], _LowerBlocks.__matmul__
+        events, operator, assemble = [], certificate._lambda_operator, _assemble_lower
+
+        def record_operator(*args):
+            op = operator(*args)
+            return lambda x: events.append(x.shape) or op(x)
+
+        monkeypatch.setattr(certificate, "_lambda_operator", record_operator)
         monkeypatch.setattr(
-            _LowerBlocks, "__matmul__", lambda lam, x: products.append(x.shape) or product(lam, x)
+            certificate, "_assemble_lower", lambda *a: events.append("store") or assemble(*a)
         )
         calls = self.count_fallbacks(monkeypatch)
         report = verify_certificate(g, truth, cert)
         assert not calls and report.verified == (labels == "planted")
-        assert products == [(g.n, truth.r), (g.n, truth.r - 1)]
+        assert events[-1] == "store" and events.count("store") == 1
+        assert set(events[:-1]) == {(g.n, 1), (g.n, truth.r), (g.n, truth.r - 1)}
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3])

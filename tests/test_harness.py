@@ -23,7 +23,7 @@ from ppm_sdp.harness import (
     tail_exponent_demo,
     trial_seed,
 )
-from ppm_sdp import sdp
+from ppm_sdp import harness, sdp
 from ppm_sdp.sdp import SolverOptions
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
@@ -119,6 +119,23 @@ class TestPhaseDiagram:
         row = rows[0]
         assert row["n"] == "100"
         assert int(row["recovered"]) + int(row["errors"]) <= int(row["trials"])
+
+    def test_only_a_linalg_failure_is_an_error_count(self, monkeypatch):
+        # any other exception inside a trial is a bug and propagates
+        cfg = small_config()
+
+        def failing(exc):
+            def trial(*args):
+                raise exc("trial failed")
+
+            return trial
+
+        monkeypatch.setattr(harness, "run_trial", failing(np.linalg.LinAlgError))
+        [cell] = run_phase_diagram(cfg)
+        assert (cell.errors, cell.recovered) == (cfg.trials, 0)
+        monkeypatch.setattr(harness, "run_trial", failing(TypeError))
+        with pytest.raises(TypeError, match="trial failed"):
+            run_phase_diagram(cfg)
 
     def test_reproducible_modulo_wall_time(self, tmp_path):
         cfg = small_config()
@@ -293,3 +310,14 @@ class TestOmegaSweep:
         assert [(e.omega, e.converged, e.is_partition) for e in entries] == [
             (0.1, False, False), (0.2, False, False)
         ]
+
+    def test_a_bug_inside_a_solve_propagates(self, monkeypatch):
+        par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14, q_tilde=2)
+        g, _ = sample_ppm(par, 0)
+
+        def bug(*args, **kwargs):
+            raise TypeError("solve failed")
+
+        monkeypatch.setattr(sdp, "recover_admm", bug)
+        with pytest.raises(TypeError, match="solve failed"):
+            omega_sweep(g, 2, [0.1, 0.2])
