@@ -15,18 +15,24 @@ factored form (nu, R, T); nothing in it is n x n.
 Verification applies Lambda only through the operator x -> Lambda x, from
 the edge pairs, nu, omega and the factored Gamma (R, T): Lanczos (`lanczos`)
 on it, restricted to the orthogonal complement of span{1_i - 1_j}, gives
-the PSD margin, its least Ritz value, which bounds the least compressed
-eigenvalue from above only; it also gives the kernel product and Lambda U,
-U a basis of the span.  Only then is Lambda assembled from the same data,
-its lower triangle kept in row blocks of _CHOLESKY_BLOCK rows: about
-n (n + 128) / 2 doubles, the one large array of a verification, never live
-beside an operator product.  That store gives the largest entry, the
-compression onto the complement and one in-place Cholesky factorization of
-the compressed matrix, shifted to just below the margin, which proves the
-bound from below.  Only when the factorization fails is the store assembled
-again and expanded to a dense matrix for an exact eigvalsh.  A poor Ritz
-value can therefore only send a verification down that dense route; it
-cannot change a verdict.
+the end Ritz values and the least one's Ritz vector; it also gives the
+kernel product and Lambda U, U a basis of the span.  The Rayleigh quotient
+rho of that vector, projected onto the complement, settles a negative
+margin at once: when rho < -psd_tol the vector witnesses that Lambda is not
+PSD there, the margin reported is rho, and nothing is assembled (unless the
+kernel check needs the largest entry of Lambda).  Otherwise Lambda is
+assembled from the same data, its lower triangle kept in row blocks of
+_CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large array of
+a verification, never live beside an operator product.  That store gives
+the largest entry, the compression onto the complement and one in-place
+Cholesky factorization of the compressed matrix, shifted to just below the
+least Ritz value, which proves it a lower bound.  Only when the
+factorization fails is the store assembled again and expanded to a dense
+matrix for an exact eigvalsh.  A poor Ritz value can therefore only send a
+verification down that dense route; it cannot change a verdict.
+
+A certificate that proves the labels on G also proves them on any monotone
+change of G (`transport`), in O(m) and with no verification.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import lanczos
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, monotone_diff
 from .thresholds import ParameterError, compute_omega
 
 
@@ -60,6 +66,17 @@ class DualCertificate:
 
 @dataclass
 class CertificateReport:
+    """What `verify_certificate` found, Python floats and bools only.
+
+    psd_margin is the least eigenvalue of Lambda compressed onto the
+    orthogonal complement of span{1_i - 1_j}, as a Ritz value: an upper
+    bound, and when psd_ok holds also proven from below to within psd_tol.
+    When psd_ok is false it is the Rayleigh quotient of a witness vector in
+    that complement (or, rarely, the least Ritz or exact eigenvalue): an
+    upper bound on the least compressed eigenvalue, below -psd_tol, and no
+    more.
+    """
+
     intervals_nonempty: bool  # interval_margin >= 0
     interval_margin: float  # min over vertices of beta_v - alpha_v
     nu_min: float
@@ -398,14 +415,15 @@ def _psd_tol(lam_2: float) -> float:
     return 1e-8 * max(lam_2, 1.0)
 
 
-def _margin_ritz(op, n: int, u: np.ndarray) -> tuple[float, float]:
-    """(theta_min, theta_max): the end Ritz values of the operator `op`
+def _margin_ritz(op, n: int, u: np.ndarray) -> tuple[tuple[float, float], np.ndarray]:
+    """((theta_min, theta_max), x): the end Ritz values of the operator `op`
     (x -> Lambda x) on the orthogonal complement of the span of U = `u`, by
-    one-column Lanczos deflated by U.  Python floats, as the report holds;
-    theta_min bounds the least compressed eigenvalue from above only."""
-    theta, _ = lanczos.extreme_pairs(op, n, 1, [0, -1], deflate=u)
+    one-column Lanczos deflated by U, and theta_min's Ritz vector, an (n, 1)
+    column.  Python floats, as the report holds; theta_min bounds the least
+    compressed eigenvalue from above only."""
+    theta, v = lanczos.extreme_pairs(op, n, 1, [0, -1], deflate=u)
     lo, hi = theta.tolist()
-    return lo, hi
+    return (lo, hi), v[:, :1]
 
 
 def _proven_ends(
@@ -463,6 +481,16 @@ def verify_certificate(
     not an error.  Raises ParameterError only when the labels and the graph
     disagree on n, or when nu, R and T are not shaped (n,), (n, r) and
     (r, r) for those labels.
+
+    The PSD check takes one of two routes.  When the Rayleigh quotient rho
+    of the least Ritz vector, projected onto the complement of
+    span{1_i - 1_j}, is below -psd_tol, that vector refutes PSD-ness:
+    psd_ok is false, psd_margin is rho, and no compression, Cholesky or
+    eigvalsh runs; the store is assembled only when the kernel residual
+    exceeds its bound against max |nu + omega|, a diagonal entry of Lambda
+    and so a lower bound on max |Lambda|.  Otherwise the least Ritz value
+    is proven from below by the Cholesky factorization of the store, with
+    the exact eigvalsh as the fallback.
     """
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
@@ -497,18 +525,28 @@ def verify_certificate(
     # every operator product comes before the store: never both at once
     u = span_basis(truth)
     op = _lambda_operator(g, truth, cert)
-    ritz = _margin_ritz(op, n, u)
+    ritz, x = _margin_ritz(op, n, u)
     # Lambda (1_i - 1_j) is column i minus column j of K = Lambda [1_0 ... 1_r-1],
     # so the largest entry over all pairs i < j is the largest range of a row of K
     kernel_residual = float(np.ptp(op(truth.indicator_matrix()), axis=1).max())
     lam_u = op(u)
+    # projected onto the complement, any x has a Rayleigh quotient that
+    # bounds the least compressed eigenvalue from above
+    x -= u @ (u.T @ x)
+    rho = float((x.T @ op(x)).item() / (x.T @ x).item())
     del op  # its (n, r) tables need not live beside the store
-    lam = _assemble_lower(g, truth, cert)
-    kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam.abs_max())
-    ends = _proven_ends(lam, u, lam_u, ritz)
-    del lam  # its buffer now holds a Cholesky factor
-    if ends is None:  # the exact, dense route, from a fresh Lambda
-        ends = _exact_ends(_assemble_lower(g, truth, cert), u, lam_u, ritz[1])
+    # x refutes PSD-ness when rho < -psd_tol: then there is nothing to prove
+    ends = (rho, ritz[1]) if rho < -_psd_tol(max(abs(rho), abs(ritz[1]))) else None
+    # nu_v + omega is a diagonal entry of Lambda, so at most max |Lambda|
+    kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(cert.nu + cert.omega))))
+    if ends is None or not kernel_ok:
+        lam = _assemble_lower(g, truth, cert)
+        kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam.abs_max())
+    if ends is None:
+        ends = _proven_ends(lam, u, lam_u, ritz)
+        del lam  # its buffer now holds a Cholesky factor
+        if ends is None:  # the exact, dense route, from a fresh Lambda
+            ends = _exact_ends(_assemble_lower(g, truth, cert), u, lam_u, ritz[1])
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = max(abs(ends[0]), abs(ends[1]))
@@ -552,4 +590,48 @@ def verify_certificate(
         slackness_gap=slackness_gap,
         slackness_ok=slackness_ok,
         verified=verified,
+    )
+
+
+@dataclass
+class TransportedCertificate:
+    """A certificate of the labels on G carried to G' = G + E_add - E_rem,
+    a monotone change (`transport`): nu' = nu + deg_add and Gamma' = Gamma
+    plus 1 on each removed pair (both orders), so that
+    diag(nu') + omega J - A' - Gamma' = Lambda + L_add, L_add the Laplacian
+    of the added edges."""
+
+    base: DualCertificate  # the certificate on G: omega, R, T and nu
+    nu: np.ndarray = field(repr=False)  # nu' = nu + deg_add
+    removed: np.ndarray = field(repr=False)  # E_rem, (k, 2) inter pairs u < v
+    unique_optimum: bool  # the base report's verdict, which holds on G'
+
+
+def transport(
+    cert: DualCertificate,
+    report: CertificateReport,
+    g: Graph,
+    g2: Graph,
+    truth: PartitionLabels,
+) -> TransportedCertificate:
+    """`cert`, verified on g as `report` says, carried over to g2.
+
+    g2 must differ from g by a monotone change for the labels: added intra
+    pairs and removed inter pairs (`monotone_diff`); any other change, or a
+    graph of another n, raises ParameterError.  Then Lambda' = Lambda +
+    L_add.  L_add is PSD and kills every 1_i, so Lambda' satisfies the
+    kernel and slackness conditions as Lambda does, its least eigenvalue on
+    the complement of span{1_i - 1_j} is at least Lambda's, Gamma' >= Gamma
+    is still zero inside the communities, and nu' >= nu.  Every check of
+    `report` therefore holds on g2, and with it `unique_optimum`: the
+    paper's semirandom argument on one instance, in O(m), with no Lanczos,
+    store or Cholesky.
+    """
+    if not g.n == g2.n == truth.n:
+        raise ParameterError("labels and graphs disagree on n")
+    added, removed = monotone_diff(g, g2, truth)
+    deg_add = np.bincount(added.ravel(), minlength=g.n)
+    return TransportedCertificate(
+        base=cert, nu=cert.nu + deg_add, removed=removed,
+        unique_optimum=report.unique_optimum,
     )

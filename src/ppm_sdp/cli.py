@@ -247,6 +247,9 @@ def cmd_robustness(args) -> int:
                 "clean_rate": result.clean_rate,
                 "adversarial_rate": result.adversarial_rate,
                 "violations": result.violations,
+                "clean_certified_rate": result.clean_certified_rate,
+                "adversarial_certified_rate": result.adversarial_certified_rate,
+                "errors": result.errors,
             },
             indent=2,
         )

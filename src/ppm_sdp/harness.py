@@ -144,15 +144,23 @@ def labels_agree(a: PartitionLabels, b: PartitionLabels) -> bool:
 
 
 def run_trial(
-    cfg: ExperimentConfig, params: PlantedPartitionParams, seed: int
+    cfg: ExperimentConfig, params: PlantedPartitionParams, seed: int, instance=None
 ) -> dict:
     """One sampled instance: optional adversary, ADMM recovery, certify.
+    `instance`, a (graph, labels) pair, is run as it is, in place of the
+    graph sampled from `seed` and changed by cfg's adversary.
+
     Under "certify-only", recovered means the certificate proves the planted
-    partition the unique SDP optimum."""
-    g, truth = sample_ppm(params, seed)
-    if cfg.adversary is not None:
-        g = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
-    result = {"recovered": False, "verified": False, "iterations": 0}
+    partition the unique SDP optimum.  With a certificate, `certified` is
+    that proof and `certificate` and `report` are the certificate and its
+    verification; without one, `certified` is None."""
+    if instance is None:
+        g, truth = sample_ppm(params, seed)
+        if cfg.adversary is not None:
+            g = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
+    else:
+        g, truth = instance
+    result = {"recovered": False, "verified": False, "iterations": 0, "certified": None}
     if cfg.algorithm != "certify-only":
         known = cfg.algorithm == "solve-known"
         rec = sdp.recover_admm(
@@ -166,7 +174,10 @@ def run_trial(
     if cfg.certify or cfg.algorithm == "certify-only":
         cert = certificate.build_certificate(g, truth, params)
         report = certificate.verify_certificate(g, truth, cert)
-        result["verified"] = report.verified
+        result.update(
+            verified=report.verified, certified=report.unique_optimum,
+            certificate=cert, report=report,
+        )
         if cfg.algorithm == "certify-only":
             result["recovered"] = report.unique_optimum
     return result
@@ -242,6 +253,9 @@ ROBUSTNESS_CSV_FIELDS = [
     "clean_recovered",
     "adversarial_recovered",
     "violation",
+    "clean_certified",
+    "adversarial_certified",
+    "errors",
 ]
 
 
@@ -251,28 +265,59 @@ class RobustnessResult:
     clean_rate: float
     adversarial_rate: float
     violations: int  # trials where clean recovered but adversarial did not
+    clean_certified_rate: float | None  # None when no certificate is built
+    adversarial_certified_rate: float | None
+    errors: int  # trials whose linear algebra failed (LinAlgError)
+
+
+def _paired_trial(
+    cfg: ExperimentConfig, params: PlantedPartitionParams, seed: int
+) -> tuple[dict, dict]:
+    """(clean, adversarial) `run_trial` results of one pair, on one sampled
+    graph and its change by cfg's adversary.  A clean certificate that
+    proves the labels is carried over to the changed graph
+    (`certificate.transport`), which then builds no certificate of its own
+    unless certify-only needs one for `recovered`."""
+    clean_cfg = replace(cfg, adversary=None)
+    g, truth = sample_ppm(params, seed)
+    g2 = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
+    clean = run_trial(clean_cfg, params, seed, (g, truth))
+    if not clean["certified"]:
+        return clean, run_trial(clean_cfg, params, seed, (g2, truth))
+    adv = run_trial(replace(clean_cfg, certify=False), params, seed, (g2, truth))
+    carried = certificate.transport(clean["certificate"], clean["report"], g, g2, truth)
+    adv["certified"] = carried.unique_optimum
+    return clean, adv
 
 
 def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResult:
-    """Paired trials: each seed is run with and without the adversary.
+    """Paired trials: each seed's graph is run as sampled and after the
+    adversary's change.
 
     The sharp per-instance property is that recovery never degrades under
     monotone changes, so `violations` counts trials where the clean graph
-    recovered but the adversarial one did not.
+    recovered but the adversarial one did not.  With certificates on, each
+    row also says whether a certificate proves the planted labels the
+    unique optimum on each graph; on the changed graph that proof is the
+    clean one carried over when the clean one holds (`_paired_trial`), so
+    only a pair whose clean certificate fails verifies a fresh one there.
+    A pair whose linear algebra fails (LinAlgError) counts in `errors`, as
+    not recovered, not certified and no violation; every rate divides by
+    all trials, errors included.
     """
     if cfg.adversary is None:
         raise ParameterError("robustness suite requires an adversary spec")
-    clean_cfg = replace(cfg, adversary=None)
+    certify = cfg.certify or cfg.algorithm == "certify-only"
     rows = []
-    clean_ok = adv_ok = violations = 0
     for params, seeds in _sweep(cfg):
         for trial, seed in enumerate(seeds):
-            clean = run_trial(clean_cfg, params, seed)
-            adv = run_trial(cfg, params, seed)
+            try:
+                clean, adv = _paired_trial(cfg, params, seed)
+                error = False
+            except np.linalg.LinAlgError:
+                clean = adv = {"recovered": False, "certified": False}
+                error = True
             violation = clean["recovered"] and not adv["recovered"]
-            clean_ok += clean["recovered"]
-            adv_ok += adv["recovered"]
-            violations += violation
             rows.append(
                 {
                     "n": params.n,
@@ -282,14 +327,24 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
                     "clean_recovered": int(clean["recovered"]),
                     "adversarial_recovered": int(adv["recovered"]),
                     "violation": int(violation),
+                    "clean_certified": int(clean["certified"]) if certify else None,
+                    "adversarial_certified": int(adv["certified"]) if certify else None,
+                    "errors": int(error),
                 }
             )
     total = len(rows)
+
+    def rate(column):
+        return sum(row[column] for row in rows) / total
+
     result = RobustnessResult(
         rows=rows,
-        clean_rate=clean_ok / total,
-        adversarial_rate=adv_ok / total,
-        violations=violations,
+        clean_rate=rate("clean_recovered"),
+        adversarial_rate=rate("adversarial_recovered"),
+        violations=sum(row["violation"] for row in rows),
+        clean_certified_rate=rate("clean_certified") if certify else None,
+        adversarial_certified_rate=rate("adversarial_certified") if certify else None,
+        errors=sum(row["errors"] for row in rows),
     )
     if csv_path is not None:
         _write_csv(csv_path, ROBUSTNESS_CSV_FIELDS, rows)

@@ -22,9 +22,11 @@ from ppm_sdp.certificate import (
     verify_certificate,
 )
 from ppm_sdp.graph_model import (
+    AdversarySpec,
     Graph,
     PartitionLabels,
     PlantedPartitionParams,
+    apply_adversary,
     sample_ppm,
 )
 from ppm_sdp.harness import labels_agree
@@ -463,7 +465,7 @@ class TestCompressedPsd:
             expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[[0, -1]]
             scale = max(1.0, float(np.max(np.abs(expected))))
             # the exact route's ends hold for any shift s between them
-            lo, hi = certificate._margin_ritz(m.__matmul__, g.n, u)
+            (lo, hi), _ = certificate._margin_ritz(m.__matmul__, g.n, u)
             for s in (lo, hi, 0.5 * (lo + hi)):
                 ends = _exact_ends(pack(m), u, m @ u, s)
                 assert np.max(np.abs(np.subtract(ends, expected))) <= 1e-9 * scale
@@ -678,7 +680,7 @@ class TestPsdProof:
 
         monkeypatch.setattr(lanczos, "extreme_pairs", record)
         u = certificate.span_basis(truth)
-        ends = certificate._margin_ritz(certificate._lambda_operator(g, truth, cert), g.n, u)
+        ends, _ = certificate._margin_ritz(certificate._lambda_operator(g, truth, cert), g.n, u)
         [((_, n, block, wanted), kwargs, (theta, v))] = calls
         assert (n, block, wanted) == (g.n, 1, [0, -1])
         assert kwargs["deflate"] is u
@@ -710,8 +712,11 @@ class TestPsdProof:
         calls = self.count_fallbacks(monkeypatch)
         report = verify_certificate(g, truth, cert)
         assert not calls and report.verified == (labels == "planted")
-        assert events[-1] == "store" and events.count("store") == 1
-        assert set(events[:-1]) == {(g.n, 1), (g.n, truth.r), (g.n, truth.r - 1)}
+        # a witness vector refutes the swapped labels: they need no store
+        assert events.count("store") == (labels == "planted")
+        products = [e for e in events if e != "store"]
+        assert events[: len(products)] == products
+        assert set(products) == {(g.n, 1), (g.n, truth.r), (g.n, truth.r - 1)}
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -746,7 +751,49 @@ class TestPsdProof:
         calls = self.count_fallbacks(monkeypatch)
         cert = build_certificate(g, truth, par)
         TestDenseReference.assert_same_verdicts(g, truth, cert)
-        assert calls == [1]
+        # the swapped labels' witness takes its quotient from the Ritz
+        # vector, not the raised value, and needs no proof to fall back from
+        assert calls == ([1] if labels == "planted" else [])
+
+    @pytest.mark.parametrize("n, seed", [
+        (300, 1), (300, 2), (300, 7),
+        pytest.param(2000, 1, marks=pytest.mark.slow), pytest.param(2000, 2, marks=pytest.mark.slow),
+    ])
+    def test_swapped_labels_are_refuted_by_a_witness(self, n, seed, monkeypatch):
+        # the least Ritz vector's quotient is below -psd_tol, and the kernel
+        # check passes against max |nu + omega|: no store, proof or eigvalsh
+        par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, seed, "swapped")
+        cert = build_certificate(g, truth, par)
+        for name in ("_assemble_lower", "_cholesky_in_place", "_exact_ends"):
+            monkeypatch.setattr(certificate, name, None)
+        report = TestDenseReference.assert_same_verdicts(g, truth, cert)
+        assert report.kernel_ok and not report.psd_ok and not report.verified
+        assert report.psd_margin < -report.psd_tol
+
+    def test_a_quotient_above_minus_tol_takes_the_proof_route(self, monkeypatch):
+        # Lambda shifted on the complement so that its least compressed
+        # eigenvalue is -0.3 psd_tol: negative, but within tolerance, so the
+        # witness does not apply and one Cholesky proves the margin
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, 7)
+        cert = build_certificate(g, truth, par)
+        lam = assemble_lambda(g, truth, cert)
+        basis = complement_basis(truth)
+        lo, hi = np.linalg.eigvalsh(basis.T @ lam @ basis)[[0, -1]]
+        shift = lo + 0.3e-8 * (hi - lo)
+        m = lam - shift * (basis @ basis.T)
+        m = 0.5 * (m + m.T)
+        calls = self.count_fallbacks(monkeypatch)
+        factored, cholesky = [], _cholesky_in_place
+        monkeypatch.setattr(
+            certificate, "_cholesky_in_place", lambda a: factored.append(1) or cholesky(a)
+        )
+        inject(monkeypatch, m)
+        report = verify_certificate(g, truth, cert)
+        assert factored == [1] and not calls
+        assert -report.psd_tol < report.psd_margin < 0.0
+        assert report.psd_ok and report.verified and not report.unique_optimum
 
     @pytest.mark.parametrize(
         "n, pi", [(4, (0.5, 0.5)), (6, (0.5, 0.5)), (5, (0.4, 0.4, 0.2))]
@@ -873,3 +920,65 @@ class TestOptimalityCrossCheck:
         ideal = objective_value(g, x_hat, omega=cert.omega)
         scale = 1.0 + g.n * math.log(g.n)
         assert abs(sol.objective - ideal) <= 1e-4 * scale
+
+
+class TestTransport:
+    """A certificate proven on G carries over to a monotone change G' of G:
+    Lambda' = Lambda + L_add, with no new verification."""
+
+    ADVERSARIES = [
+        AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3}),
+        AdversarySpec(kind="subcommunity_plant", params={"size": 20, "density": 1.0}),
+        AdversarySpec(kind="hub_plant", params={"hubs": 5, "degree": 40}),
+    ]
+
+    @pytest.mark.parametrize("spec", ADVERSARIES, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("n, seed", [(200, 1), (300, 2)])
+    def test_dense_lambda_on_the_changed_graph(self, spec, n, seed):
+        par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = sample_ppm(par, seed)
+        cert = build_certificate(g, truth, par)
+        report = verify_certificate(g, truth, cert)
+        assert report.unique_optimum
+        g2 = apply_adversary(g, truth, spec, seed)
+        carried = certificate.transport(cert, report, g, g2, truth)
+        assert carried.unique_optimum and carried.base is cert
+        # Lambda' = diag(nu') + omega J - A' - Gamma' from G' itself
+        gamma2 = dense_gamma(truth, cert)
+        u, v = carried.removed.T
+        gamma2[u, v] += 1.0
+        gamma2[v, u] += 1.0
+        lam2 = cert.omega - g2.adjacency() - gamma2
+        lam2.flat[:: n + 1] += carried.nu
+        # Lambda + L_add, L_add the Laplacian of the added pairs
+        added = g2.adjacency() * (1.0 - g.adjacency())
+        assert np.all(added[truth.as_array()[:, None] != truth.as_array()[None, :]] == 0)
+        expected = assemble_lambda(g, truth, cert) + np.diag(added.sum(axis=1)) - added
+        scale = float(np.abs(expected).max())
+        assert np.max(np.abs(lam2 - expected)) <= 1e-12 * scale
+        ind = truth.indicator_matrix()
+        kernel = lam2 @ ind
+        residual = float(np.max(np.abs(kernel[:, :, None] - kernel[:, None, :])))
+        assert residual <= 1e-8 * (1.0 + scale)
+        basis = complement_basis(truth)
+        reduced = basis.T @ lam2 @ basis
+        least = float(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0])
+        assert least >= report.psd_margin - report.psd_tol
+
+    def test_rejects_a_change_that_is_not_monotone(self, strong_instance):
+        g, truth, cert = strong_instance
+        report = verify_certificate(g, truth, cert)
+        lab = truth.as_array()
+        a, b = truth.members(0)[0], truth.members(1)[0]
+        inter = sorted((int(a), int(b)))
+        assert lab[inter[0]] != lab[inter[1]] and tuple(inter) not in g.edges
+        # what a scripted spec would add, made without the adversary's check
+        g2 = Graph(g.n, np.vstack([g.pairs, [inter]]))
+        with pytest.raises(ParameterError, match="addition of inter"):
+            certificate.transport(cert, report, g, g2, truth)
+        intra = next(e for e in g.pairs if lab[e[0]] == lab[e[1]])
+        g3 = Graph(g.n, g.pairs[np.any(g.pairs != intra, axis=1)])
+        with pytest.raises(ParameterError, match="removal of intra"):
+            certificate.transport(cert, report, g, g3, truth)
+        with pytest.raises(ParameterError, match="disagree on n"):
+            certificate.transport(cert, report, g, Graph(g.n + 1, g.pairs), truth)

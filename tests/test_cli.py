@@ -410,6 +410,30 @@ class TestPhaseAndSweep:
         (row,) = csv.DictReader((tmp_path / "p.csv").open())
         assert 0.0 < clean_rate <= float(row["verified_rate"])
 
+    @pytest.mark.parametrize("command", ["phase", "robustness"])
+    def test_failed_solve_is_counted_not_raised(self, tmp_path, capsys, monkeypatch, command):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("solve failed")
+
+        monkeypatch.setattr(sdp, "solve", failing)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({
+            "p_tilde_grid": [14.0], "q_tilde_grid": [2.0], "pi": [0.5, 0.5], "n_grid": [100],
+            "trials": 2, "seed_base": 1,
+            "adversary": {"kind": "random_monotone", "params": {"delta_add": 0.1, "delta_rem": 0.1}},
+        }))
+        code, text = run(capsys, command, "--config", str(cfg), "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.open()))
+        if command == "phase":
+            assert [row["errors"] for row in rows] == ["2"]
+        else:
+            assert [row["errors"] for row in rows] == ["1", "1"]
+            assert json.loads(text) == {
+                "clean_rate": 0.0, "adversarial_rate": 0.0, "violations": 0,
+                "clean_certified_rate": 0.0, "adversarial_certified_rate": 0.0, "errors": 2,
+            }
+
     def test_tails_command(self, capsys):
         code, out = run(
             capsys,

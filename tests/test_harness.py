@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,60 @@ class TestRobustness:
         rows = list(csv.DictReader(path.open()))
         assert len(rows) == 3
         assert all(r["violation"] == "0" for r in rows)
+
+
+    def test_certified_columns(self, tmp_path):
+        # blank without certificates; with them, a clean proof carries over
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
+        cfg = small_config(n_grid=[150], p_tilde_grid=[18.0], adversary=spec, algorithm="solve-known")
+        path = tmp_path / "rob.csv"
+        result = run_robustness_suite(cfg, csv_path=path)
+        assert (result.clean_certified_rate, result.adversarial_certified_rate) == (None, None)
+        rows = list(csv.DictReader(path.open()))
+        assert list(rows[0]) == harness.ROBUSTNESS_CSV_FIELDS
+        assert all(r["clean_certified"] == r["adversarial_certified"] == "" for r in rows)
+        certified = run_robustness_suite(replace(cfg, certify=True))
+        assert [r["clean_recovered"] for r in certified.rows] == [r["clean_recovered"] for r in result.rows]
+        assert certified.clean_certified_rate == certified.adversarial_certified_rate == 1.0
+        assert certified.errors == 0
+
+    def test_transported_proof_where_the_fresh_certificate_fails(self):
+        # at n = 600, p~ = 15, the paper's construction fails on the changed
+        # graph (r_positive, gamma_off_positive), which the clean
+        # certificate, carried over, proves
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
+        cfg = ExperimentConfig(
+            p_tilde_grid=[15.0], q_tilde_grid=[2.0], pi=(0.5, 0.3, 0.2), n_grid=[600],
+            trials=1, seed_base=5, algorithm="certify-only", adversary=spec,
+        )
+        [row] = run_robustness_suite(cfg).rows
+        assert (row["clean_recovered"], row["clean_certified"]) == (1, 1)
+        assert (row["adversarial_recovered"], row["adversarial_certified"]) == (0, 1)
+        assert row["violation"] == 1  # the fresh certificate decides recovered
+
+    @pytest.mark.parametrize("fail", ["every", "adversarial"])
+    def test_linalg_failure_is_an_error_count(self, fail, monkeypatch):
+        # a pair whose solve fails, on either graph, is an error: not
+        # recovered, not certified and no violation; rates divide by all
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.1, "delta_rem": 0.1})
+        cfg = small_config(adversary=spec, algorithm="solve-known", certify=True, trials=3)
+        calls, solve = [], sdp.solve
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if fail == "every" or len(calls) % 2 == 0:
+                raise np.linalg.LinAlgError("solve failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", failing)
+        result = run_robustness_suite(cfg)
+        assert result.errors == 3 and len(calls) == (3 if fail == "every" else 6)
+        for row in result.rows:
+            assert row["errors"] == 1
+            assert row["clean_recovered"] == row["adversarial_recovered"] == row["violation"] == 0
+            assert row["clean_certified"] == row["adversarial_certified"] == 0
+        assert (result.clean_rate, result.adversarial_rate, result.violations) == (0.0, 0.0, 0)
+        assert result.clean_certified_rate == result.adversarial_certified_rate == 0.0
 
 
 class TestRunTrial:
