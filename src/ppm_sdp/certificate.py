@@ -30,9 +30,6 @@ least Ritz value, which proves it a lower bound.  Only when the
 factorization fails is the store assembled again and expanded to a dense
 matrix for an exact eigvalsh.  A poor Ritz value can therefore only send a
 verification down that dense route; it cannot change a verdict.
-
-A certificate that proves the labels on G also proves them on any monotone
-change of G (`transport`), in O(m) and with no verification.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import lanczos
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, monotone_diff
+from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
 from .thresholds import ParameterError, compute_omega
 
 
@@ -590,48 +587,4 @@ def verify_certificate(
         slackness_gap=slackness_gap,
         slackness_ok=slackness_ok,
         verified=verified,
-    )
-
-
-@dataclass
-class TransportedCertificate:
-    """A certificate of the labels on G carried to G' = G + E_add - E_rem,
-    a monotone change (`transport`): nu' = nu + deg_add and Gamma' = Gamma
-    plus 1 on each removed pair (both orders), so that
-    diag(nu') + omega J - A' - Gamma' = Lambda + L_add, L_add the Laplacian
-    of the added edges."""
-
-    base: DualCertificate  # the certificate on G: omega, R, T and nu
-    nu: np.ndarray = field(repr=False)  # nu' = nu + deg_add
-    removed: np.ndarray = field(repr=False)  # E_rem, (k, 2) inter pairs u < v
-    unique_optimum: bool  # the base report's verdict, which holds on G'
-
-
-def transport(
-    cert: DualCertificate,
-    report: CertificateReport,
-    g: Graph,
-    g2: Graph,
-    truth: PartitionLabels,
-) -> TransportedCertificate:
-    """`cert`, verified on g as `report` says, carried over to g2.
-
-    g2 must differ from g by a monotone change for the labels: added intra
-    pairs and removed inter pairs (`monotone_diff`); any other change, or a
-    graph of another n, raises ParameterError.  Then Lambda' = Lambda +
-    L_add.  L_add is PSD and kills every 1_i, so Lambda' satisfies the
-    kernel and slackness conditions as Lambda does, its least eigenvalue on
-    the complement of span{1_i - 1_j} is at least Lambda's, Gamma' >= Gamma
-    is still zero inside the communities, and nu' >= nu.  Every check of
-    `report` therefore holds on g2, and with it `unique_optimum`: the
-    paper's semirandom argument on one instance, in O(m), with no Lanczos,
-    store or Cholesky.
-    """
-    if not g.n == g2.n == truth.n:
-        raise ParameterError("labels and graphs disagree on n")
-    added, removed = monotone_diff(g, g2, truth)
-    deg_add = np.bincount(added.ravel(), minlength=g.n)
-    return TransportedCertificate(
-        base=cert, nu=cert.nu + deg_add, removed=removed,
-        unique_optimum=report.unique_optimum,
     )

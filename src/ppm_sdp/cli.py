@@ -15,12 +15,14 @@ exceeds the graph's n, a --tol that is not finite and positive or a
 --max-iters below 1, a config whose max_iters, trials, seed_base or n_grid
 entries are not integers or whose tol, p_tilde_grid or q_tilde_grid entries
 are not numbers, a model whose n or r is not an integer or whose p_tilde or
-q_tilde is not a number (a JSON bool is neither), an oracle run with no
-finite objective (such as a non-finite --omega), a rate matrix that is not
-symmetric and positive, invalid parameters, an adversary spec, model or
-config whose fields do not fit, an adversary that cannot apply to its graph,
-a malformed graph or label file, malformed JSON, or a file that cannot be
-read or written.  A one-line message goes to standard error.
+q_tilde is not a number (a JSON bool is neither), a config, model or
+adversary base whose pi is not a list of numbers, a rate matrix with an
+entry that is not a number (a string such as "8" or a bool), an oracle
+run with no finite objective (such as a non-finite --omega), a rate matrix
+that is not symmetric and positive, invalid parameters, an adversary spec,
+model or config whose fields do not fit, an adversary that cannot apply to
+its graph, a malformed graph or label file, malformed JSON, or a file that
+cannot be read or written.  A one-line message goes to standard error.
 
 Each command imports the modules it runs when it runs: `threshold`, `sample`
 and `adversary` load only `graph_model` and `thresholds`, so a process pays
@@ -34,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .graph_model import (
     write_graph,
     write_labels,
 )
-from .thresholds import ParameterError, bind_json
+from .thresholds import ParameterError, bind_json, is_number_array
 
 EXIT_OK = 0
 EXIT_NOT_VERIFIED = 1
@@ -132,7 +135,10 @@ def cmd_adversary(args) -> int:
 
 
 def rate_matrix_model(q_tilde_matrix, pi) -> thresholds.DivergenceReport:
-    """The report for a `threshold --model` file that gives a rate matrix."""
+    """The report for a `threshold --model` file that gives a rate matrix;
+    ParameterError unless the matrix and pi are lists of numbers."""
+    if not (is_number_array(q_tilde_matrix) and is_number_array(pi)):
+        raise ParameterError("q_tilde_matrix and pi must be lists of numbers")
     return thresholds.feasibility_report(q_tilde=q_tilde_matrix, pi=pi)
 
 
@@ -240,20 +246,9 @@ def cmd_robustness(args) -> int:
     from . import harness
 
     cfg = _config_from_args(args)
-    result = harness.run_robustness_suite(cfg, csv_path=args.out)
-    print(
-        json.dumps(
-            {
-                "clean_rate": result.clean_rate,
-                "adversarial_rate": result.adversarial_rate,
-                "violations": result.violations,
-                "clean_certified_rate": result.clean_certified_rate,
-                "adversarial_certified_rate": result.adversarial_certified_rate,
-                "errors": result.errors,
-            },
-            indent=2,
-        )
-    )
+    summary = asdict(harness.run_robustness_suite(cfg, csv_path=args.out))
+    del summary["rows"]  # the CSV holds them
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 

@@ -21,10 +21,12 @@ import numpy as np
 
 from .thresholds import (
     ParameterError,
+    _holds_bool,
     bind_json,
     bm_dominates,
     is_integral,
     is_number,
+    is_number_array,
     ppm_rate_matrix,
 )
 
@@ -88,14 +90,6 @@ class PartitionLabels:
     def same_community_matrix(self) -> np.ndarray:
         lab = self.as_array()
         return lab[:, None] == lab[None, :]
-
-
-def _holds_bool(value) -> bool:
-    """Whether a nested list or tuple holds a bool, such as a JSON true,
-    which np.asarray turns into the integer 1 beside integers."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(x) for x in value)
-    return isinstance(value, (bool, np.bool_))
 
 
 def _pair_index(n: int, e: np.ndarray) -> np.ndarray:
@@ -247,6 +241,8 @@ class PlantedPartitionParams:
             raise ParameterError(
                 f"need numbers p_tilde and q_tilde, got {self.p_tilde!r} and {self.q_tilde!r}"
             )
+        if not is_number_array(self.pi, ndim=1):
+            raise ParameterError(f"pi must be a list of numbers, got {self.pi!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "pi", tuple(float(x) for x in self.pi))
@@ -490,8 +486,13 @@ def monotone_diff(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Change log (added, removed) between two graphs, as sorted (k, 2) pair
     arrays; rejects any non-monotone change with respect to the given
-    truth."""
-    n = max(before.n, after.n)
+    truth.  Both graphs and the labels must have one n, or ParameterError
+    is raised."""
+    if not before.n == after.n == truth.n:
+        raise ParameterError(
+            f"labels and graphs disagree on n: {truth.n}, {before.n} and {after.n}"
+        )
+    n = before.n
     kb, ka = _pair_index(n, before.pairs), _pair_index(n, after.pairs)
     added = after.pairs[~np.isin(ka, kb)]
     removed = before.pairs[~np.isin(kb, ka)]
@@ -616,14 +617,10 @@ _ADVERSARIES = {
 def _fits(value, kind) -> bool:
     """Whether a param value has its annotated type: a number for float, an
     integral number for int, such as 5 or 5.0 (a bool is neither), a
-    rectangular list of numbers for list (a bool inside is none)."""
-    if kind is not list:
-        return (is_integral if kind is int else is_number)(value)
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged list
-        return False
-    return array.dtype.kind in "iuf" and array.ndim > 0 and not _holds_bool(value)
+    rectangular list of numbers for list (`is_number_array`)."""
+    if kind is list:
+        return is_number_array(value)
+    return (is_integral if kind is int else is_number)(value)
 
 
 def _bound_params(spec: AdversarySpec) -> dict:

@@ -31,6 +31,27 @@ def is_integral(x) -> bool:
     return is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
+def _holds_bool(value) -> bool:
+    """Whether a nested list or tuple holds a bool, such as a JSON true,
+    which np.asarray turns into the integer 1 beside integers."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, (bool, np.bool_))
+
+
+def is_number_array(x, ndim: int | None = None) -> bool:
+    """Whether x is a rectangular list (or tuple or array) of numbers with
+    `ndim` axes, or at least one when ndim is None, such as pi (1) or a rate
+    matrix (2): a string or a bool inside, such as a JSON "0.5" or true, is
+    not a number."""
+    try:
+        array = np.asarray(x)
+    except ValueError:  # a ragged list
+        return False
+    shaped = array.ndim > 0 if ndim is None else array.ndim == ndim
+    return shaped and array.dtype.kind in "iuf" and not _holds_bool(x)
+
+
 def bind_json(fn, obj, what: str):
     """fn(**obj), such as a dataclass built from a decoded JSON object: a
     non-object, a field that does not fit fn's signature and a value fn

@@ -545,6 +545,8 @@ class TestUsageErrors:
         ("tol", True), ("max_iters", True), ("trials", True), ("n_grid", [40, True]),
         # true once hashed trial seeds from the string "True", or ran q̃ = 1.0
         ("seed_base", True), ("seed_base", 1.5), ("p_tilde_grid", [True]), ("q_tilde_grid", [True]),
+        # 0.5 and "ab" once ended in a traceback, and [0.5, "0.5"] ran
+        ("pi", 0.5), ("pi", "ab"), ("pi", [0.5, "0.5"]),
     ])
     def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg = tmp_path / "cfg.json"
@@ -764,7 +766,7 @@ class TestUsageErrors:
         assert named in line and not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("n", 100.5), ("n", True), ("p_tilde", True), ("q_tilde", True),
+        ("n", 100.5), ("n", True), ("p_tilde", True), ("q_tilde", True), ("pi", ["0.5", "0.5"]),
     ])
     def test_threshold_model_with_a_bool_or_fraction(self, tmp_path, capsys, field, value):
         # a p_tilde of true once ran as 1.0 and exited 0
@@ -773,6 +775,18 @@ class TestUsageErrors:
         model.write_text(json.dumps(obj))
         line = self.usage_error(capsys, "threshold", "--model", str(model))
         assert field in line
+
+    @pytest.mark.parametrize("model", [
+        {"q_tilde_matrix": [["8", 1], [1, 8]], "pi": [0.5, 0.5]},
+        {"q_tilde_matrix": [[True, 0.5], [0.5, 8]], "pi": [0.5, 0.5]},
+        {"q_tilde_matrix": [[8, 1], [1, 8]], "pi": ["0.5", 0.5]},
+    ], ids=["string-rate", "bool-rate", "string-pi"])
+    def test_threshold_rate_matrix_model_that_is_not_numbers(self, tmp_path, capsys, model):
+        # each once ran as the number and exited 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        line = self.usage_error(capsys, "threshold", "--model", str(path))
+        assert "q_tilde_matrix and pi must be lists of numbers" in line
 
     def test_threshold_model_without_r(self, tmp_path, capsys):
         model = tmp_path / "model.json"

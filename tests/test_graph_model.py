@@ -252,6 +252,10 @@ class TestParams:
     @pytest.mark.parametrize("field, value", [
         ("n", 100.5), ("n", True), ("r", 2.5), ("r", True),
         ("p_tilde", True), ("q_tilde", True), ("q_tilde", "0.5"),
+        # "ab" and 0.5 once raised ValueError and TypeError, and a "0.5"
+        # beside 0.5 ran as the number
+        ("pi", 0.5), ("pi", "ab"), ("pi", [0.5, "0.5"]), ("pi", ("0.5", "0.5")),
+        ("pi", [[0.5], [0.5]]), ("pi", [True, 0.5]),
     ])
     def test_rejects_a_bool_or_fraction(self, field, value):
         base = dict(n=100, r=2, pi=(0.5, 0.5), p_tilde=8, q_tilde=0.5)
@@ -635,6 +639,8 @@ class TestAdversaries:
             ("scripted", {"add": [[0, True]]}, "add"),
             ("scripted", {"remove": [[False, 1]]}, "remove"),
             ("sbm_dominate", {"q_tilde_prime": [[True, 1], [1, 8]], "base": dataclasses.asdict(PINNED)}, "q_tilde_prime"),
+            ("sbm_dominate", {"q_tilde_prime": [[21, 1], [1, 21]],
+                              "base": {**dataclasses.asdict(PINNED), "pi": ["0.5", "0.3", "0.2"]}}, "pi"),
         ],
     )
     def test_params_bind_to_the_signature(self, kind, params, named):
@@ -761,6 +767,48 @@ class TestDominatingSbm:
             frac = rem[i, j] / tot[i, j]
             sigma = math.sqrt(expect * (1 - expect) / tot[i, j])
             assert abs(frac - expect) <= 4 * sigma
+
+
+class TestMonotoneDiff:
+    """monotone_diff checks the whole premise of a carried certificate:
+    one n for both graphs and the labels, intra additions, inter removals."""
+
+    N = 30
+
+    @pytest.fixture()
+    def instance(self):
+        par = PlantedPartitionParams(n=self.N, r=2, pi=(0.5, 0.5), p_tilde=4, q_tilde=1)
+        return sample_ppm(par, 3)
+
+    def test_rejects_a_change_that_is_not_monotone(self, instance):
+        g, truth = instance
+        lab = truth.as_array()
+        inter = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if lab[u] != lab[v] and (u, v) not in g.edges)
+        # what a scripted spec would add, made without the adversary's check
+        g2 = Graph(g.n, np.vstack([g.pairs, [inter]]))
+        with pytest.raises(ParameterError, match="addition of inter"):
+            monotone_diff(g, g2, truth)
+        intra = next(e for e in g.pairs if lab[e[0]] == lab[e[1]])
+        g3 = Graph(g.n, g.pairs[np.any(g.pairs != intra, axis=1)])
+        with pytest.raises(ParameterError, match="removal of intra"):
+            monotone_diff(g, g3, truth)
+
+    @pytest.mark.parametrize("case", ["edge-to-a-new-vertex", "same-pairs", "short-labels"])
+    def test_rejects_another_n(self, instance, case):
+        # an edge (0, 30) once raised IndexError, the same pairs on 31
+        # vertices gave an empty diff, and labels of n=10 a diff with the
+        # wrong labels
+        g, truth = instance
+        g2, labels = Graph(self.N + 1, g.pairs), truth
+        if case == "edge-to-a-new-vertex":
+            g2 = Graph(self.N + 1, np.vstack([g.pairs, [(0, self.N)]]))
+        elif case == "short-labels":
+            labels = PartitionLabels(labels=truth.labels[:5] + truth.labels[-5:], r=2)
+            missing = next((u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) not in g.edges)
+            g2 = Graph(g.n, np.vstack([g.pairs, [missing]]))
+        with pytest.raises(ParameterError, match="disagree on n"):
+            monotone_diff(g, g2, labels)
 
 
 class TestPinnedOutputs:

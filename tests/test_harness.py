@@ -9,6 +9,7 @@ import pytest
 from ppm_sdp.certificate import build_certificate, verify_certificate
 from ppm_sdp.graph_model import (
     AdversarySpec,
+    Graph,
     PartitionLabels,
     PlantedPartitionParams,
     sample_ppm,
@@ -83,6 +84,13 @@ class TestConfig:
     def test_bad_algorithm(self):
         with pytest.raises(ParameterError):
             small_config(algorithm="magic")
+
+    @pytest.mark.parametrize("pi", [0.5, "ab", [0.5, "0.5"], [[0.5], [0.5]]])
+    def test_rejects_a_pi_that_is_not_numbers(self, pi):
+        # checked before the first trial: 0.5 and "ab" once raised TypeError
+        # and ValueError there, and [0.5, "0.5"] ran
+        with pytest.raises(ParameterError, match="pi must be a list of numbers"):
+            small_config(pi=pi)
 
     def test_an_integral_seed_base_is_an_int(self):
         # trial_seed hashes the text of seed_base: 7.0 must seed as 7 does
@@ -217,6 +225,26 @@ class TestRobustness:
         assert (row["adversarial_recovered"], row["adversarial_certified"]) == (0, 1)
         assert row["violation"] == 1  # the fresh certificate decides recovered
 
+    def test_a_carried_proof_needs_a_monotone_change(self, monkeypatch):
+        # an adversary that adds an inter pair breaks the premise of the
+        # carried proof, and the pair raises before its adversarial solve
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
+        cfg = small_config(n_grid=[150], p_tilde_grid=[18.0], adversary=spec,
+                           algorithm="solve-known", certify=True, trials=1)
+
+        def add_inter_pair(g, truth, spec, seed):
+            lab = truth.as_array()
+            pair = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                        if lab[u] != lab[v] and (u, v) not in g.edges)
+            return Graph(g.n, np.vstack([g.pairs, [pair]]))
+
+        monkeypatch.setattr(harness, "apply_adversary", add_inter_pair)
+        trials, run = [], harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(1) or run(*args))
+        with pytest.raises(ParameterError, match="addition of inter"):
+            run_robustness_suite(cfg)
+        assert len(trials) == 1  # the clean arm alone
+
     @pytest.mark.parametrize("fail", ["every", "adversarial"])
     def test_linalg_failure_is_an_error_count(self, fail, monkeypatch):
         # a pair whose solve fails, on either graph, is an error: not
@@ -248,7 +276,7 @@ class TestRunTrial:
         params = PlantedPartitionParams(
             n=100, r=2, pi=(0.5, 0.5), p_tilde=14.0, q_tilde=2.0
         )
-        out = run_trial(par_cfg, params, 5)
+        out = run_trial(par_cfg, params, *sample_ppm(params, 5))
         assert out["iterations"] == 0
         assert isinstance(out["verified"], bool)
 
@@ -258,17 +286,26 @@ class TestRunTrial:
             params = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=p_tilde, q_tilde=2.0)
             g, truth = sample_ppm(params, 5)
             report = verify_certificate(g, truth, build_certificate(g, truth, params))
-            out = run_trial(cfg, params, 5)
+            out = run_trial(cfg, params, g, truth)
             assert out["recovered"] == (report.verified and report.psd_margin > report.psd_tol)
             assert out["verified"] == report.verified
         assert out["recovered"]  # the p_tilde = 14 instance is certified
+
+    def test_runs_the_instance_it_is_given(self):
+        # cfg's adversary, a hub degree no 50-vertex community allows, would
+        # raise if run_trial applied it; the result holds no certificate
+        spec = AdversarySpec(kind="hub_plant", params={"hubs": 2, "degree": 80})
+        cfg = small_config(algorithm="certify-only", adversary=spec)
+        params = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14.0, q_tilde=2.0)
+        out = run_trial(cfg, params, *sample_ppm(params, 5))
+        assert out == {"recovered": True, "verified": True, "iterations": 0, "certified": True}
 
     def test_solve_known(self):
         cfg = small_config(algorithm="solve-known", n_grid=[150], p_tilde_grid=[18.0])
         params = PlantedPartitionParams(
             n=150, r=2, pi=(0.5, 0.5), p_tilde=18.0, q_tilde=2.0
         )
-        out = run_trial(cfg, params, 5)
+        out = run_trial(cfg, params, *sample_ppm(params, 5))
         assert out["recovered"]
 
 
