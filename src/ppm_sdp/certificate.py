@@ -19,17 +19,18 @@ the end Ritz values and the least one's Ritz vector; it also gives the
 kernel product and Lambda U, U a basis of the span.  The Rayleigh quotient
 rho of that vector, projected onto the complement, settles a negative
 margin at once: when rho < -psd_tol the vector witnesses that Lambda is not
-PSD there, the margin reported is rho, and nothing is assembled (unless the
-kernel check needs the largest entry of Lambda).  Otherwise Lambda is
-assembled from the same data, its lower triangle kept in row blocks of
-_CHOLESKY_BLOCK rows: about n (n + 128) / 2 doubles, the one large array of
-a verification, never live beside an operator product.  That store gives
-the largest entry, the compression onto the complement and one in-place
-Cholesky factorization of the compressed matrix, shifted to just below the
-least Ritz value, which proves it a lower bound.  Only when the
-factorization fails is the store assembled again and expanded to a dense
-matrix for an exact eigvalsh.  A poor Ritz value can therefore only send a
-verification down that dense route; it cannot change a verdict.
+PSD there, the margin reported is rho, and nothing is stored (unless the
+kernel check needs the largest entry of Lambda).  Otherwise the store is
+written once, as the matrix the proof factors: its lower triangle in row
+blocks of _CHOLESKY_BLOCK rows, about n (n + 128) / 2 doubles, the one
+large array of a verification, never live beside an operator product.  One
+pass writes each chunk of it from Lambda's rows (`_lambda_rows`), reads off
+the largest entry, compresses it onto the complement and shifts its
+diagonal to just below the least Ritz value; one in-place Cholesky
+factorization then proves that value a lower bound.  Only when the
+factorization fails is the matrix written again, unshifted, and expanded
+to a dense matrix for an exact eigvalsh.  A poor Ritz value can therefore
+only send a verification down that dense route; it cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -189,38 +190,21 @@ _CHOLESKY_BLOCK = 128  # rows per block of _LowerBlocks, columns per Cholesky pa
 
 class _LowerBlocks:
     """The lower triangle of a symmetric n x n matrix in row blocks of
-    h = _CHOLESKY_BLOCK rows, views into one buffer of about n (n + h) / 2
-    doubles.
+    h = _CHOLESKY_BLOCK rows, about n (n + h) / 2 doubles in all.
 
     Block k holds rows [k0, k1), k0 = k h, k1 = min(k0 + h, n), and columns
     [0, k1): those rows' part of the lower triangle plus their whole
-    diagonal block.  Whole diagonal blocks keep every row block one plain
-    2-D view for the assembly, the compression and the Cholesky
-    factorization, at n h / 2 extra doubles; their upper triangles repeat
-    lower entries, which `abs_max` may read and nothing else reads.
+    diagonal block, so that every row block is one plain 2-D array for
+    `_assemble` and the Cholesky factorization, at n h / 2 extra doubles.
     """
 
-    def __init__(self, n: int, fill: float):
+    def __init__(self, n: int):
         self.n = n
-        self.buf = np.full(int(self.index(n - 1, n - 1)) + 1, fill)
-        self.blocks = []  # (k0, k1, block view)
-        for k0 in range(0, n, _CHOLESKY_BLOCK):
-            k1 = min(k0 + _CHOLESKY_BLOCK, n)
-            start = int(self.index(k0, 0))
-            view = self.buf[start : start + (k1 - k0) * k1].reshape(k1 - k0, k1)
-            self.blocks.append((k0, k1, view))
-        self.diag = self.index(np.arange(n), np.arange(n))
-
-    def index(self, rows, cols):
-        """Buffer positions of the entries (rows, cols), each column below
-        the end of its row's block."""
-        k0 = rows - rows % _CHOLESKY_BLOCK
-        k1 = np.minimum(k0 + _CHOLESKY_BLOCK, self.n)
-        return k0 * (k0 + _CHOLESKY_BLOCK) // 2 + (rows - k0) * k1 + cols
-
-    def abs_max(self) -> float:
-        """max_ij |m_ij|."""
-        return max(float(self.buf.max()), -float(self.buf.min()))
+        spans = [(k0, min(k0 + _CHOLESKY_BLOCK, n)) for k0 in range(0, n, _CHOLESKY_BLOCK)]
+        sizes = [(k1 - k0) * k1 for k0, k1 in spans]
+        # views into one allocation: numpy asks for huge pages for a large one
+        parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.blocks = [(k0, k1, p.reshape(k1 - k0, k1)) for (k0, k1), p in zip(spans, parts)]
 
     def lower_dense(self) -> np.ndarray:
         """A dense n x n copy whose lower triangle is the stored one and whose
@@ -232,26 +216,58 @@ class _LowerBlocks:
         return dense
 
 
-def _assemble_lower(g: Graph, truth: PartitionLabels, cert: DualCertificate) -> _LowerBlocks:
-    """Lambda = diag(nu) + omega J - A - Gamma as a `_LowerBlocks` store,
-    built from (nu, omega, g.pairs, R, T) without the dense adjacency.  Gamma
-    comes entry by entry from R and T (`_gamma_rows`) over the row blocks a
-    few rows at a time, so each whole diagonal block is exactly symmetric and
-    no temporary exceeds _CHUNK_ENTRIES entries."""
-    n, h = g.n, _CHOLESKY_BLOCK
-    lab = truth.as_array()
-    lam = _LowerBlocks(n, cert.omega)
-    for part in _row_blocks(len(g.pairs), 2):
-        u, v = g.pairs[part].T
-        lam.buf[lam.index(v, u)] -= 1.0
-        same = u // h == v // h  # (u, v) lies in a diagonal block too
-        lam.buf[lam.index(u[same], v[same])] -= 1.0
-    gamma = _gamma_rows(cert, lab)
-    for k0, k1, blk in lam.blocks:
-        for rows in _row_blocks(k1 - k0, k1):
-            blk[rows] -= gamma(slice(k0 + rows.start, k0 + rows.stop), k1)
-    lam.buf[lam.diag] += cert.nu
+def _lambda_rows(g: Graph, truth: PartitionLabels, cert: DualCertificate):
+    """lam(rows, k): the rows `rows` (a slice, rows.stop <= k) of Lambda =
+    diag(nu) + omega J - A - Gamma, columns [0, k), from omega, the edges in
+    the graph's neighbour index, Gamma by its entry formula (`_gamma_rows`)
+    and nu, without the dense adjacency."""
+    nbr, has, starts = g._neighbours
+    # ptr[v]: where vertex v's run of neighbours begins, for v = 0..n
+    ptr = np.append(starts, len(nbr))[np.searchsorted(has, np.arange(g.n + 1))]
+    owner = np.repeat(np.arange(g.n), np.diff(ptr))  # the vertex of each run entry
+    gamma = _gamma_rows(cert, truth.as_array())
+
+    def lam(rows: slice, k: int) -> np.ndarray:
+        out = np.full((rows.stop - rows.start, k), cert.omega)
+        run = slice(ptr[rows.start], ptr[rows.stop])
+        cols = nbr[run]
+        out.reshape(-1)[((owner[run] - rows.start) * k + cols)[cols < k]] -= 1.0
+        out -= gamma(rows, k)
+        out.reshape(-1)[rows.start :: k + 1] += cert.nu[rows]
+        return out
+
     return lam
+
+
+def _assemble(
+    n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float, shift: float
+) -> tuple[_LowerBlocks, float]:
+    """(M - shift I, max |Lambda|): M = P Lambda P + s U U^T as a
+    `_LowerBlocks` store, given the row source `rows` (`_lambda_rows`),
+    U = `span_basis`, lam_u = Lambda U and P = I - U U^T.
+
+    M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
+    complement of the span, plus s, r - 1 times; for s between that
+    spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
+    quotient on the complement) the copies move neither end.  Each chunk of
+    at most _CHUNK_ENTRIES stored entries is written once: its rows of
+    Lambda, whose largest magnitude joins the running max, less the
+    rank-(r - 1) updates of the compression, less the shift on its diagonal.
+    """
+    k = u.T @ lam_u
+    # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
+    b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
+    store, lam_max = _LowerBlocks(n), 0.0
+    for k0, k1, blk in store.blocks:
+        for part in _row_blocks(k1 - k0, k1):
+            span = slice(k0 + part.start, k0 + part.stop)
+            chunk = blk[part]
+            chunk[:] = rows(span, k1)
+            lam_max = max(lam_max, float(chunk.max()), -float(chunk.min()))
+            chunk -= b[span] @ u[:k1].T
+            chunk -= u[span] @ b[:k1].T
+            chunk.reshape(-1)[span.start :: k1 + 1] -= shift
+    return store, lam_max
 
 
 def _gamma_rows(cert: DualCertificate, lab: np.ndarray):
@@ -304,7 +320,7 @@ def _lambda_operator(g: Graph, truth: PartitionLabels, cert: DualCertificate):
 
 def gamma_matrix(truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
     """Gamma as a dense n x n matrix, a few rows at a time, by the entry
-    formula (`_gamma_rows`) that `_assemble_lower` uses."""
+    formula (`_gamma_rows`) that `_lambda_rows` uses."""
     n = truth.n
     gamma = _gamma_rows(cert, truth.as_array())
     out = np.empty((n, n))
@@ -351,34 +367,11 @@ def span_basis(truth: PartitionLabels) -> np.ndarray:
     return np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
 
 
-def _compress(lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, s: float) -> None:
-    """Overwrite the stored symmetric Lambda with M = P Lambda P + s U U^T,
-    given U = `span_basis`, lam_u = Lambda U and P = I - U U^T.
-
-    M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
-    complement of the span, plus s, r - 1 times; for s between that
-    spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
-    quotient on the complement) the copies move neither end.  The shift
-    costs rank-(r - 1) updates of the stored entries, O(n^2 r), made a few
-    rows at a time.
-    """
-    k = u.T @ lam_u
-    # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
-    b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
-    for k0, k1, blk in lam.blocks:
-        for rows in _row_blocks(k1 - k0, k1):
-            span = slice(k0 + rows.start, k0 + rows.stop)
-            blk[rows] -= b[span] @ u[:k1].T
-            blk[rows] -= u[span] @ b[:k1].T
-
-
-def _exact_ends(
-    lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, s: float
-) -> tuple[float, float]:
+def _exact_ends(n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float) -> tuple[float, float]:
     """(least, largest) eigenvalue of Lambda compressed onto the orthogonal
     complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M
-    (`_compress`, s inside those ends) from the store.  Overwrites `lam`."""
-    _compress(lam, u, lam_u, s)
+    (`_assemble`, s inside those ends, no shift)."""
+    lam, _ = _assemble(n, rows, u, lam_u, s, 0.0)
     lo, hi = np.linalg.eigvalsh(lam.lower_dense())[[0, -1]].tolist()
     return lo, hi
 
@@ -423,22 +416,18 @@ def _margin_ritz(op, n: int, u: np.ndarray) -> tuple[tuple[float, float], np.nda
     return (lo, hi), v[:, :1]
 
 
-def _proven_ends(
-    lam: _LowerBlocks, u: np.ndarray, lam_u: np.ndarray, ritz: tuple[float, float]
-) -> tuple[float, float] | None:
+def _proven_ends(lam: _LowerBlocks, ritz: tuple[float, float]) -> tuple[float, float] | None:
     """`ritz`, the (least, largest) compressed Ritz values of Lambda from
-    `_margin_ritz`, once proven, or None when the proof fails.  Overwrites
-    `lam`.
+    `_margin_ritz`, once proven, or None when the proof fails.  Factors
+    `lam` in place.
 
-    One Cholesky factorization of M - (theta_min - tol) I, M from
-    `_compress` with s = theta_max and tol = _psd_tol, proves in floating
-    point that no compressed eigenvalue lies below theta_min - tol; the
-    r - 1 copies of s sit at theta_max - theta_min + tol > 0.  A failure
-    means Lanczos missed the bottom of the spectrum.
+    `lam` is M - (theta_min - tol) I, the matrix `_assemble` writes with
+    s = theta_max and tol = _psd_tol.  Its Cholesky factorization proves in
+    floating point that no compressed eigenvalue lies below
+    theta_min - tol; the r - 1 copies of s sit at
+    theta_max - theta_min + tol > 0.  A failure means Lanczos missed the
+    bottom of the spectrum.
     """
-    lo, hi = ritz
-    _compress(lam, u, lam_u, hi)
-    lam.buf[lam.diag] -= lo - _psd_tol(max(abs(lo), abs(hi)))
     try:
         _cholesky_in_place(lam)
     except np.linalg.LinAlgError:
@@ -482,12 +471,12 @@ def verify_certificate(
     The PSD check takes one of two routes.  When the Rayleigh quotient rho
     of the least Ritz vector, projected onto the complement of
     span{1_i - 1_j}, is below -psd_tol, that vector refutes PSD-ness:
-    psd_ok is false, psd_margin is rho, and no compression, Cholesky or
-    eigvalsh runs; the store is assembled only when the kernel residual
-    exceeds its bound against max |nu + omega|, a diagonal entry of Lambda
-    and so a lower bound on max |Lambda|.  Otherwise the least Ritz value
-    is proven from below by the Cholesky factorization of the store, with
-    the exact eigvalsh as the fallback.
+    psd_ok is false, psd_margin is rho, and no Cholesky or eigvalsh runs;
+    the store is written only when the kernel residual exceeds its bound
+    against max |nu + omega|, a diagonal entry of Lambda.  Otherwise the
+    least Ritz value is proven from below by the Cholesky factorization of
+    the store, with the exact eigvalsh as the fallback.  Wherever the store
+    is written, the kernel check scales by the max |Lambda| its pass reads.
     """
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
@@ -537,13 +526,15 @@ def verify_certificate(
     # nu_v + omega is a diagonal entry of Lambda, so at most max |Lambda|
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(cert.nu + cert.omega))))
     if ends is None or not kernel_ok:
-        lam = _assemble_lower(g, truth, cert)
-        kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam.abs_max())
-    if ends is None:
-        ends = _proven_ends(lam, u, lam_u, ritz)
-        del lam  # its buffer now holds a Cholesky factor
+        rows = _lambda_rows(g, truth, cert)
+        lo, hi = ritz
+        lam, lam_max = _assemble(n, rows, u, lam_u, hi, lo - _psd_tol(max(abs(lo), abs(hi))))
+        kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
+        if ends is None:
+            ends = _proven_ends(lam, ritz)
+        del lam  # freed before the fallback writes a fresh matrix
         if ends is None:  # the exact, dense route, from a fresh Lambda
-            ends = _exact_ends(_assemble_lower(g, truth, cert), u, lam_u, ritz[1])
+            ends = _exact_ends(n, rows, u, lam_u, hi)
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = max(abs(ends[0]), abs(ends[1]))

@@ -200,14 +200,17 @@ class Graph:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for an (n, k) block x, one column at a time: each row sums
-        its run of the cached neighbour index by np.add.reduceat.  O(m + n k)
+        its run of the cached neighbour index by np.add.reduceat, over the
+        column gathered into one buffer reused across columns.  O(m + n k)
         memory, no dense adjacency; a vertex without neighbours gets 0."""
         nbr, rows, starts = self._neighbours
         cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
         out = np.zeros(cols.shape)
         if len(nbr):  # reduceat needs a non-empty array
+            gathered = np.empty(len(nbr))
+            # every index is in range; mode="clip" keeps take from buffering `out`
             for col, y in zip(cols, out):
-                y[rows] = np.add.reduceat(col[nbr], starts)
+                y[rows] = np.add.reduceat(np.take(col, nbr, out=gathered, mode="clip"), starts)
         return out.T
 
     def adjacency(self) -> np.ndarray:

@@ -104,9 +104,11 @@ def rate_constant_tau(p_tilde: float, q_tilde: float) -> float:
     return (p_tilde - q_tilde) / (math.log(p_tilde) - math.log(q_tilde))
 
 
-def _check_pi(pi: np.ndarray) -> np.ndarray:
+def _check_pi(pi) -> np.ndarray:
+    if not is_number_array(pi, ndim=1):
+        raise ParameterError("pi must be a list of numbers")
     pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or np.any(pi <= 0):
+    if np.any(pi <= 0):
         raise ParameterError("pi must be a vector of positive proportions")
     if abs(pi.sum() - 1.0) > 1e-8:
         raise ParameterError(f"pi must sum to 1, got {pi.sum()}")
@@ -114,10 +116,12 @@ def _check_pi(pi: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, pi) as arrays; ParameterError unless Q is r x r, symmetric and
-    positive, and i != j in 0..r-1."""
-    q_tilde = np.asarray(q_tilde, dtype=float)
+    """(Q, pi) as arrays; ParameterError unless Q is an r x r matrix of
+    numbers, symmetric and positive, and i != j in 0..r-1."""
     pi = _check_pi(pi)
+    if not is_number_array(q_tilde, ndim=2):
+        raise ParameterError("rate matrix must be a matrix of numbers")
+    q_tilde = np.asarray(q_tilde, dtype=float)
     r = len(pi)
     if q_tilde.shape != (r, r):
         raise ParameterError(f"rate matrix must be {r}x{r}")
@@ -225,9 +229,11 @@ def bm_dominates(q_high: np.ndarray, q_low: np.ndarray) -> bool:
     large and every inter-community rate is at most as large; a monotone
     adversary can then simulate the dominating model from the dominated one.
     """
+    if not (is_number_array(q_high, ndim=2) and is_number_array(q_low, ndim=2)):
+        raise ParameterError("rate matrices must be matrices of numbers")
     q_high = np.asarray(q_high, dtype=float)
     q_low = np.asarray(q_low, dtype=float)
-    if q_high.shape != q_low.shape or q_high.ndim != 2:
+    if q_high.shape != q_low.shape or q_high.shape[0] != q_high.shape[1]:
         raise ParameterError("rate matrices must share a square shape")
     r = q_high.shape[0]
     off = ~np.eye(r, dtype=bool)

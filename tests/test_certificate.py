@@ -12,9 +12,10 @@ from scipy.linalg import helmert
 from ppm_sdp import certificate, lanczos
 from ppm_sdp.certificate import (
     CertificateReport,
-    _assemble_lower,
+    _assemble,
     _cholesky_in_place,
     _exact_ends,
+    _lambda_rows,
     _LowerBlocks,
     build_certificate,
     edge_counts,
@@ -163,16 +164,28 @@ def assemble_lambda(g, truth, cert):
 
 def pack(m):
     """The symmetric matrix m as the verifier's lower-triangle store."""
-    lower = _LowerBlocks(len(m), 0.0)
+    lower = _LowerBlocks(len(m))
     for k0, k1, blk in lower.blocks:
         blk[:] = m[k0:k1, :k1]
     return lower
 
 
+def rows_of(m):
+    """The row source of the matrix m, as `_lambda_rows` gives Lambda's."""
+    return lambda rows, k: m[rows, :k]
+
+
+def uncompressed(n, rows):
+    """(store, max |Lambda|) from `_assemble` with an empty span basis: the
+    rows as given, no compression and no shift."""
+    none = np.zeros((n, 0))
+    return _assemble(n, rows, none, none, 0.0, 0.0)
+
+
 def inject(monkeypatch, m):
     """Make verification take the symmetric matrix m as its Lambda: the
-    store it assembles and the operator its Lanczos runs on."""
-    monkeypatch.setattr(certificate, "_assemble_lower", lambda *_: pack(m))
+    rows its store is written from and the operator its Lanczos runs on."""
+    monkeypatch.setattr(certificate, "_lambda_rows", lambda *_: rows_of(m))
     monkeypatch.setattr(certificate, "_lambda_operator", lambda *_: m.__matmul__)
 
 
@@ -323,10 +336,11 @@ class TestConstruction:
             # whole diagonal block; blocks written a few rows at a time agree
             for chunk in (default, 997):
                 monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
-                lam = certificate._assemble_lower(g, truth, cert)
+                lam, lam_max = uncompressed(g.n, _lambda_rows(g, truth, cert))
                 assert len(lam.blocks) == math.ceil(g.n / certificate._CHOLESKY_BLOCK)
                 for k0, k1, blk in lam.blocks:
                     assert np.array_equal(blk, expected[k0:k1, :k1])
+                assert lam_max == np.abs(expected).max()
 
     def test_gamma_matrix_is_the_dense_gamma(self):
         # the instances of the assembly identity, T_ij <= 0 blocks included
@@ -468,7 +482,7 @@ class TestCompressedPsd:
             # the exact route's ends hold for any shift s between them
             (lo, hi), _ = certificate._margin_ritz(m.__matmul__, g.n, u)
             for s in (lo, hi, 0.5 * (lo + hi)):
-                ends = _exact_ends(pack(m), u, m @ u, s)
+                ends = _exact_ends(g.n, rows_of(m), u, m @ u, s)
                 assert np.max(np.abs(np.subtract(ends, expected))) <= 1e-9 * scale
             inject(monkeypatch, m)
             report = verify_certificate(g, truth, cert)
@@ -549,7 +563,7 @@ class TestDenseReference:
 
 class TestLowerStore:
     """Verification keeps Lambda only as its lower triangle, in row blocks,
-    assembled from the edge pairs without the dense adjacency."""
+    written from the neighbour index without the dense adjacency."""
 
     @pytest.mark.parametrize("pi, labels", TestDenseReference.CASES)
     def test_verifies_without_the_dense_adjacency(self, pi, labels, monkeypatch):
@@ -570,10 +584,45 @@ class TestLowerStore:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, n))
         m = x + x.T
-        lower = pack(m)
-        assert lower.buf.size == sum((k1 - k0) * k1 for k0, k1, _ in lower.blocks)
-        assert lower.abs_max() == np.abs(m).max()
+        lower, lam_max = uncompressed(n, rows_of(m))
+        h = certificate._CHOLESKY_BLOCK
+        sizes = [(k1 - k0) * k1 for k0 in range(0, n, h) for k1 in [min(k0 + h, n)]]
+        assert sum(blk.size for _, _, blk in lower.blocks) == sum(sizes)
+        assert lam_max == np.abs(m).max()
         assert np.array_equal(np.tril(lower.lower_dense()), np.tril(m))
+
+    @pytest.mark.parametrize("block", [None, 31])
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    def test_one_pass_writes_the_compressed_shifted_matrix(self, n, block, monkeypatch):
+        # chunks of a few rows split the row blocks; the first and the last
+        # vertex are isolated, and edges cross row-block boundaries
+        monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", 997)
+        if block is not None:
+            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", block)
+        h = certificate._CHOLESKY_BLOCK
+        rng = np.random.default_rng(n)
+        r = min(n, 3)
+        truth = PartitionLabels(labels=tuple(rng.permutation(np.arange(n) % r).tolist()), r=r)
+        pairs = np.sort(rng.integers(1, max(n - 1, 2), size=(0 if n < 4 else 4 * n, 2)), axis=1)
+        g = Graph(n, pairs[pairs[:, 0] < pairs[:, 1]])
+        degree = np.bincount(g.pairs.ravel(), minlength=n)
+        assert degree[0] == degree[-1] == 0
+        assert np.any(g.pairs[:, 0] // h < g.pairs[:, 1] // h) == (n - 2 >= h)
+        t = rng.uniform(1.0, 5.0, size=(r, r))
+        t += t.T
+        t[0, -1] = t[-1, 0] = -1.0  # one block pair without Gamma
+        cert = SimpleNamespace(
+            omega=0.3, nu=rng.normal(size=n), R=rng.uniform(0.0, 2.0, size=(n, r)), T=t
+        )
+        lam = dense_lambda(g, cert, dense_gamma(truth, cert))
+        u = certificate.span_basis(truth)
+        p = np.eye(n) - u @ u.T
+        s, shift = 2.5, 0.75
+        expected = p @ lam @ p + s * (u @ u.T) - shift * np.eye(n)
+        lower, lam_max = _assemble(n, _lambda_rows(g, truth, cert), u, lam @ u, s, shift)
+        error = np.abs(np.tril(lower.lower_dense()) - np.tril(expected)).max()
+        assert error <= 1e-12 * np.abs(expected).max()
+        assert lam_max == np.abs(lam).max()
 
 
 class TestLambdaOperator:
@@ -594,7 +643,7 @@ class TestLambdaOperator:
         assert np.any(t_off <= 0) == (case in ("half-q omega", "one T <= 0"))
         op = certificate._lambda_operator(g, truth, cert)
         dense = assemble_lambda(g, truth, cert)
-        stored = np.tril(_assemble_lower(g, truth, cert).lower_dense())
+        stored = np.tril(uncompressed(g.n, _lambda_rows(g, truth, cert))[0].lower_dense())
         stored += np.tril(stored, -1).T  # the symmetric matrix the store holds
         scale = float(np.abs(dense).sum(axis=1).max())
         for x in (np.random.default_rng(1).normal(size=(g.n, k)) for k in (1, 3)):
@@ -700,7 +749,7 @@ class TestPsdProof:
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par)
-        events, operator, assemble = [], certificate._lambda_operator, _assemble_lower
+        events, operator, assemble = [], certificate._lambda_operator, _assemble
 
         def record_operator(*args):
             op = operator(*args)
@@ -708,7 +757,7 @@ class TestPsdProof:
 
         monkeypatch.setattr(certificate, "_lambda_operator", record_operator)
         monkeypatch.setattr(
-            certificate, "_assemble_lower", lambda *a: events.append("store") or assemble(*a)
+            certificate, "_assemble", lambda *a: events.append("store") or assemble(*a)
         )
         calls = self.count_fallbacks(monkeypatch)
         report = verify_certificate(g, truth, cert)
@@ -766,7 +815,7 @@ class TestPsdProof:
         par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, seed, "swapped")
         cert = build_certificate(g, truth, par)
-        for name in ("_assemble_lower", "_cholesky_in_place", "_exact_ends"):
+        for name in ("_assemble", "_cholesky_in_place", "_exact_ends"):
             monkeypatch.setattr(certificate, name, None)
         report = TestDenseReference.assert_same_verdicts(g, truth, cert)
         assert report.kernel_ok and not report.psd_ok and not report.verified
@@ -835,7 +884,8 @@ def peak_units(fn, n):
 class TestMemory:
     """Nothing is n x n.  Verification holds Lambda as its lower triangle in
     row blocks, n (n + 128) / 2 doubles (0.56 of a dense matrix at n = 1000),
-    which its PSD check compresses and factors in place."""
+    written once as the compressed, shifted matrix its PSD check factors in
+    place."""
 
     def test_build_and_verify_peaks(self):
         par = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)

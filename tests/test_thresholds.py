@@ -266,6 +266,23 @@ def test_rate_matrix_must_be_symmetric_and_positive(call, q_tilde, message):
         call(np.array(q_tilde))
 
 
+@pytest.mark.parametrize("call", [
+    lambda q, pi: ch_divergence_numeric(q, pi, 0, 1),
+    lambda q, pi: monotone_divergence(q, pi, 0, 1),
+    lambda q, pi: feasibility_report(q_tilde=q, pi=pi),
+], ids=["numeric", "monotone", "report"])
+@pytest.mark.parametrize("q_tilde, pi, message", [
+    # each once ran as the number: the report's min divergence was 1.67
+    ([["8", 1], [1, 8]], ["0.5", 0.5], "pi must be a list of numbers"),
+    ([[8, 1], [1, 8]], [True, 0.5], "pi must be a list of numbers"),
+    ([["8", 1], [1, 8]], [0.5, 0.5], "rate matrix must be a matrix of numbers"),
+    ([[True, 1], [1, 8]], [0.5, 0.5], "rate matrix must be a matrix of numbers"),
+], ids=["string-pi", "bool-pi", "string-rate", "bool-rate"])
+def test_rate_matrix_and_pi_must_be_numbers(call, q_tilde, pi, message):
+    with pytest.raises(ParameterError, match=message):
+        call(q_tilde, pi)
+
+
 class TestFeasibilityReport:
     def test_boundary_is_infeasible(self):
         report = feasibility_report(q_tilde=ppm_rate_matrix(8, 2, 2), pi=[0.5, 0.5])
@@ -317,3 +334,16 @@ class TestBmOrdering:
     def test_reflexive(self):
         q = ppm_rate_matrix(8, 2, 3)
         assert bm_dominates(q, q)
+
+    @pytest.mark.parametrize("bad", [[["8", 1], [1, 8]], [[True, 1], [1, 8]]], ids=["string", "bool"])
+    def test_rejects_a_matrix_that_is_not_numbers(self, bad):
+        q = ppm_rate_matrix(8, 1, 2)
+        for args in ((bad, q), (q, bad)):
+            with pytest.raises(ParameterError, match="matrices of numbers"):
+                bm_dominates(*args)
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        # a 2 x 3 pair once raised IndexError
+        q = np.ones((2, 3))
+        with pytest.raises(ParameterError, match="square"):
+            bm_dominates(q, q)
