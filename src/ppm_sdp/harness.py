@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,15 +60,20 @@ class ExperimentConfig:
     seed_base: int
     algorithm: str = "solve-unknown"
     adversary: AdversarySpec | None = None
-    certify: bool = True  # also build/verify the certificate on each trial
+    certify: bool = True  # also build/verify the certificate on each trial (forced by certify-only)
     tol: float = 1e-5
     max_iters: int = 5000
 
     def __post_init__(self):
         if isinstance(self.adversary, dict):  # a spec as decoded from JSON
             self.adversary = AdversarySpec(**self.adversary)
+        if not isinstance(self.adversary, (AdversarySpec, type(None))):
+            raise ParameterError(f"adversary must be null or a spec object, got {self.adversary!r}")
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.certify, bool):  # "false" is truthy
+            raise ParameterError(f"certify must be true or false, got {self.certify!r}")
+        self.certify = self.certify or self.algorithm == "certify-only"
         # a JSON bool would pass as the number 0 or 1, and a seed_base of
         # 1.0 or true would hash as "1.0" or "True", not as 1
         if not (is_integral(self.trials) and self.trials >= 1):
@@ -167,7 +172,7 @@ def run_trial(
         )
         result["iterations"] = rec.iterations
         result["recovered"] = rec.labels is not None and labels_agree(rec.labels, truth)
-    if cfg.certify or cfg.algorithm == "certify-only":
+    if cfg.certify:
         cert = certificate.build_certificate(g, truth, params)
         report = certificate.verify_certificate(g, truth, cert)
         result.update(verified=report.verified, certified=report.unique_optimum)
@@ -273,11 +278,11 @@ def _paired_trial(
     graph g and g2, its change by cfg's adversary.
 
     When the clean certificate proves the labels the unique optimum on g,
-    the adversarial arm is certified too, and g2 builds no certificate of
-    its own unless certify-only needs one for `recovered`.  That is the
-    paper's semirandom argument on one instance.  g2 adds the intra pairs
-    E_add and removes the inter pairs E_rem (`monotone_diff` checks this,
-    and raises ParameterError on any other change).  With nu' = nu +
+    that proof settles g2 too: the clean result stands for both arms, and
+    g2 runs no ADMM and no certificate.  That is the paper's semirandom
+    argument on one instance.  g2 adds the intra pairs E_add and removes
+    the inter pairs E_rem (`monotone_diff` checks this, and raises
+    ParameterError on any other change).  With nu' = nu +
     deg_add and Gamma' = Gamma plus 1 on each removed pair (both orders),
     Lambda' = diag(nu') + omega J - A' - Gamma' = Lambda + L_add, L_add the
     Laplacian of the added edges.  L_add is PSD and kills every 1_i, so
@@ -285,17 +290,14 @@ def _paired_trial(
     least eigenvalue on the complement of span{1_i - 1_j} is at least
     Lambda's, Gamma' >= Gamma is still zero inside the communities, and
     nu' >= nu.  Every check of the clean report thus holds on g2, at the
-    cost of one diff of the two edge lists, with no Lanczos, store or
-    Cholesky."""
+    cost of one diff of the two edge lists."""
     g, truth = sample_ppm(params, seed)
     g2 = apply_adversary(g, truth, cfg.adversary, trial_seed(seed, "adv", 0))
     clean = run_trial(cfg, params, g, truth)
     if not clean["certified"]:
         return clean, run_trial(cfg, params, g2, truth)
     monotone_diff(g, g2, truth)  # the premise of the carried proof
-    adv = run_trial(replace(cfg, certify=False), params, g2, truth)
-    adv["certified"] = True
-    return clean, adv
+    return clean, clean
 
 
 def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResult:
@@ -306,20 +308,16 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
     monotone changes, so `violations` counts trials where the clean graph
     recovered but the adversarial one did not.  With certificates on, each
     row also says whether a certificate proves the planted labels the
-    unique optimum on each graph; on the changed graph that proof is the
-    clean one carried over when the clean one holds (`_paired_trial`), so
-    only a pair whose clean certificate fails verifies a fresh one there.
-    Under certify-only, `recovered` on the changed graph is still the
-    fresh paper certificate's verdict, so a pair whose fresh certificate
-    fails while the carried proof holds counts as a violation: a miss of
-    the paper's construction, not of exact recovery.
+    unique optimum on each graph.  When the clean one does, the proof
+    carries to the changed graph (`_paired_trial`): the row's adversarial
+    columns equal its clean ones, and the pair is no violation.  Only a
+    pair without a clean proof runs the changed graph.
     A pair whose linear algebra fails (LinAlgError) counts in `errors`, as
     not recovered, not certified and no violation; every rate divides by
     all trials, errors included.
     """
     if cfg.adversary is None:
         raise ParameterError("robustness suite requires an adversary spec")
-    certify = cfg.certify or cfg.algorithm == "certify-only"
     rows = []
     for params, seeds in _sweep(cfg):
         for trial, seed in enumerate(seeds):
@@ -339,8 +337,8 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
                     "clean_recovered": int(clean["recovered"]),
                     "adversarial_recovered": int(adv["recovered"]),
                     "violation": int(violation),
-                    "clean_certified": int(clean["certified"]) if certify else None,
-                    "adversarial_certified": int(adv["certified"]) if certify else None,
+                    "clean_certified": int(clean["certified"]) if cfg.certify else None,
+                    "adversarial_certified": int(adv["certified"]) if cfg.certify else None,
                     "errors": int(error),
                 }
             )
@@ -354,8 +352,8 @@ def run_robustness_suite(cfg: ExperimentConfig, csv_path=None) -> RobustnessResu
         clean_rate=rate("clean_recovered"),
         adversarial_rate=rate("adversarial_recovered"),
         violations=sum(row["violation"] for row in rows),
-        clean_certified_rate=rate("clean_certified") if certify else None,
-        adversarial_certified_rate=rate("adversarial_certified") if certify else None,
+        clean_certified_rate=rate("clean_certified") if cfg.certify else None,
+        adversarial_certified_rate=rate("adversarial_certified") if cfg.certify else None,
         errors=sum(row["errors"] for row in rows),
     )
     if csv_path is not None:

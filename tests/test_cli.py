@@ -547,13 +547,18 @@ class TestUsageErrors:
         ("seed_base", True), ("seed_base", 1.5), ("p_tilde_grid", [True]), ("q_tilde_grid", [True]),
         # 0.5 and "ab" once ended in a traceback, and [0.5, "0.5"] ran
         ("pi", 0.5), ("pi", "ab"), ("pi", [0.5, "0.5"]),
+        # the truthy string "false" once turned certificates on
+        ("certify", "false"), ("certify", 1),
+        # these once loaded, sampled and then crashed with AttributeError
+        ("adversary", "random_monotone"), ("adversary", ["x"]),
     ])
     def test_config_with_a_bad_stopping_rule(self, tmp_path, capsys, monkeypatch, command, field, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "p_tilde_grid": [16.0], "q_tilde_grid": [2.0], "pi": [0.5, 0.5], "n_grid": [40],
-            "trials": 1, "seed_base": 1, field: value,
+            "trials": 1, "seed_base": 1,
             "adversary": {"kind": "random_monotone", "params": {"delta_add": 0.1, "delta_rem": 0.1}},
+            field: value,
         }))
         monkeypatch.setattr(ppm_sdp.harness, "run_trial", None)  # no trial may start
         out = tmp_path / "out.csv"

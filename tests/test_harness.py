@@ -98,6 +98,23 @@ class TestConfig:
         assert type(cfg.seed_base) is int and cfg.seed_base == 7
         assert small_config(seed_base=10**400).seed_base == 10**400  # beyond a float
 
+    @pytest.mark.parametrize("certify", ["false", 1])
+    def test_certify_is_a_bool(self, certify):
+        # the truthy string "false" once turned certificates on
+        with pytest.raises(ParameterError, match="certify must be true or false"):
+            small_config(certify=certify)
+
+    def test_certify_only_certifies(self):
+        # the one place the rule lives: run_trial and the suite read cfg.certify
+        assert small_config(algorithm="certify-only", certify=False).certify is True
+        assert small_config(algorithm="solve-known", certify=False).certify is False
+
+    @pytest.mark.parametrize("adversary", ["random_monotone", ["x"]])
+    def test_adversary_is_null_or_a_spec(self, adversary):
+        # these once loaded and then crashed with AttributeError at the first trial
+        with pytest.raises(ParameterError, match="adversary must be null or a spec object"):
+            small_config(adversary=adversary)
+
 
 class TestTrialSeed:
     def test_stable_and_distinct(self):
@@ -214,16 +231,50 @@ class TestRobustness:
     def test_transported_proof_where_the_fresh_certificate_fails(self):
         # at n = 600, p~ = 15, the paper's construction fails on the changed
         # graph (r_positive, gamma_off_positive), which the clean
-        # certificate, carried over, proves
+        # certificate, carried over, proves: the carried proof decides the
+        # adversarial arm, so the pair is no violation
         spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
         cfg = ExperimentConfig(
             p_tilde_grid=[15.0], q_tilde_grid=[2.0], pi=(0.5, 0.3, 0.2), n_grid=[600],
             trials=1, seed_base=5, algorithm="certify-only", adversary=spec,
         )
+        [(params, [seed])] = harness._sweep(cfg)
+        g, truth = sample_ppm(params, seed)
+        g2 = harness.apply_adversary(g, truth, spec, trial_seed(seed, "adv", 0))
+        assert not verify_certificate(g2, truth, build_certificate(g2, truth, params)).unique_optimum
         [row] = run_robustness_suite(cfg).rows
         assert (row["clean_recovered"], row["clean_certified"]) == (1, 1)
-        assert (row["adversarial_recovered"], row["adversarial_certified"]) == (0, 1)
-        assert row["violation"] == 1  # the fresh certificate decides recovered
+        assert (row["adversarial_recovered"], row["adversarial_certified"]) == (1, 1)
+        assert row["violation"] == 0
+
+    def test_carried_proof_counts_no_construction_miss(self):
+        # n = 600, p~ = 15, 8 trials: 7 clean certificates hold, and the
+        # fresh paper certificate on the changed graph once failed on all 7,
+        # counting 7 violations; the carried proofs count none
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
+        cfg = ExperimentConfig(
+            p_tilde_grid=[15.0], q_tilde_grid=[2.0], pi=(0.5, 0.3, 0.2), n_grid=[600],
+            trials=8, seed_base=0, algorithm="certify-only", adversary=spec,
+        )
+        result = run_robustness_suite(cfg)
+        assert result.violations == 0 and result.errors == 0
+        assert result.adversarial_rate == result.adversarial_certified_rate == 0.875
+        assert result.clean_certified_rate == 0.875
+
+    def test_a_carried_proof_runs_the_changed_graph_not_at_all(self, monkeypatch):
+        # solve-known with certificates: the clean proof settles the
+        # adversarial arm, so the pair runs one trial and one ADMM solve
+        spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.3, "delta_rem": 0.3})
+        cfg = small_config(n_grid=[150], p_tilde_grid=[18.0], adversary=spec,
+                           algorithm="solve-known", certify=True, trials=1)
+        trials, run = [], harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(1) or run(*args))
+        solves, solve = [], sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        [row] = run_robustness_suite(cfg).rows
+        assert row["clean_certified"] == row["adversarial_certified"] == 1
+        assert row["clean_recovered"] == row["adversarial_recovered"] == 1
+        assert (len(trials), len(solves)) == (1, 1)
 
     def test_a_carried_proof_needs_a_monotone_change(self, monkeypatch):
         # an adversary that adds an inter pair breaks the premise of the
@@ -248,9 +299,14 @@ class TestRobustness:
     @pytest.mark.parametrize("fail", ["every", "adversarial"])
     def test_linalg_failure_is_an_error_count(self, fail, monkeypatch):
         # a pair whose solve fails, on either graph, is an error: not
-        # recovered, not certified and no violation; rates divide by all
+        # recovered, not certified and no violation; rates divide by all.
+        # A clean proof would settle the changed graph with no solve, so
+        # every clean certificate fails here and the changed graph is solved
         spec = AdversarySpec(kind="random_monotone", params={"delta_add": 0.1, "delta_rem": 0.1})
         cfg = small_config(adversary=spec, algorithm="solve-known", certify=True, trials=3)
+        verify = harness.certificate.verify_certificate
+        monkeypatch.setattr(harness.certificate, "verify_certificate",
+                            lambda *args: replace(verify(*args), verified=False))
         calls, solve = [], sdp.solve
 
         def failing(*args, **kwargs):
