@@ -19,13 +19,12 @@ the end Ritz values and the least one's Ritz vector; it also gives the
 kernel product and Lambda U, U a basis of the span.  The Rayleigh quotient
 rho of that vector, projected onto the complement, settles a negative
 margin at once: when rho < -psd_tol the vector witnesses that Lambda is not
-PSD there, the margin reported is rho, and nothing is stored (unless the
-kernel check needs the largest entry of Lambda).  Otherwise the store is
-written once, as the matrix the proof factors: its lower triangle in row
-blocks of _CHOLESKY_BLOCK rows, about n (n + 128) / 2 doubles, the one
-large array of a verification, never live beside an operator product.  One
-pass writes each chunk of it from Lambda's rows (`_lambda_rows`), reads off
-the largest entry, compresses it onto the complement and shifts its
+PSD there, the margin reported is rho, and nothing is stored.  Otherwise
+the store is written once, as the matrix the proof factors: its lower
+triangle in row blocks of _CHOLESKY_BLOCK rows, about n (n + 128) / 2
+doubles, the one large array of a verification, never live beside an
+operator product.  One pass writes each chunk of it from Lambda's rows
+(`_lambda_rows`), compresses it onto the complement and shifts its
 diagonal to just below the least Ritz value; one in-place Cholesky
 factorization then proves that value a lower bound.  Only when the
 factorization fails is the matrix written again, unshifted, and expanded
@@ -241,33 +240,32 @@ def _lambda_rows(g: Graph, truth: PartitionLabels, cert: DualCertificate):
 
 def _assemble(
     n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float, shift: float
-) -> tuple[_LowerBlocks, float]:
-    """(M - shift I, max |Lambda|): M = P Lambda P + s U U^T as a
-    `_LowerBlocks` store, given the row source `rows` (`_lambda_rows`),
-    U = `span_basis`, lam_u = Lambda U and P = I - U U^T.
+) -> _LowerBlocks:
+    """M - shift I as a `_LowerBlocks` store: M = P Lambda P + s U U^T,
+    given the row source `rows` (`_lambda_rows`), U = `span_basis`,
+    lam_u = Lambda U and P = I - U U^T.
 
     M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
     complement of the span, plus s, r - 1 times; for s between that
     spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
     quotient on the complement) the copies move neither end.  Each chunk of
     at most _CHUNK_ENTRIES stored entries is written once: its rows of
-    Lambda, whose largest magnitude joins the running max, less the
-    rank-(r - 1) updates of the compression, less the shift on its diagonal.
+    Lambda, less the rank-(r - 1) updates of the compression, less the shift
+    on its diagonal.
     """
     k = u.T @ lam_u
     # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
     b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
-    store, lam_max = _LowerBlocks(n), 0.0
+    store = _LowerBlocks(n)
     for k0, k1, blk in store.blocks:
         for part in _row_blocks(k1 - k0, k1):
             span = slice(k0 + part.start, k0 + part.stop)
             chunk = blk[part]
             chunk[:] = rows(span, k1)
-            lam_max = max(lam_max, float(chunk.max()), -float(chunk.min()))
             chunk -= b[span] @ u[:k1].T
             chunk -= u[span] @ b[:k1].T
             chunk.reshape(-1)[span.start :: k1 + 1] -= shift
-    return store, lam_max
+    return store
 
 
 def _gamma_rows(cert: DualCertificate, lab: np.ndarray):
@@ -371,7 +369,7 @@ def _exact_ends(n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float) -> tup
     """(least, largest) eigenvalue of Lambda compressed onto the orthogonal
     complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M
     (`_assemble`, s inside those ends, no shift)."""
-    lam, _ = _assemble(n, rows, u, lam_u, s, 0.0)
+    lam = _assemble(n, rows, u, lam_u, s, 0.0)
     lo, hi = np.linalg.eigvalsh(lam.lower_dense())[[0, -1]].tolist()
     return lo, hi
 
@@ -416,25 +414,6 @@ def _margin_ritz(op, n: int, u: np.ndarray) -> tuple[tuple[float, float], np.nda
     return (lo, hi), v[:, :1]
 
 
-def _proven_ends(lam: _LowerBlocks, ritz: tuple[float, float]) -> tuple[float, float] | None:
-    """`ritz`, the (least, largest) compressed Ritz values of Lambda from
-    `_margin_ritz`, once proven, or None when the proof fails.  Factors
-    `lam` in place.
-
-    `lam` is M - (theta_min - tol) I, the matrix `_assemble` writes with
-    s = theta_max and tol = _psd_tol.  Its Cholesky factorization proves in
-    floating point that no compressed eigenvalue lies below
-    theta_min - tol; the r - 1 copies of s sit at
-    theta_max - theta_min + tol > 0.  A failure means Lanczos missed the
-    bottom of the spectrum.
-    """
-    try:
-        _cholesky_in_place(lam)
-    except np.linalg.LinAlgError:
-        return None
-    return ritz
-
-
 def partition_objective(e_ij: np.ndarray, sizes: np.ndarray, omega: float) -> float:
     """<A, X> - omega <J, X> at the centered partition matrix X (1 within a
     community, -1/(r-1) across), from the block edge totals and the sizes."""
@@ -465,24 +444,25 @@ def verify_certificate(
     Returns a report, Python floats and bools only, whose `verified` flag is
     the conjunction of all component checks; a failed check is a verdict,
     not an error.  Raises ParameterError only when the labels and the graph
-    disagree on n, or when nu, R and T are not shaped (n,), (n, r) and
-    (r, r) for those labels.
+    disagree on n, when nu, R and T are not shaped (n,), (n, r) and (r, r)
+    for those labels, or when the labels have fewer than two communities.
 
-    The PSD check takes one of two routes.  When the Rayleigh quotient rho
-    of the least Ritz vector, projected onto the complement of
-    span{1_i - 1_j}, is below -psd_tol, that vector refutes PSD-ness:
-    psd_ok is false, psd_margin is rho, and no Cholesky or eigvalsh runs;
-    the store is written only when the kernel residual exceeds its bound
-    against max |nu + omega|, a diagonal entry of Lambda.  Otherwise the
-    least Ritz value is proven from below by the Cholesky factorization of
-    the store, with the exact eigvalsh as the fallback.  Wherever the store
-    is written, the kernel check scales by the max |Lambda| its pass reads.
+    The kernel check scales by max |nu + omega|, the largest magnitude on
+    Lambda's diagonal.  The PSD check takes one of two routes.  When the
+    Rayleigh quotient rho of the least Ritz vector, projected onto the
+    complement of span{1_i - 1_j}, is below -psd_tol, that vector refutes
+    PSD-ness: psd_ok is false, psd_margin is rho, and nothing is stored, so
+    no Cholesky or eigvalsh runs.  Otherwise the store is written and the
+    least Ritz value is proven from below by its Cholesky factorization,
+    with the exact eigvalsh as the fallback.
     """
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
     n, r = g.n, truth.r
     if cert.nu.shape != (n,) or cert.R.shape != (n, r) or cert.T.shape != (r, r):
         raise ParameterError("certificate and labels disagree on n or r")
+    if r < 2:
+        raise ParameterError("need at least two communities")
     lab = truth.as_array()
     sizes = truth.sizes()
     nu_target = math.log(n) / math.log(math.log(n))
@@ -521,20 +501,27 @@ def verify_certificate(
     x -= u @ (u.T @ x)
     rho = float((x.T @ op(x)).item() / (x.T @ x).item())
     del op  # its (n, r) tables need not live beside the store
-    # x refutes PSD-ness when rho < -psd_tol: then there is nothing to prove
-    ends = (rho, ritz[1]) if rho < -_psd_tol(max(abs(rho), abs(ritz[1]))) else None
-    # nu_v + omega is a diagonal entry of Lambda, so at most max |Lambda|
+    # nu_v + omega is Lambda's diagonal, so this scale is at most max |Lambda|
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(cert.nu + cert.omega))))
-    if ends is None or not kernel_ok:
+    lo, hi = ritz
+    if rho < -_psd_tol(max(abs(rho), abs(hi))):
+        ends = rho, hi  # x refutes PSD-ness: there is nothing to prove
+    else:
+        # a Cholesky factorization of M - (lo - tol) I proves in floating
+        # point that no compressed eigenvalue lies below lo - tol (the r - 1
+        # copies of s = hi sit at hi - lo + tol > 0); it fails only when
+        # Lanczos missed the bottom of the spectrum
         rows = _lambda_rows(g, truth, cert)
-        lo, hi = ritz
-        lam, lam_max = _assemble(n, rows, u, lam_u, hi, lo - _psd_tol(max(abs(lo), abs(hi))))
-        kernel_ok = kernel_residual <= 1e-8 * (1.0 + lam_max)
-        if ends is None:
-            ends = _proven_ends(lam, ritz)
-        del lam  # freed before the fallback writes a fresh matrix
-        if ends is None:  # the exact, dense route, from a fresh Lambda
-            ends = _exact_ends(n, rows, u, lam_u, hi)
+        lam = _assemble(n, rows, u, lam_u, hi, lo - _psd_tol(max(abs(lo), abs(hi))))
+        try:
+            _cholesky_in_place(lam)
+            proven = True
+        except np.linalg.LinAlgError:
+            proven = False
+        # freed, outside the except block and its traceback, before the
+        # exact, dense route writes a fresh matrix
+        del lam
+        ends = ritz if proven else _exact_ends(n, rows, u, lam_u, hi)
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = max(abs(ends[0]), abs(ends[1]))

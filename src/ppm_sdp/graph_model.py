@@ -64,9 +64,14 @@ class PartitionLabels:
         seen = set(self.labels)
         if any(c < 0 or c >= self.r for c in seen):
             raise ParameterError("community index out of range")
-        if seen != set(range(self.r)):
-            missing = sorted(set(range(self.r)) - seen)
-            raise ParameterError(f"empty communities: {missing}")
+        if len(seen) < self.r:
+            # every label lies in [0, r): the first len(seen) + 3 indices hold
+            # the first three empty communities, or all of them
+            first = [c for c in range(min(self.r, len(seen) + 3)) if c not in seen][:3]
+            more = ", ..." if self.r - len(seen) > 3 else ""
+            raise ParameterError(
+                f"empty communities ({self.r - len(seen)}): {', '.join(map(str, first))}{more}"
+            )
 
     @property
     def n(self) -> int:

@@ -176,8 +176,8 @@ def rows_of(m):
 
 
 def uncompressed(n, rows):
-    """(store, max |Lambda|) from `_assemble` with an empty span basis: the
-    rows as given, no compression and no shift."""
+    """The store `_assemble` writes with an empty span basis: the rows as
+    given, no compression and no shift."""
     none = np.zeros((n, 0))
     return _assemble(n, rows, none, none, 0.0, 0.0)
 
@@ -336,11 +336,10 @@ class TestConstruction:
             # whole diagonal block; blocks written a few rows at a time agree
             for chunk in (default, 997):
                 monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
-                lam, lam_max = uncompressed(g.n, _lambda_rows(g, truth, cert))
+                lam = uncompressed(g.n, _lambda_rows(g, truth, cert))
                 assert len(lam.blocks) == math.ceil(g.n / certificate._CHOLESKY_BLOCK)
                 for k0, k1, blk in lam.blocks:
                     assert np.array_equal(blk, expected[k0:k1, :k1])
-                assert lam_max == np.abs(expected).max()
 
     def test_gamma_matrix_is_the_dense_gamma(self):
         # the instances of the assembly identity, T_ij <= 0 blocks included
@@ -462,6 +461,17 @@ class TestVerification:
         with pytest.raises(ParameterError, match="disagree on n or r"):
             verify_certificate(g, other, cert)
 
+    def test_one_community_raises(self):
+        # a certificate cut to r = 1 once raised numpy's ValueError from an
+        # empty reduction in sign_minima
+        par = PlantedPartitionParams(n=60, r=2, pi=(0.5, 0.5), p_tilde=8, q_tilde=1)
+        g, truth = sample_ppm(par, 1)
+        cert = build_certificate(g, truth, par)
+        one = PartitionLabels(labels=(0,) * g.n, r=1)
+        cut = dataclasses.replace(cert, R=cert.R[:, :1], T=cert.T[:1, :1])
+        with pytest.raises(ParameterError, match="at least two communities"):
+            verify_certificate(g, one, cut)
+
 
 class TestCompressedPsd:
     @pytest.mark.parametrize("pi", UNEQUAL_PI)
@@ -506,6 +516,25 @@ class TestCompressedPsd:
         assert report.kernel_ok
         assert not report.psd_ok
         assert not report.verified
+
+    def test_kernel_check_scales_by_the_diagonal(self, strong_instance, monkeypatch):
+        # a large term outside span{1_i} leaves the kernel residual alone
+        # but raises max |Lambda| far above max |nu + omega|; a residual
+        # between the two scales fails the check
+        g, truth, cert = strong_instance
+        diagonal = float(np.max(np.abs(cert.nu + cert.omega)))
+        x = np.zeros(g.n)
+        for i in range(truth.r):  # +-1 alternating, zero-sum within each community
+            x[truth.members(i)] = np.resize([1.0, -1.0], int(truth.sizes()[i]))
+        lam = assemble_lambda(g, truth, cert) + 1e4 * diagonal * np.outer(x, x)
+        a, b = truth.members(0)[0], truth.members(1)[0]
+        low, high = 1e-8 * (1.0 + diagonal), 1e-8 * (1.0 + float(np.abs(lam).max()))
+        lam[a, b] += math.sqrt(low * high)
+        lam[b, a] += math.sqrt(low * high)
+        inject(monkeypatch, lam)
+        report = verify_certificate(g, truth, cert)
+        assert low < report.kernel_residual < high
+        assert not report.kernel_ok and report.psd_ok and not report.verified
 
     @pytest.mark.parametrize("pi", UNEQUAL_PI)
     def test_closed_form_primal_matches_dense(self, pi):
@@ -584,11 +613,10 @@ class TestLowerStore:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, n))
         m = x + x.T
-        lower, lam_max = uncompressed(n, rows_of(m))
+        lower = uncompressed(n, rows_of(m))
         h = certificate._CHOLESKY_BLOCK
         sizes = [(k1 - k0) * k1 for k0 in range(0, n, h) for k1 in [min(k0 + h, n)]]
         assert sum(blk.size for _, _, blk in lower.blocks) == sum(sizes)
-        assert lam_max == np.abs(m).max()
         assert np.array_equal(np.tril(lower.lower_dense()), np.tril(m))
 
     @pytest.mark.parametrize("block", [None, 31])
@@ -619,10 +647,9 @@ class TestLowerStore:
         p = np.eye(n) - u @ u.T
         s, shift = 2.5, 0.75
         expected = p @ lam @ p + s * (u @ u.T) - shift * np.eye(n)
-        lower, lam_max = _assemble(n, _lambda_rows(g, truth, cert), u, lam @ u, s, shift)
+        lower = _assemble(n, _lambda_rows(g, truth, cert), u, lam @ u, s, shift)
         error = np.abs(np.tril(lower.lower_dense()) - np.tril(expected)).max()
         assert error <= 1e-12 * np.abs(expected).max()
-        assert lam_max == np.abs(lam).max()
 
 
 class TestLambdaOperator:
@@ -643,7 +670,7 @@ class TestLambdaOperator:
         assert np.any(t_off <= 0) == (case in ("half-q omega", "one T <= 0"))
         op = certificate._lambda_operator(g, truth, cert)
         dense = assemble_lambda(g, truth, cert)
-        stored = np.tril(uncompressed(g.n, _lambda_rows(g, truth, cert))[0].lower_dense())
+        stored = np.tril(uncompressed(g.n, _lambda_rows(g, truth, cert)).lower_dense())
         stored += np.tril(stored, -1).T  # the symmetric matrix the store holds
         scale = float(np.abs(dense).sum(axis=1).max())
         for x in (np.random.default_rng(1).normal(size=(g.n, k)) for k in (1, 3)):
@@ -820,6 +847,22 @@ class TestPsdProof:
         report = TestDenseReference.assert_same_verdicts(g, truth, cert)
         assert report.kernel_ok and not report.psd_ok and not report.verified
         assert report.psd_margin < -report.psd_tol
+
+    def test_a_failed_kernel_check_writes_no_store(self, monkeypatch):
+        # nu corrupted on labels a witness refutes: both checks fail, and
+        # the kernel check needs no largest entry of Lambda from the store
+        par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, 5, "swapped")
+        cert = build_certificate(g, truth, par)
+        nu = cert.nu.copy()
+        nu[0] += 1.0
+
+        def refuse(*_):
+            raise AssertionError("the store was written")
+
+        monkeypatch.setattr(certificate, "_assemble", refuse)
+        report = verify_certificate(g, truth, dataclasses.replace(cert, nu=nu))
+        assert not report.kernel_ok and not report.psd_ok and not report.verified
 
     def test_a_quotient_above_minus_tol_takes_the_proof_route(self, monkeypatch):
         # Lambda shifted on the complement so that its least compressed

@@ -111,12 +111,28 @@ class TestPartitionLabels:
         assert lab.members(1).tolist() == [2, 3]
 
     def test_rejects_empty_community(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^empty communities \(1\): 1$"):
             PartitionLabels(labels=(0, 0, 2), r=3)
+        # the count and the first three
+        with pytest.raises(ParameterError, match=r"^empty communities \(4\): 0, 2, 3, \.\.\.$"):
+            PartitionLabels(labels=(1, 5), r=6)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             PartitionLabels(labels=(0, 3), r=2)
+
+    def test_a_large_community_index_costs_no_order_r_work(self):
+        # r once built set(range(r)) and listed every empty community:
+        # 155 MB and a 7.9 MB message at r = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError) as err:
+                PartitionLabels(labels=(0, 10**6), r=10**6 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(err.value)) < 200
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("labels, r", [
         ((0, 1.7, 1), 2),  # once silently (0, 1, 1)
