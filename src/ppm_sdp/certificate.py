@@ -12,24 +12,29 @@ then forced, and each off-diagonal block of Gamma is the unique rank-one
 matrix with those row and column sums.  The certificate keeps Gamma in that
 factored form (nu, R, T); nothing in it is n x n.
 
-Verification applies Lambda only through the operator x -> Lambda x, from
-the edge pairs, nu, omega and the factored Gamma (R, T): Lanczos (`lanczos`)
-on it, restricted to the orthogonal complement of span{1_i - 1_j}, gives
-the end Ritz values and the least one's Ritz vector; it also gives the
-kernel product and Lambda U, U a basis of the span.  The Rayleigh quotient
-rho of that vector, projected onto the complement, settles a negative
-margin at once: when rho < -psd_tol the vector witnesses that Lambda is not
-PSD there, the margin reported is rho, and nothing is stored.  Otherwise
-the store is written once, as the matrix the proof factors: its lower
-triangle in row blocks of _CHOLESKY_BLOCK rows, about n (n + 128) / 2
-doubles, the one large array of a verification, never live beside an
-operator product.  One pass writes each chunk of it from Lambda's rows
-(`_lambda_rows`), compresses it onto the complement and shifts its
-diagonal to just below the least Ritz value; one in-place Cholesky
-factorization then proves that value a lower bound.  Only when the
-factorization fails is the matrix written again, unshifted, and expanded
-to a dense matrix for an exact eigvalsh.  A poor Ritz value can therefore
-only send a verification down that dense route; it cannot change a verdict.
+Lambda is sparse plus low rank: Lambda = diag(nu) - A + L K^T, with
+L = [omega 1, ...] and K = [1, ...] one column each for omega J and for each
+off-diagonal block of Gamma (`_factors`), at most 1 + r (r - 1) columns.
+Every product with Lambda and every dense form of it goes through these
+factors.  Verification applies Lambda only through the operator
+x -> nu x - A x + L (K^T x), from the edge pairs and the factors: Lanczos
+(`lanczos`) on it, restricted to the orthogonal complement of
+span{1_i - 1_j}, gives the end Ritz values and the least one's Ritz vector;
+it also gives the kernel product and Lambda U, U a basis of the span.  The
+Rayleigh quotient rho of that vector, projected onto the complement,
+settles a negative margin at once: when rho < -psd_tol the vector witnesses
+that Lambda is not PSD there, the margin reported is rho, and nothing is
+stored.  Otherwise the store is written once, as the matrix the proof
+factors: its lower triangle in row blocks of _CHOLESKY_BLOCK rows, about
+n (n + 128) / 2 doubles, the one large array of a verification, never live
+beside an operator product.  The compression onto the complement adds
+2 (r - 1) columns to the factors (`_compressed`), and one product of the
+factors writes each row block in place, before the edges and the shifted
+diagonal (`_assemble`); one in-place Cholesky factorization then proves the
+least Ritz value a lower bound.  Only when the factorization fails is the
+matrix written again, unshifted, and expanded to a dense matrix for an
+exact eigvalsh.  A poor Ritz value can therefore only send a verification
+down that dense route; it cannot change a verdict.
 """
 
 from __future__ import annotations
@@ -174,16 +179,6 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     return cert, delta
 
 
-_CHUNK_ENTRIES = 1 << 14  # entries per chunk of an update or its temporaries
-
-
-def _row_blocks(rows: int, cols: int):
-    """Slices covering range(rows), each spanning at most _CHUNK_ENTRIES
-    entries of a matrix with `cols` columns (at least one row)."""
-    step = max(1, _CHUNK_ENTRIES // max(cols, 1))
-    return (slice(k, min(k + step, rows)) for k in range(0, rows, step))
-
-
 _CHOLESKY_BLOCK = 128  # rows per block of _LowerBlocks, columns per Cholesky panel
 
 
@@ -215,116 +210,80 @@ class _LowerBlocks:
         return dense
 
 
-def _lambda_rows(g: Graph, truth: PartitionLabels, cert: DualCertificate):
-    """lam(rows, k): the rows `rows` (a slice, rows.stop <= k) of Lambda =
-    diag(nu) + omega J - A - Gamma, columns [0, k), from omega, the edges in
-    the graph's neighbour index, Gamma by its entry formula (`_gamma_rows`)
-    and nu, without the dense adjacency."""
-    nbr, has, starts = g._neighbours
-    # ptr[v]: where vertex v's run of neighbours begins, for v = 0..n
-    ptr = np.append(starts, len(nbr))[np.searchsorted(has, np.arange(g.n + 1))]
-    owner = np.repeat(np.arange(g.n), np.diff(ptr))  # the vertex of each run entry
-    gamma = _gamma_rows(cert, truth.as_array())
+def _factors(truth: PartitionLabels, cert: DualCertificate) -> tuple[np.ndarray, np.ndarray]:
+    """(L, K) with Lambda = diag(nu) - A + L K^T, each n x (1 + r (r - 1))
+    at most.
 
-    def lam(rows: slice, k: int) -> np.ndarray:
-        out = np.full((rows.stop - rows.start, k), cert.omega)
-        run = slice(ptr[rows.start], ptr[rows.stop])
-        cols = nbr[run]
-        out.reshape(-1)[((owner[run] - rows.start) * k + cols)[cols < k]] -= 1.0
-        out -= gamma(rows, k)
-        out.reshape(-1)[rows.start :: k + 1] += cert.nu[rows]
-        return out
-
-    return lam
-
-
-def _assemble(
-    n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float, shift: float
-) -> _LowerBlocks:
-    """M - shift I as a `_LowerBlocks` store: M = P Lambda P + s U U^T,
-    given the row source `rows` (`_lambda_rows`), U = `span_basis`,
-    lam_u = Lambda U and P = I - U U^T.
-
-    M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
-    complement of the span, plus s, r - 1 times; for s between that
-    spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
-    quotient on the complement) the copies move neither end.  Each chunk of
-    at most _CHUNK_ENTRIES stored entries is written once: its rows of
-    Lambda, less the rank-(r - 1) updates of the compression, less the shift
-    on its diagonal.
-    """
-    k = u.T @ lam_u
-    # P lam P + s U U^T = lam - B U^T - U B^T, with B = lam U - U (U^T lam U + s I) / 2
-    b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
-    store = _LowerBlocks(n)
-    for k0, k1, blk in store.blocks:
-        for part in _row_blocks(k1 - k0, k1):
-            span = slice(k0 + part.start, k0 + part.stop)
-            chunk = blk[part]
-            chunk[:] = rows(span, k1)
-            chunk -= b[span] @ u[:k1].T
-            chunk -= u[span] @ b[:k1].T
-            chunk.reshape(-1)[span.start :: k1 + 1] -= shift
-    return store
-
-
-def _gamma_rows(cert: DualCertificate, lab: np.ndarray):
-    """gamma(rows, k): the rows `rows` (a slice) of Gamma, columns [0, k),
-    by the entry formula Gamma_uv = R[u, c(v)] R[v, c(u)] / T[c(u), c(v)],
-    c = lab.  The totals table is infinite on its diagonal and wherever
-    T_ij <= 0, so those entries are exactly 0."""
-    totals = np.where(cert.T > 0, cert.T, math.inf)
-    np.fill_diagonal(totals, math.inf)
-    r_t = np.ascontiguousarray(cert.R.T)
-
-    def gamma(rows: slice, k: int) -> np.ndarray:
-        cols = lab[:k]
-        gam = np.take(cert.R[rows], cols, axis=1)
-        gam *= r_t[lab[rows], :k]
-        gam /= np.take(totals[lab[rows]], cols, axis=1)
-        return gam
-
-    return gamma
-
-
-def _lambda_operator(g: Graph, truth: PartitionLabels, cert: DualCertificate):
-    """x -> Lambda x for an (n, b) block x, from (nu, omega, g.pairs, R, T)
-    without the store: nu x + omega 1 (1^T x) - A x (`Graph.matvec`) - Gamma x.
-
-    By the entry formula of `_gamma_rows`, (Gamma x)_u is the sum over
-    communities j != c(u) with T[c(u), j] > 0 of
-    R[u, j] / T[c(u), j] * sum_{v in S_j} R[v, c(u)] x_v: the r x r table of
-    inner sums costs O(n r^2 b), and each row then sums r terms."""
-    n, r = g.n, truth.r
+    Column 0 is (omega 1, 1), for omega J.  Each ordered pair i != j with
+    T_ij > 0 adds the column (-1_{S_i} R[:, j] / T_ij, 1_{S_j} R[:, i]), the
+    rank-one block R[S_i, j] R[S_j, i]^T / T_ij of Gamma; a pair with
+    T_ij <= 0 adds none, and its block of Gamma is 0."""
     lab = truth.as_array()
-    totals = np.where(cert.T > 0, cert.T, math.inf)
-    np.fill_diagonal(totals, math.inf)
-    coef = cert.R / totals[lab]  # coef[u, j] = R[u, j] / T[c(u), j], or 0
-    ind = truth.indicator_matrix()
-    nu = cert.nu[:, None]
+    members = [np.flatnonzero(lab == i) for i in range(truth.r)]
+    pairs = [(i, j) for i in range(truth.r) for j in range(truth.r) if i != j and cert.T[i, j] > 0]
+    left = np.zeros((truth.n, 1 + len(pairs)))
+    right = np.zeros_like(left)
+    left[:, 0], right[:, 0] = cert.omega, 1.0
+    for col, (i, j) in enumerate(pairs, 1):
+        left[members[i], col] = -cert.R[members[i], j] / cert.T[i, j]
+        right[members[j], col] = cert.R[members[j], i]
+    return left, right
+
+
+def _lambda_operator(g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """x -> Lambda x = nu x - A x + L (K^T x) for an (n, b) block x, from the
+    edge pairs (`Graph.matvec`), nu and the factors (L, K) = (left, right)
+    of `_factors`, without the store: O(m b + n r^2 b)."""
+    nu = nu[:, None]
 
     def op(x: np.ndarray) -> np.ndarray:
-        b = x.shape[1]
-        # sums[j, i] = sum_{v in S_j} R[v, i] x_v, one row per column of x
-        sums = (ind.T @ (cert.R[:, :, None] * x[:, None, :]).reshape(n, r * b)).reshape(r, r, b)
         y = nu * x
-        y += cert.omega * x.sum(axis=0)
         y -= g.matvec(x)
-        y -= np.einsum("uj,jub->ub", coef, sums[:, lab])
+        y += left @ (right.T @ x)
         return y
 
     return op
 
 
-def gamma_matrix(truth: PartitionLabels, cert: DualCertificate) -> np.ndarray:
-    """Gamma as a dense n x n matrix, a few rows at a time, by the entry
-    formula (`_gamma_rows`) that `_lambda_rows` uses."""
-    n = truth.n
-    gamma = _gamma_rows(cert, truth.as_array())
-    out = np.empty((n, n))
-    for rows in _row_blocks(n, n):
-        out[rows] = gamma(rows, n)
-    return out
+def _compressed(left: np.ndarray, right: np.ndarray, u: np.ndarray, lam_u: np.ndarray, s: float):
+    """The factors of M = P Lambda P + s U U^T, given Lambda's (L, K) =
+    (left, right), U = `span_basis`, lam_u = Lambda U and P = I - U U^T:
+    M = diag(nu) - A + [L, -B, -U] [K, U, B]^T, where
+    B = Lambda U - U (U^T Lambda U + s I) / 2.
+
+    M has the n - r + 1 eigenvalues of Lambda compressed onto the orthogonal
+    complement of the span, plus s, r - 1 times; for s between that
+    spectrum's ends (the verifier passes its largest Ritz value, a Rayleigh
+    quotient on the complement) the copies move neither end."""
+    k = u.T @ lam_u
+    b = lam_u - 0.5 * u @ (0.5 * (k + k.T) + s * np.eye(u.shape[1]))
+    return np.hstack([left, -b, -u]), np.hstack([right, u, b])
+
+
+def _assemble(
+    g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray, shift: float
+) -> _LowerBlocks:
+    """diag(nu) - A + L K^T - shift I as a `_LowerBlocks` store, for the
+    factors (L, K) = (left, right): `_factors`, or `_compressed` for the
+    matrix the PSD proof factors.
+
+    Each row block [k0, k1) is written once, in place, by the one product
+    L[k0:k1] K[:k1]^T; then 1 is subtracted at its edges, from the graph's
+    neighbour index, and nu - shift is added on its diagonal.  Nothing else
+    is n x n, and nothing else is O(n r^2) beside the factors."""
+    nbr = g._neighbours[0]
+    degree = np.bincount(g.pairs.ravel(), minlength=g.n)
+    ptr = np.append(0, np.cumsum(degree))  # vertex v's run of nbr is [ptr[v], ptr[v + 1])
+    diagonal = nu - shift
+    store = _LowerBlocks(g.n)
+    for k0, k1, blk in store.blocks:
+        np.matmul(left[k0:k1], right[:k1].T, out=blk)
+        flat = blk.reshape(-1)
+        cols = nbr[ptr[k0] : ptr[k1]]
+        row_starts = np.repeat(np.arange(k1 - k0) * k1, degree[k0:k1])
+        flat[(row_starts + cols)[cols < k1]] -= 1.0
+        flat[k0 :: k1 + 1] += diagonal[k0:k1]
+    return store
 
 
 def build_certificate(
@@ -365,11 +324,11 @@ def span_basis(truth: PartitionLabels) -> np.ndarray:
     return np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
 
 
-def _exact_ends(n: int, rows, u: np.ndarray, lam_u: np.ndarray, s: float) -> tuple[float, float]:
+def _exact_ends(g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
     """(least, largest) eigenvalue of Lambda compressed onto the orthogonal
-    complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M
-    (`_assemble`, s inside those ends, no shift)."""
-    lam = _assemble(n, rows, u, lam_u, s, 0.0)
+    complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M, from
+    its factors (`_compressed`, s inside those ends), with no shift."""
+    lam = _assemble(g, nu, left, right, 0.0)
     lo, hi = np.linalg.eigvalsh(lam.lower_dense())[[0, -1]].tolist()
     return lo, hi
 
@@ -490,7 +449,8 @@ def verify_certificate(
 
     # every operator product comes before the store: never both at once
     u = span_basis(truth)
-    op = _lambda_operator(g, truth, cert)
+    left, right = _factors(truth, cert)
+    op = _lambda_operator(g, cert.nu, left, right)
     ritz, x = _margin_ritz(op, n, u)
     # Lambda (1_i - 1_j) is column i minus column j of K = Lambda [1_0 ... 1_r-1],
     # so the largest entry over all pairs i < j is the largest range of a row of K
@@ -500,7 +460,7 @@ def verify_certificate(
     # bounds the least compressed eigenvalue from above
     x -= u @ (u.T @ x)
     rho = float((x.T @ op(x)).item() / (x.T @ x).item())
-    del op  # its (n, r) tables need not live beside the store
+    del op  # it holds the factors, which the compression replaces
     # nu_v + omega is Lambda's diagonal, so this scale is at most max |Lambda|
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(cert.nu + cert.omega))))
     lo, hi = ritz
@@ -511,8 +471,8 @@ def verify_certificate(
         # point that no compressed eigenvalue lies below lo - tol (the r - 1
         # copies of s = hi sit at hi - lo + tol > 0); it fails only when
         # Lanczos missed the bottom of the spectrum
-        rows = _lambda_rows(g, truth, cert)
-        lam = _assemble(n, rows, u, lam_u, hi, lo - _psd_tol(max(abs(lo), abs(hi))))
+        left, right = _compressed(left, right, u, lam_u, hi)
+        lam = _assemble(g, cert.nu, left, right, lo - _psd_tol(max(abs(lo), abs(hi))))
         try:
             _cholesky_in_place(lam)
             proven = True
@@ -521,7 +481,7 @@ def verify_certificate(
         # freed, outside the except block and its traceback, before the
         # exact, dense route writes a fresh matrix
         del lam
-        ends = ritz if proven else _exact_ends(n, rows, u, lam_u, hi)
+        ends = ritz if proven else _exact_ends(g, cert.nu, left, right)
     psd_margin = ends[0]
     # the compressed spectral norm, at most ||Lambda||_2 by interlacing
     lam_2 = max(abs(ends[0]), abs(ends[1]))

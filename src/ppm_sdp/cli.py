@@ -12,7 +12,8 @@ failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
 verifies, 1 otherwise.  Every command exits 64 on bad input: a usage error,
 a flag its mode needs left out, an --r that disagrees with --sizes or
 exceeds the graph's n, a --tol that is not finite and positive or a
---max-iters below 1, a config whose max_iters, trials, seed_base or n_grid
+--max-iters below 1, a `tails` --trials outside 1..10^7 or a negative
+`tails` --seed, a config whose max_iters, trials, seed_base or n_grid
 entries are not integers or whose tol, p_tilde_grid or q_tilde_grid entries
 are not numbers, a model whose n or r is not an integer or whose p_tilde or
 q_tilde is not a number (a JSON bool is neither), a config, model or

@@ -378,15 +378,22 @@ class TailDemoResult:
     one_sided: bool  # True when no events were observed (exponent is a bound)
 
 
+MAX_TAIL_TRIALS = 10**7  # draws of tail_exponent_demo: about 0.25 GB
+
+
 def tail_exponent_demo(
     params: PlantedPartitionParams, i: int, j: int, trials: int, seed: int = 0
 ) -> TailDemoResult:
     """Estimate the exponent of the tail event that a community-i vertex has
     no more in-community than cross-community edges (after the size-skew
-    shift tau (pi_i - pi_j) log n); a bad pair or trials < 1 raises before sampling."""
+    shift tau (pi_i - pi_j) log n).  A bad pair, trials outside
+    [1, MAX_TAIL_TRIALS] or a negative seed raises ParameterError before
+    sampling."""
     div = thresholds.ch_divergence_closed_form(params, i, j)
-    if trials < 1:
-        raise ParameterError(f"need trials >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TAIL_TRIALS:
+        raise ParameterError(f"need 1 <= trials <= {MAX_TAIL_TRIALS}, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"need a seed >= 0, got {seed}")
     sizes = params.sizes()
     tau = thresholds.rate_constant_tau(params.p_tilde, params.q_tilde)
     pi = np.asarray(params.pi)

@@ -18,10 +18,11 @@ outside 1..r, as it is while the iterate's rank is still falling.
 ADMM starts from the spectral candidate's primal-dual pair when it can
 (`admm_start`): Z is the candidate's centered partition matrix X, U is
 (C + Lambda)/rho for its unverified certificate Lambda = diag(nu) + omega J
-- A - Gamma, and the warm basis spans range(X).  The start is used only when
-the construction is sign-feasible (every R entry off a vertex's own
-community and every T_ij positive), so that U lies in the normal cone of C
-at X; otherwise, or with no candidate, ADMM starts cold from Z = I, U = 0.
+- A - Gamma, formed as diag(nu) plus one product of the certificate's
+low-rank factors (`certificate._factors`), and the warm basis spans
+range(X).  The start is used only when the construction is sign-feasible
+(every R entry off a vertex's own community and every T_ij positive), so
+that U lies in the normal cone of C at X; otherwise, or with no candidate, ADMM starts cold from Z = I, U = 0.
 When Lambda is PSD the pair is a fixed point: the first projection's
 warm proof holds, and one iteration meets the stop with no full
 eigendecomposition.  The stop itself is the same from either start.
@@ -481,10 +482,13 @@ def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     sign-feasible.
 
     Z0 is the candidate's centered partition matrix X and U0 = (C + Lambda)/rho
-    the scaled dual of its certificate Lambda = diag(nu) + omega J - A - Gamma:
-    (diag(nu) - Gamma)/rho without sizes, plus omega J/rho with them, where
-    omega multiplies <J, X> = j_target.  The basis is an orthonormal basis of
-    range(X) = span{1_i - 1_j}, r - 1 columns.  Sign-feasible
+    the scaled dual of its certificate Lambda = diag(nu) - A + L K^T, by one
+    product of the certificate's factors (`certificate._factors`): with
+    sizes C = A, and C + Lambda = diag(nu) + L K^T, where omega multiplies
+    <J, X> = j_target; without them C = A - omega J, and C + Lambda =
+    diag(nu) - Gamma is the same less the factors' omega J column.  The
+    basis is an orthonormal basis of range(X) = span{1_i - 1_j}, r - 1
+    columns.  Sign-feasible
     (`certificate.sign_minima` both positive) means Gamma > 0 off the
     diagonal blocks, so U0 lies in the normal cone of C at X; when Lambda is
     also PSD, (X, U0) is a fixed point of `solve`, and the first projection's
@@ -496,12 +500,11 @@ def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     r_min, t_min = certificate.sign_minima(labels, cert)
     if not (r_min > 0.0 and t_min > 0.0):
         return None
-    n = labels.n
-    u = certificate.gamma_matrix(labels, cert)
-    np.negative(u, out=u)
-    u.flat[:: n + 1] += cert.nu
-    if prob.j_target is not None:
-        u += cert.omega
+    left, right = certificate._factors(labels, cert)
+    if prob.j_target is None:  # C = A - omega J: drop the factors' omega J column
+        left, right = left[:, 1:], right[:, 1:]
+    u = left @ right.T
+    u.flat[:: labels.n + 1] += cert.nu
     u /= RHO
     return centered_partition_matrix(labels), u, certificate.span_basis(labels)
 

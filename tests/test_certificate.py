@@ -15,7 +15,7 @@ from ppm_sdp.certificate import (
     _assemble,
     _cholesky_in_place,
     _exact_ends,
-    _lambda_rows,
+    _factors,
     _LowerBlocks,
     build_certificate,
     edge_counts,
@@ -33,6 +33,9 @@ from ppm_sdp.graph_model import (
 )
 from ppm_sdp.harness import labels_agree
 from ppm_sdp.sdp import (
+    RHO,
+    admm_start,
+    build_known_sizes,
     build_unknown_sizes,
     centered_partition_matrix,
     objective_value,
@@ -170,23 +173,29 @@ def pack(m):
     return lower
 
 
-def rows_of(m):
-    """The row source of the matrix m, as `_lambda_rows` gives Lambda's."""
-    return lambda rows, k: m[rows, :k]
+def factors_of(g, nu, m):
+    """Factors (L, K) with diag(nu) - A + L K^T = m, as `_factors` gives
+    Lambda's: (m + A - diag(nu), I)."""
+    return m + g.adjacency() - np.diag(nu), np.eye(g.n)
 
 
-def uncompressed(n, rows):
-    """The store `_assemble` writes with an empty span basis: the rows as
-    given, no compression and no shift."""
-    none = np.zeros((n, 0))
-    return _assemble(n, rows, none, none, 0.0, 0.0)
+def uncompressed(g, nu, factors):
+    """The store `_assemble` writes from the factors as given: no
+    compression and no shift."""
+    return _assemble(g, nu, *factors, 0.0)
 
 
-def inject(monkeypatch, m):
+def store_of(m):
+    """The symmetric matrix m as the store `_assemble` writes it, from the
+    factors (m, I) on a graph without edges and nu = 0."""
+    n = len(m)
+    return uncompressed(Graph(n=n, edges=frozenset()), np.zeros(n), (m, np.eye(n)))
+
+
+def inject(monkeypatch, g, m):
     """Make verification take the symmetric matrix m as its Lambda: the
-    rows its store is written from and the operator its Lanczos runs on."""
-    monkeypatch.setattr(certificate, "_lambda_rows", lambda *_: rows_of(m))
-    monkeypatch.setattr(certificate, "_lambda_operator", lambda *_: m.__matmul__)
+    factors its operator and its store are built from."""
+    monkeypatch.setattr(certificate, "_factors", lambda truth, cert: factors_of(g, cert.nu, m))
 
 
 def dense_reference_report(g, truth, cert):
@@ -322,7 +331,7 @@ class TestConstruction:
         # the strong instance and r = 8 on shuffled vertices, so that no
         # community is a contiguous range; each also at omega = q/2, where
         # the construction fails: every T_ij <= 0 at r = 3, some at r = 8
-        default = certificate._CHUNK_ENTRIES
+        default = certificate._CHOLESKY_BLOCK
         for (pi, labels), low_omega in itertools.product(
             [(STRONG.pi, "planted"), (PI_8, "shuffled")], (False, True)
         ):
@@ -333,24 +342,36 @@ class TestConstruction:
             expected = dense_lambda(g, cert, dense_gamma(truth, cert))
             assert np.array_equal(expected, expected.T)
             # every row block holds its rows of the lower triangle and its
-            # whole diagonal block; blocks written a few rows at a time agree
-            for chunk in (default, 997):
-                monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
-                lam = uncompressed(g.n, _lambda_rows(g, truth, cert))
+            # whole diagonal block; blocks of 31 rows agree too.  A product
+            # of the factors sums omega - Gamma_uv in its own order, so the
+            # store agrees with the entry formula to rounding
+            bound = 1e-12 * np.abs(expected).max()
+            for block in (default, 31):
+                monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", block)
+                lam = uncompressed(g, cert.nu, _factors(truth, cert))
                 assert len(lam.blocks) == math.ceil(g.n / certificate._CHOLESKY_BLOCK)
                 for k0, k1, blk in lam.blocks:
-                    assert np.array_equal(blk, expected[k0:k1, :k1])
+                    assert np.abs(blk - expected[k0:k1, :k1]).max() <= bound
 
-    def test_gamma_matrix_is_the_dense_gamma(self):
-        # the instances of the assembly identity, T_ij <= 0 blocks included
+    def test_admm_start_is_the_dense_dual(self, monkeypatch):
+        # the instances of the assembly identity, T_ij <= 0 blocks included;
+        # the start is formed whatever the signs, so that those blocks show
+        monkeypatch.setattr(certificate, "sign_minima", lambda *_: (1.0, 1.0))
         for (pi, labels), low_omega in itertools.product(
             [(STRONG.pi, "planted"), (PI_8, "shuffled")], (False, True)
         ):
             par = dataclasses.replace(STRONG, r=len(pi), pi=pi)
             g, truth = case_instance(par, 0, labels)
             cert = build_certificate(g, truth, par, omega=par.q / 2 if low_omega else None)
-            gamma = certificate.gamma_matrix(truth, cert)
-            assert np.array_equal(gamma, dense_gamma(truth, cert))
+            # U0 = (C + Lambda) / rho: diag(nu) - Gamma, plus omega J with sizes
+            dual = np.diag(cert.nu) - dense_gamma(truth, cert)
+            for prob, omega in (
+                (build_unknown_sizes(g, truth.r, cert.omega), 0.0),
+                (build_known_sizes(g, truth.sizes().tolist()), cert.omega),
+            ):
+                _, u0, _ = admm_start(prob, (truth, cert))
+                expected = (dual + omega) / RHO
+                assert np.abs(u0 - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_community_gamma_sums_equal_c(self, strong_instance):
         g, truth, cert = strong_instance
@@ -492,9 +513,10 @@ class TestCompressedPsd:
             # the exact route's ends hold for any shift s between them
             (lo, hi), _ = certificate._margin_ritz(m.__matmul__, g.n, u)
             for s in (lo, hi, 0.5 * (lo + hi)):
-                ends = _exact_ends(g.n, rows_of(m), u, m @ u, s)
+                factors = certificate._compressed(*factors_of(g, cert.nu, m), u, m @ u, s)
+                ends = _exact_ends(g, cert.nu, *factors)
                 assert np.max(np.abs(np.subtract(ends, expected))) <= 1e-9 * scale
-            inject(monkeypatch, m)
+            inject(monkeypatch, g, m)
             report = verify_certificate(g, truth, cert)
             assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
             assert report.psd_ok == (expected[0] >= -1e-8 * scale)
@@ -510,7 +532,7 @@ class TestCompressedPsd:
         lam = assemble_lambda(g, truth, cert)
         t = float(w @ lam @ w) + 1.0  # w^T Lambda' w = -1 afterwards
         lam -= t * np.outer(w, w)
-        inject(monkeypatch, lam)
+        inject(monkeypatch, g, lam)
         report = verify_certificate(g, truth, cert)
         assert report.psd_margin <= -1.0 + 1e-9
         assert report.kernel_ok
@@ -531,7 +553,7 @@ class TestCompressedPsd:
         low, high = 1e-8 * (1.0 + diagonal), 1e-8 * (1.0 + float(np.abs(lam).max()))
         lam[a, b] += math.sqrt(low * high)
         lam[b, a] += math.sqrt(low * high)
-        inject(monkeypatch, lam)
+        inject(monkeypatch, g, lam)
         report = verify_certificate(g, truth, cert)
         assert low < report.kernel_residual < high
         assert not report.kernel_ok and report.psd_ok and not report.verified
@@ -573,8 +595,8 @@ class TestDenseReference:
     @pytest.mark.parametrize("chunk", [None, 997])
     @pytest.mark.parametrize("pi, labels", CASES)
     def test_verdicts_match(self, pi, labels, chunk, monkeypatch):
-        if chunk is not None:  # blocks and updates span several row blocks
-            monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", chunk)
+        if chunk is not None:  # 31-row blocks: the store spans several row blocks
+            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", 31)
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par)
@@ -613,7 +635,7 @@ class TestLowerStore:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, n))
         m = x + x.T
-        lower = uncompressed(n, rows_of(m))
+        lower = store_of(m)
         h = certificate._CHOLESKY_BLOCK
         sizes = [(k1 - k0) * k1 for k0 in range(0, n, h) for k1 in [min(k0 + h, n)]]
         assert sum(blk.size for _, _, blk in lower.blocks) == sum(sizes)
@@ -622,9 +644,8 @@ class TestLowerStore:
     @pytest.mark.parametrize("block", [None, 31])
     @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
     def test_one_pass_writes_the_compressed_shifted_matrix(self, n, block, monkeypatch):
-        # chunks of a few rows split the row blocks; the first and the last
-        # vertex are isolated, and edges cross row-block boundaries
-        monkeypatch.setattr(certificate, "_CHUNK_ENTRIES", 997)
+        # the first and the last vertex are isolated, and edges cross
+        # row-block boundaries
         if block is not None:
             monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", block)
         h = certificate._CHOLESKY_BLOCK
@@ -647,7 +668,8 @@ class TestLowerStore:
         p = np.eye(n) - u @ u.T
         s, shift = 2.5, 0.75
         expected = p @ lam @ p + s * (u @ u.T) - shift * np.eye(n)
-        lower = _assemble(n, _lambda_rows(g, truth, cert), u, lam @ u, s, shift)
+        factors = certificate._compressed(*_factors(truth, cert), u, lam @ u, s)
+        lower = _assemble(g, cert.nu, *factors, shift)
         error = np.abs(np.tril(lower.lower_dense()) - np.tril(expected)).max()
         assert error <= 1e-12 * np.abs(expected).max()
 
@@ -668,9 +690,10 @@ class TestLambdaOperator:
             cert = dataclasses.replace(cert, T=t)
         t_off = cert.T[np.triu_indices(truth.r, 1)]
         assert np.any(t_off <= 0) == (case in ("half-q omega", "one T <= 0"))
-        op = certificate._lambda_operator(g, truth, cert)
+        factors = _factors(truth, cert)
+        op = certificate._lambda_operator(g, cert.nu, *factors)
         dense = assemble_lambda(g, truth, cert)
-        stored = np.tril(uncompressed(g.n, _lambda_rows(g, truth, cert)).lower_dense())
+        stored = np.tril(uncompressed(g, cert.nu, factors).lower_dense())
         stored += np.tril(stored, -1).T  # the symmetric matrix the store holds
         scale = float(np.abs(dense).sum(axis=1).max())
         for x in (np.random.default_rng(1).normal(size=(g.n, k)) for k in (1, 3)):
@@ -757,7 +780,8 @@ class TestPsdProof:
 
         monkeypatch.setattr(lanczos, "extreme_pairs", record)
         u = certificate.span_basis(truth)
-        ends, _ = certificate._margin_ritz(certificate._lambda_operator(g, truth, cert), g.n, u)
+        op = certificate._lambda_operator(g, cert.nu, *_factors(truth, cert))
+        ends, _ = certificate._margin_ritz(op, g.n, u)
         [((_, n, block, wanted), kwargs, (theta, v))] = calls
         assert (n, block, wanted) == (g.n, 1, [0, -1])
         assert kwargs["deflate"] is u
@@ -882,7 +906,7 @@ class TestPsdProof:
         monkeypatch.setattr(
             certificate, "_cholesky_in_place", lambda a: factored.append(1) or cholesky(a)
         )
-        inject(monkeypatch, m)
+        inject(monkeypatch, g, m)
         report = verify_certificate(g, truth, cert)
         assert factored == [1] and not calls
         assert -report.psd_tol < report.psd_margin < 0.0
@@ -905,7 +929,7 @@ class TestPsdProof:
             reduced = basis.T @ m @ basis
             expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
             scale = max(1.0, float(np.max(np.abs(expected))))
-            inject(monkeypatch, m)
+            inject(monkeypatch, g, m)
             report = verify_certificate(g, truth, cert)
             assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
             assert abs(report.psd_tol - 1e-8 * scale) <= 1e-9 * 1e-8 * scale

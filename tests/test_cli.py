@@ -484,6 +484,8 @@ class TestUsageErrors:
         (["--i", "-1", "--j", "0"], "out of range"),
         (["--i", "0", "--j", "1", "--trials", "0"], "trials"),
         (["--i", "0", "--j", "1", "--trials", "-5"], "trials"),
+        (["--i", "0", "--j", "1", "--trials", "10000000000000"], "trials"),
+        (["--i", "0", "--j", "1", "--seed", "-5"], "seed"),
     ])
     def test_tails_bad_pair_or_trials(self, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(np.random, "default_rng", None)  # no sampling may start

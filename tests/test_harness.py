@@ -397,6 +397,19 @@ class TestTailDemo:
         assert result.exponent < 1.0
         assert result.divergence < 1.0
 
+    @pytest.mark.parametrize("trials, seed, message", [
+        (harness.MAX_TAIL_TRIALS + 1, 0, "trials"),
+        (10**13, 0, "trials"),
+        (1000, -5, "seed"),
+    ])
+    def test_bad_trials_or_seed_raise_before_sampling(self, monkeypatch, trials, seed, message):
+        # 10^13 trials once asked numpy for two 80 TB arrays, and a negative
+        # seed once reached default_rng's ValueError
+        par = PlantedPartitionParams(n=60, r=2, pi=(0.5, 0.5), p_tilde=8.0, q_tilde=1.0)
+        monkeypatch.setattr(np.random, "default_rng", None)  # no sampling may start
+        with pytest.raises(ParameterError, match=message):
+            tail_exponent_demo(par, 0, 1, trials=trials, seed=seed)
+
     def test_zero_events_one_sided(self):
         par = PlantedPartitionParams(
             n=10**4, r=2, pi=(0.5, 0.5), p_tilde=30.0, q_tilde=1.0
