@@ -16,7 +16,6 @@ _EXPORTS = {
         "AdversarySpec",
         "Graph",
         "PartitionLabels",
-        "PlantedPartitionParams",
         "apply_adversary",
         "monotone_diff",
         "read_graph",
@@ -29,6 +28,7 @@ _EXPORTS = {
     "thresholds": (
         "DivergenceReport",
         "ParameterError",
+        "PlantedPartitionParams",
         "bm_dominates",
         "ch_divergence_closed_form",
         "ch_divergence_numeric",

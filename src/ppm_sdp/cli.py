@@ -18,18 +18,24 @@ entries are not integers or whose tol, p_tilde_grid or q_tilde_grid entries
 are not numbers, a model whose n or r is not an integer or whose p_tilde or
 q_tilde is not a number (a JSON bool is neither), a config, model or
 adversary base whose pi is not a list of numbers, a rate matrix with an
-entry that is not a number (a string such as "8" or a bool), an oracle
-run with no finite objective (such as a non-finite --omega), a rate matrix
-that is not symmetric and positive, invalid parameters, an adversary spec,
-model or config whose fields do not fit, an adversary that cannot apply to
-its graph, a malformed graph or label file, malformed JSON, or a file that
-cannot be read or written.  A one-line message goes to standard error.
+entry that is not a number (a string such as "8" or a bool), a pi or rate
+entry that is NaN or infinite (from --pi, or JSON's NaN or Infinity in a
+model or config), an oracle run with no finite objective (such as a
+non-finite --omega), a rate matrix that is not symmetric and positive,
+invalid parameters, an adversary spec, model or config whose fields do not
+fit, an adversary that cannot apply to its graph, a malformed graph or label
+file (a GraphFormatError, itself a ParameterError), malformed JSON, or a
+file that cannot be read or written.  A one-line message goes to standard
+error.
 
-Each command imports the modules it runs when it runs: `threshold`, `sample`
-and `adversary` load only `graph_model` and `thresholds`, so a process pays
-for `sdp`, `certificate`, `harness` or `oracle` only when its command uses
-them.  `sample_ppm`, `read_graph` and `apply_adversary` stay bound here, where
-`benchmarks/tracing.py` wraps them.
+Each command imports the modules it runs when it runs, so a process pays
+only for what its command uses.  `threshold` loads `thresholds` alone, which
+is pure Python: it runs without numpy.  `sample` and `adversary` add
+`graph_model` and numpy; `certify`, `solve`, `oracle` and the sweeps add
+`sdp`, `certificate`, `harness` or `oracle` as they need them.  `sample_ppm`,
+`read_graph` and `apply_adversary` read here as graph_model's (a PEP 562
+`__getattr__`), for `benchmarks/tracing.py`, which wraps them; the commands
+import them from graph_model when they run.
 """
 
 from __future__ import annotations
@@ -39,21 +45,8 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import thresholds
-from .graph_model import (
-    AdversarySpec,
-    GraphFormatError,
-    PlantedPartitionParams,
-    apply_adversary,
-    read_graph,
-    read_labels,
-    sample_ppm,
-    write_graph,
-    write_labels,
-)
-from .thresholds import ParameterError, bind_json
+from .thresholds import ParameterError, PlantedPartitionParams, bind_json
 
 EXIT_OK = 0
 EXIT_NOT_VERIFIED = 1
@@ -116,6 +109,8 @@ def _add_model_args(p):
 
 
 def cmd_sample(args) -> int:
+    from .graph_model import sample_ppm, write_graph, write_labels
+
     params = _params_from_args(args)
     g, truth = sample_ppm(params, args.seed)
     write_graph(g, args.out_graph)
@@ -125,6 +120,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    from .graph_model import AdversarySpec, apply_adversary, read_graph, read_labels, write_graph
+
     g = read_graph(args.graph)
     truth = read_labels(args.labels)
     with open(args.spec) as f:
@@ -156,7 +153,10 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
+
     from . import sdp
+    from .graph_model import read_graph, write_labels
 
     r = _require_mode_args(args)
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
@@ -188,6 +188,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import oracle
+    from .graph_model import read_graph, write_labels
 
     r = _require_mode_args(args)
     g = read_graph(args.graph)
@@ -210,6 +211,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_certify(args) -> int:
     from . import certificate
+    from .graph_model import read_graph, read_labels
 
     g = read_graph(args.graph)
     truth = read_labels(args.labels)
@@ -265,6 +267,7 @@ def cmd_tails(args) -> int:
 
 def cmd_omega_sweep(args) -> int:
     from . import harness, sdp
+    from .graph_model import read_graph
 
     g = read_graph(args.graph)
     opts = sdp.SolverOptions(tol=args.tol, max_iters=args.max_iters)
@@ -366,11 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def __getattr__(name: str):
+    """graph_model's `sample_ppm`, `read_graph` and `apply_adversary`,
+    loaded on first read (PEP 562), for callers that look them up here."""
+    if name in ("sample_ppm", "read_graph", "apply_adversary"):
+        from . import graph_model
+
+        return getattr(graph_model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, GraphFormatError, OSError) as exc:
+    except (ParameterError, OSError) as exc:  # a GraphFormatError is a ParameterError
         print(f"ppm-sdp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .thresholds import (
     ParameterError,
-    _holds_bool,
+    PlantedPartitionParams,
     bind_json,
     bm_dominates,
     is_integral,
@@ -31,8 +31,17 @@ from .thresholds import (
 )
 
 
-class GraphFormatError(ValueError):
-    """Raised on malformed graph or label files; carries the line number."""
+def _holds_bool(value) -> bool:
+    """Whether a nested list or tuple holds a bool, such as a JSON true,
+    which np.asarray turns into the integer 1 beside integers."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, (bool, np.bool_))
+
+
+class GraphFormatError(ParameterError):
+    """Raised on malformed graph or label files; carries the line number.
+    A ParameterError, as both mean bad input."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -224,59 +233,6 @@ class Graph:
         a[u, v] = 1.0
         a[v, u] = 1.0
         return a
-
-
-@dataclass(frozen=True)
-class PlantedPartitionParams:
-    """Planted partition model in the logarithmic-degree parametrization.
-
-    Edge probabilities are p = p_tilde log(n)/n within communities and
-    q = q_tilde log(n)/n between them; requires p_tilde > q_tilde > 0 (the
-    assortative case) and both probabilities in (0, 1).
-    """
-
-    n: int
-    r: int
-    pi: tuple
-    p_tilde: float
-    q_tilde: float
-
-    def __post_init__(self):
-        # a model file's true would pass as the number 1
-        if not (is_integral(self.n) and is_integral(self.r)):
-            raise ParameterError(f"need integer n and r, got n={self.n}, r={self.r}")
-        if not (is_number(self.p_tilde) and is_number(self.q_tilde)):
-            raise ParameterError(
-                f"need numbers p_tilde and q_tilde, got {self.p_tilde!r} and {self.q_tilde!r}"
-            )
-        if not is_number_array(self.pi, ndim=1):
-            raise ParameterError(f"pi must be a list of numbers, got {self.pi!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "pi", tuple(float(x) for x in self.pi))
-        if self.n < 2:
-            raise ParameterError("need n >= 2")
-        if self.r < 1 or len(self.pi) != self.r:
-            raise ParameterError("pi must have length r")
-        if any(x <= 0 for x in self.pi) or abs(sum(self.pi) - 1.0) > 1e-8:
-            raise ParameterError("pi must be positive and sum to 1")
-        if not (self.p_tilde > self.q_tilde > 0):
-            raise ParameterError("need p_tilde > q_tilde > 0 (assortative)")
-        if not (0.0 < self.q < self.p < 1.0):
-            raise ParameterError(
-                f"derived probabilities out of range: p={self.p}, q={self.q}"
-            )
-
-    @property
-    def p(self) -> float:
-        return self.p_tilde * math.log(self.n) / self.n
-
-    @property
-    def q(self) -> float:
-        return self.q_tilde * math.log(self.n) / self.n
-
-    def sizes(self) -> np.ndarray:
-        return community_sizes(self.n, self.pi)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,13 @@
 Everything here works with the rate parametrization: edge probabilities are
 rate * log(n) / n, so a planted partition model is described by (p_tilde,
 q_tilde, pi) and a general block model by a rate matrix Q_tilde and pi.
+
+The threshold is arithmetic on an r x r rate matrix, so this module is pure
+Python on floats and lists: `ppm-sdp threshold` runs without numpy, and a
+process that runs only it does not pay for numpy's start-up.  Arrays are
+accepted as input.  `ppm_rate_matrix`, `bm_dominates` and
+`PlantedPartitionParams.sizes` return or take arrays and import numpy when
+they are called.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal
-
-import numpy as np
 
 
 class ParameterError(ValueError):
@@ -31,12 +36,36 @@ def is_integral(x) -> bool:
     return is_number(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
-def _holds_bool(value) -> bool:
-    """Whether a nested list or tuple holds a bool, such as a JSON true,
-    which np.asarray turns into the integer 1 beside integers."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(x) for x in value)
-    return isinstance(value, (bool, np.bool_))
+def _nested(x) -> tuple[object, tuple] | None:
+    """(x as nested lists, its shape), or None unless x is a rectangular
+    list, tuple or array of numbers.  A number is a float, or an int that
+    fits int64 or uint64; an array, or a numpy scalar, is one when its dtype
+    is an integer or float kind.  A bool, a string, an object array, a
+    Fraction and a larger int are not, nor is a row of a different length."""
+    kind = getattr(getattr(x, "dtype", None), "kind", None)
+    if kind is not None:  # a numpy array or scalar: its dtype says it all
+        if kind not in "iuf":
+            return None
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        items = [_nested(v) for v in x]
+        if None in items or len({shape for _, shape in items}) > 1:
+            return None
+        return [v for v, _ in items], (len(items), *(items[0][1] if items else ()))
+    if isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**64
+    ):
+        return x, ()
+    return None
+
+
+def _number_lists(x, ndim: int | None = None):
+    """x as nested lists when `is_number_array(x, ndim)`, else None."""
+    nested = _nested(x)
+    if nested is None:
+        return None
+    lists, shape = nested
+    return lists if (len(shape) > 0 if ndim is None else len(shape) == ndim) else None
 
 
 def is_number_array(x, ndim: int | None = None) -> bool:
@@ -44,12 +73,7 @@ def is_number_array(x, ndim: int | None = None) -> bool:
     `ndim` axes, or at least one when ndim is None, such as pi (1) or a rate
     matrix (2): a string or a bool inside, such as a JSON "0.5" or true, is
     not a number."""
-    try:
-        array = np.asarray(x)
-    except ValueError:  # a ragged list
-        return False
-    shaped = array.ndim > 0 if ndim is None else array.ndim == ndim
-    return shaped and array.dtype.kind in "iuf" and not _holds_bool(x)
+    return _number_lists(x, ndim) is not None
 
 
 def bind_json(fn, obj, what: str):
@@ -60,6 +84,58 @@ def bind_json(fn, obj, what: str):
         return fn(**obj)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"bad {what}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class PlantedPartitionParams:
+    """Planted partition model in the logarithmic-degree parametrization.
+
+    Edge probabilities are p = p_tilde log(n)/n within communities and
+    q = q_tilde log(n)/n between them; requires p_tilde > q_tilde > 0 (the
+    assortative case) and both probabilities in (0, 1).
+    """
+
+    n: int
+    r: int
+    pi: tuple
+    p_tilde: float
+    q_tilde: float
+
+    def __post_init__(self):
+        # a model file's true would pass as the number 1
+        if not (is_integral(self.n) and is_integral(self.r)):
+            raise ParameterError(f"need integer n and r, got n={self.n}, r={self.r}")
+        if not (is_number(self.p_tilde) and is_number(self.q_tilde)):
+            raise ParameterError(
+                f"need numbers p_tilde and q_tilde, got {self.p_tilde!r} and {self.q_tilde!r}"
+            )
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "pi", tuple(_check_pi(self.pi)))
+        if self.n < 2:
+            raise ParameterError("need n >= 2")
+        if self.r < 1 or len(self.pi) != self.r:
+            raise ParameterError("pi must have length r")
+        if not (self.p_tilde > self.q_tilde > 0):
+            raise ParameterError("need p_tilde > q_tilde > 0 (assortative)")
+        if not (0.0 < self.q < self.p < 1.0):
+            raise ParameterError(
+                f"derived probabilities out of range: p={self.p}, q={self.q}"
+            )
+
+    @property
+    def p(self) -> float:
+        return self.p_tilde * math.log(self.n) / self.n
+
+    @property
+    def q(self) -> float:
+        return self.q_tilde * math.log(self.n) / self.n
+
+    def sizes(self):
+        """Community sizes, an int array, by `graph_model.community_sizes`."""
+        from .graph_model import community_sizes
+
+        return community_sizes(self.n, self.pi)
 
 
 def _ln1p(u: Decimal) -> Decimal:
@@ -104,30 +180,39 @@ def rate_constant_tau(p_tilde: float, q_tilde: float) -> float:
     return (p_tilde - q_tilde) / (math.log(p_tilde) - math.log(q_tilde))
 
 
-def _check_pi(pi) -> np.ndarray:
-    if not is_number_array(pi, ndim=1):
+def _check_pi(pi) -> list[float]:
+    """pi as a list of floats; ParameterError unless it is a list of finite
+    positive numbers that sums to 1."""
+    pi = _number_lists(pi, ndim=1)
+    if pi is None:
         raise ParameterError("pi must be a list of numbers")
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0):
-        raise ParameterError("pi must be a vector of positive proportions")
-    if abs(pi.sum() - 1.0) > 1e-8:
-        raise ParameterError(f"pi must sum to 1, got {pi.sum()}")
+    pi = [float(x) for x in pi]
+    if not all(0.0 < x < math.inf for x in pi):  # false for NaN
+        raise ParameterError("pi must be a vector of finite positive proportions")
+    if abs(sum(pi) - 1.0) > 1e-8:
+        raise ParameterError(f"pi must sum to 1, got {sum(pi)}")
     return pi
 
 
-def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, pi) as arrays; ParameterError unless Q is an r x r matrix of
-    numbers, symmetric and positive, and i != j in 0..r-1."""
+def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[list[list[float]], list[float]]:
+    """(Q, pi) as lists of floats; ParameterError unless Q is an r x r
+    matrix of numbers, symmetric, positive and finite, and i != j in 0..r-1."""
     pi = _check_pi(pi)
-    if not is_number_array(q_tilde, ndim=2):
+    q_tilde = _number_lists(q_tilde, ndim=2)
+    if q_tilde is None:
         raise ParameterError("rate matrix must be a matrix of numbers")
-    q_tilde = np.asarray(q_tilde, dtype=float)
+    q_tilde = [[float(x) for x in row] for row in q_tilde]
     r = len(pi)
-    if q_tilde.shape != (r, r):
+    if len(q_tilde) != r or len(q_tilde[0]) != r:
         raise ParameterError(f"rate matrix must be {r}x{r}")
-    if not np.all(q_tilde > 0):  # NaN included
-        raise ParameterError("rate matrix entries must be positive")
-    if not np.allclose(q_tilde, q_tilde.T):
+    if not all(0.0 < x < math.inf for row in q_tilde for x in row):
+        raise ParameterError("rate matrix entries must be positive and finite")
+    # numpy's allclose(Q, Q.T): |Q_ab - Q_ba| <= 1e-8 + 1e-5 |Q_ba|
+    if any(
+        abs(q_tilde[a][b] - q_tilde[b][a]) > 1e-8 + 1e-5 * q_tilde[b][a]
+        for a in range(r)
+        for b in range(r)
+    ):
         raise ParameterError("rate matrix must be symmetric")
     if i == j:
         raise ParameterError("communities i and j must differ")
@@ -136,14 +221,15 @@ def _check_pair(q_tilde, pi, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return q_tilde, pi
 
 
-def _supremand(t: float, qi: np.ndarray, qj: np.ndarray, pi: np.ndarray) -> float:
-    return float(np.sum(pi * (t * qi + (1.0 - t) * qj - qi**t * qj ** (1.0 - t))))
+def _supremand(t: float, qi: list, qj: list, pi: list) -> float:
+    return sum(p * (t * a + (1.0 - t) * b - a**t * b ** (1.0 - t)) for a, b, p in zip(qi, qj, pi))
 
 
-def _supremand_deriv(t: float, qi: np.ndarray, qj: np.ndarray, pi: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logratio = np.where(qi == qj, 0.0, np.log(qi) - np.log(qj))
-    return float(np.sum(pi * (qi - qj - qi**t * qj ** (1.0 - t) * logratio)))
+def _supremand_deriv(t: float, qi: list, qj: list, pi: list) -> float:
+    return sum(
+        p * (a - b - a**t * b ** (1.0 - t) * (0.0 if a == b else math.log(a) - math.log(b)))
+        for a, b, p in zip(qi, qj, pi)
+    )
 
 
 def _maximize_concave(qi, qj, pi) -> tuple[float, float]:
@@ -170,7 +256,7 @@ def _maximize_concave(qi, qj, pi) -> tuple[float, float]:
     return _supremand(t_star, qi, qj, pi), t_star
 
 
-def ch_divergence_numeric(q_tilde: np.ndarray, pi, i: int, j: int) -> tuple[float, float]:
+def ch_divergence_numeric(q_tilde, pi, i: int, j: int) -> tuple[float, float]:
     """CH-divergence D_+(i, j) for a general rate matrix, by 1-d maximization.
 
     Returns (value, t_star) with the value accurate to ~1e-10 absolute.
@@ -179,15 +265,17 @@ def ch_divergence_numeric(q_tilde: np.ndarray, pi, i: int, j: int) -> tuple[floa
     return _maximize_concave(q_tilde[i], q_tilde[j], pi)
 
 
-def monotone_divergence(q_tilde: np.ndarray, pi, i: int, j: int) -> float:
+def monotone_divergence(q_tilde, pi, i: int, j: int) -> float:
     """Monotone divergence: the supremand restricted to the k in {i, j} terms.
 
     Equals D_+(i, j) after overwriting rows/columns k outside {i, j} so that
     Q_ik = Q_jk; always at most D_+(i, j).
     """
     q_tilde, pi = _check_pair(q_tilde, pi, i, j)
-    keep = np.array([i, j])
-    value, _ = _maximize_concave(q_tilde[i, keep], q_tilde[j, keep], pi[keep])
+    keep = (i, j)
+    value, _ = _maximize_concave(
+        [q_tilde[i][k] for k in keep], [q_tilde[j][k] for k in keep], [pi[k] for k in keep]
+    )
     return value
 
 
@@ -198,7 +286,7 @@ def ch_divergence_closed_form(params, i: int, j: int) -> float:
     Returns 0 at p_tilde == q_tilde (continuity); rejects p_tilde < q_tilde.
     """
     pt, qt = float(params.p_tilde), float(params.q_tilde)
-    _, pi = _check_pair(ppm_rate_matrix(pt, qt, len(params.pi)), params.pi, i, j)
+    _, pi = _check_pair(_ppm_rows(pt, qt, len(params.pi)), params.pi, i, j)
     if pt < qt:
         raise ParameterError("assortative case only: p_tilde >= q_tilde")
     if pt == qt:
@@ -215,20 +303,29 @@ def ch_divergence_closed_form(params, i: int, j: int) -> float:
     return value
 
 
-def ppm_rate_matrix(p_tilde: float, q_tilde: float, r: int) -> np.ndarray:
-    """r x r rate matrix with p_tilde on the diagonal, q_tilde elsewhere."""
-    m = np.full((r, r), float(q_tilde))
-    np.fill_diagonal(m, float(p_tilde))
-    return m
+def _ppm_rows(p_tilde: float, q_tilde: float, r: int) -> list[list[float]]:
+    """The planted partition rate matrix as r lists of r floats."""
+    p_tilde, q_tilde = float(p_tilde), float(q_tilde)
+    return [[p_tilde if a == b else q_tilde for b in range(r)] for a in range(r)]
 
 
-def bm_dominates(q_high: np.ndarray, q_low: np.ndarray) -> bool:
+def ppm_rate_matrix(p_tilde: float, q_tilde: float, r: int):
+    """r x r rate matrix, an ndarray, with p_tilde on the diagonal, q_tilde
+    elsewhere."""
+    import numpy as np
+
+    return np.array(_ppm_rows(p_tilde, q_tilde, r))
+
+
+def bm_dominates(q_high, q_low) -> bool:
     """Block-model ordering check.
 
     `q_high` dominates `q_low` when every intra-community rate is at least as
     large and every inter-community rate is at most as large; a monotone
     adversary can then simulate the dominating model from the dominated one.
     """
+    import numpy as np
+
     if not (is_number_array(q_high, ndim=2) and is_number_array(q_low, ndim=2)):
         raise ParameterError("rate matrices must be matrices of numbers")
     q_high = np.asarray(q_high, dtype=float)
@@ -272,8 +369,8 @@ def feasibility_report(q_tilde=None, pi=None, params=None) -> DivergenceReport:
     computed for the report regardless.
     """
     if params is not None:
-        pi = np.asarray(params.pi, dtype=float)
-        q_tilde = ppm_rate_matrix(params.p_tilde, params.q_tilde, len(pi))
+        pi = params.pi
+        q_tilde = _ppm_rows(params.p_tilde, params.q_tilde, len(pi))
     if q_tilde is None or pi is None:
         raise ParameterError("need either params or (q_tilde, pi)")
     pi = _check_pi(pi)

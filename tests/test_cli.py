@@ -237,14 +237,14 @@ class TestSolve:
 
 
 # the ppm_sdp modules a command leaves loaded in a fresh interpreter
-LOADED_BY_ALL = ["ppm_sdp", "ppm_sdp.cli", "ppm_sdp.graph_model", "ppm_sdp.thresholds"]
-LOADED_BY_CERTIFY = ["ppm_sdp.certificate", "ppm_sdp.lanczos"]
+LOADED_BY_ALL = ["ppm_sdp", "ppm_sdp.cli", "ppm_sdp.thresholds"]
+LOADED_BY_CERTIFY = ["ppm_sdp.certificate", "ppm_sdp.graph_model", "ppm_sdp.lanczos"]
 
 
 class TestModulesOnDemand:
     @pytest.mark.parametrize("command, extra", [
         ("threshold", []),
-        ("sample", []),
+        ("sample", ["ppm_sdp.graph_model"]),
         ("certify", LOADED_BY_CERTIFY),
         ("solve", ["ppm_sdp.sdp", *LOADED_BY_CERTIFY]),  # sdp certifies first
     ])
@@ -262,7 +262,8 @@ class TestModulesOnDemand:
             "from ppm_sdp.cli import main\n"
             f"code = main({[command, *argv]!r})\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'ppm_sdp')\n"
-            "print(json.dumps({'code': code, 'loaded': loaded}), file=sys.stderr)\n"
+            "numpy = 'numpy' in sys.modules\n"
+            "print(json.dumps({'code': code, 'loaded': loaded, 'numpy': numpy}), file=sys.stderr)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(ppm_sdp.__file__).resolve().parent.parent))
         proc = subprocess.run(
@@ -270,7 +271,10 @@ class TestModulesOnDemand:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stderr.splitlines()[-1])
+        numpy_loaded = result.pop("numpy")
         assert result == {"code": EXIT_OK, "loaded": sorted(LOADED_BY_ALL + extra)}
+        if command == "threshold":  # arithmetic on an r x r rate matrix
+            assert not numpy_loaded
 
 
 class TestOracle:
@@ -794,6 +798,27 @@ class TestUsageErrors:
         path.write_text(json.dumps(model))
         line = self.usage_error(capsys, "threshold", "--model", str(path))
         assert message in line
+
+    @pytest.mark.parametrize("command, argv", [
+        ("threshold", ["--n", "60", "--pi", "nan,0.5", "--p-tilde", "8", "--q-tilde", "1"]),
+        ("threshold", ["--n", "60", "--pi", "inf,0.5", "--p-tilde", "8", "--q-tilde", "1"]),
+        ("sample", ["--n", "60", "--pi", "nan,0.5", "--p-tilde", "8", "--q-tilde", "1",
+                    "--out-graph", "g.txt", "--out-labels", "l.txt"]),
+        ("threshold", {"n": 60, "r": 2, "pi": [math.nan, 0.5], "p_tilde": 8, "q_tilde": 1}),
+        ("threshold", {"q_tilde_matrix": [[8, 1], [1, 8]], "pi": [math.nan, 0.5]}),
+        ("threshold", {"q_tilde_matrix": [[math.inf, 1], [1, 8]], "pi": [0.5, 0.5]}),
+        ("phase", {"p_tilde_grid": [8], "q_tilde_grid": [1], "pi": [math.nan, 0.5], "n_grid": [60],
+                   "trials": 1, "seed_base": 1}),
+    ], ids=["threshold-nan", "threshold-inf", "sample-nan", "model-nan", "rate-model-nan",
+            "rate-model-inf", "phase-nan"])
+    def test_non_finite_pi_or_rate(self, tmp_path, capsys, monkeypatch, command, argv):
+        # each once exited 0 printing "divergence": NaN, or raised ValueError
+        monkeypatch.chdir(tmp_path)
+        if isinstance(argv, dict):  # a model or config file, with JSON's NaN or Infinity
+            Path("in.json").write_text(json.dumps(argv))
+            argv = ["--model", "in.json"] if command == "threshold" else ["--config", "in.json", "--out", "o.csv"]
+        line = self.usage_error(capsys, command, *argv)
+        assert "finite" in line and {p.name for p in tmp_path.iterdir()} <= {"in.json"}
 
     def test_threshold_model_without_r(self, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -278,6 +278,17 @@ class TestParams:
         with pytest.raises(ParameterError, match=field):
             PlantedPartitionParams(**{**base, field: value})
 
+    @pytest.mark.parametrize("pi", [(math.nan, 0.5), (math.inf, 0.5), (0.5, -math.inf)], ids=["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_pi(self, pi):
+        # a NaN once passed both checks, and planted_labels raised ValueError
+        with pytest.raises(ParameterError, match="finite"):
+            PlantedPartitionParams(n=100, r=2, pi=pi, p_tilde=8, q_tilde=0.5)
+
+    def test_is_the_thresholds_class(self):
+        # defined beside the divergences, so that `threshold` needs no numpy
+        assert PlantedPartitionParams is thresholds.PlantedPartitionParams
+        assert PINNED.sizes().tolist() == [150, 90, 60]
+
     def test_an_integral_n_is_an_int(self):
         par = PlantedPartitionParams(n=100.0, r=np.int64(2), pi=(0.5, 0.5), p_tilde=8, q_tilde=0.5)
         assert (type(par.n), type(par.r)) == (int, int) and (par.n, par.r) == (100, 2)

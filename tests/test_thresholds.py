@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from ppm_sdp.thresholds import (
     ch_divergence_numeric,
     compute_omega,
     feasibility_report,
+    is_number_array,
     monotone_divergence,
     ppm_rate_matrix,
     rate_constant_tau,
@@ -260,7 +262,9 @@ def test_rate_matrix_must_match_pi(name):
     # Q[i, j] and Q[j, i] rate the same pairs, so they cannot differ
     ([[5.0, 1.0], [3.0, 5.0]], "symmetric"),
     ([[5.0, math.nan], [math.nan, 5.0]], "positive"),
-], ids=["asymmetric", "nan"])
+    # an infinite rate once passed both checks and the report printed NaN
+    ([[math.inf, 1.0], [1.0, 8.0]], "finite"),
+], ids=["asymmetric", "nan", "inf"])
 def test_rate_matrix_must_be_symmetric_and_positive(call, q_tilde, message):
     with pytest.raises(ParameterError, match=message):
         call(np.array(q_tilde))
@@ -281,6 +285,20 @@ def test_rate_matrix_must_be_symmetric_and_positive(call, q_tilde, message):
 def test_rate_matrix_and_pi_must_be_numbers(call, q_tilde, pi, message):
     with pytest.raises(ParameterError, match=message):
         call(q_tilde, pi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pi: ch_divergence_numeric(ppm_rate_matrix(8, 2, 2), pi, 0, 1),
+    lambda pi: monotone_divergence(ppm_rate_matrix(8, 2, 2), pi, 0, 1),
+    lambda pi: feasibility_report(q_tilde=ppm_rate_matrix(8, 2, 2), pi=pi),
+    lambda pi: feasibility_report(params=ppm(8, 2, pi)),
+    lambda pi: ch_divergence_closed_form(ppm(8, 2, pi), 0, 1),
+], ids=["numeric", "monotone", "report", "report-params", "closed_form"])
+@pytest.mark.parametrize("pi", [[math.nan, 0.5], [math.inf, 0.5], [0.5, -math.inf]], ids=["nan", "inf", "-inf"])
+def test_pi_must_be_finite(call, pi):
+    # a NaN once passed both checks, and the report's divergences were NaN
+    with pytest.raises(ParameterError, match="finite"):
+        call(pi)
 
 
 class TestFeasibilityReport:
@@ -347,3 +365,97 @@ class TestBmOrdering:
         q = np.ones((2, 3))
         with pytest.raises(ParameterError, match="square"):
             bm_dominates(q, q)
+
+
+# (input, verdict with ndim None, 1 and 2): the verdicts numpy's asarray and
+# dtype once gave, except that a row of bools beside a row of ints, which
+# asarray turned into ints, is now rejected
+NUMBER_ARRAYS = {
+    "empty": ([], (True, True, False)),
+    "empty-row": ([[]], (True, False, True)),
+    "ragged": ([[1, 2], [3]], (False, False, False)),
+    "ragged-depth": ([[1, 2], 3], (False, False, False)),
+    "string": (["0.5"], (False, False, False)),
+    "bool": ([True, 1], (False, False, False)),
+    "numpy-bool-scalar": ([np.bool_(True), 1], (False, False, False)),
+    "numpy-scalars": ([np.float64(0.5), np.int32(1), np.float16(0.5)], (True, True, False)),
+    "numpy-complex-scalar": ([np.complex128(1)], (False, False, False)),
+    "numpy-0d-leaf": ([np.array(0.5), 1.0], (True, True, False)),
+    "bool-array": (np.array([True, False]), (False, False, False)),
+    "int-array": (np.array([1, 2]), (True, True, False)),
+    "uint8-array": (np.array([1, 2], dtype=np.uint8), (True, True, False)),
+    "float-array": (np.array([0.5, 0.5]), (True, True, False)),
+    "float32-array": (np.array([0.5], dtype=np.float32), (True, True, False)),
+    "complex-array": (np.array([1 + 0j]), (False, False, False)),
+    "object-array": (np.array([0.5, 0.5], dtype=object), (False, False, False)),
+    "string-array": (np.array(["a"]), (False, False, False)),
+    "0d-array": (np.array(0.5), (False, False, False)),
+    "2d-array": (np.ones((2, 2)), (True, False, True)),
+    "float-array-rows": ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], (True, False, True)),
+    "int-array-rows": ([np.array([1, 2]), np.array([3, 4])], (True, False, True)),
+    "object-array-row": ([np.array([1.0, 2.0], dtype=object), [1, 2]], (False, False, False)),
+    "bool-array-row": ([np.array([True, False]), [1, 2]], (False, False, False)),
+    "nan": ([math.nan, 0.5], (True, True, False)),
+    "inf": ([math.inf, 1.0], (True, True, False)),
+    "int-above-float": ([10**400], (False, False, False)),
+    "int-above-float-beside-float": ([10**400, 0.5], (False, False, False)),
+    "uint64-int": ([2**63, -1], (True, True, False)),
+    "int-above-uint64": ([2**64], (False, False, False)),
+    "int64-min": ([-(2**63)], (True, True, False)),
+    "int-below-int64": ([-(2**63) - 1], (False, False, False)),
+    "fraction": ([Fraction(1, 2)], (False, False, False)),
+    "complex": ([1 + 0j], (False, False, False)),
+    "none": ([None], (False, False, False)),
+    "scalar": (0.5, (False, False, False)),
+    "bare-string": ("0.5", (False, False, False)),
+    "tuple": ((0.5, 0.5), (True, True, False)),
+    "list-and-tuple-rows": ([(1, 2), [3, 4]], (True, False, True)),
+    "three-axes": ([[[1]]], (True, False, False)),
+    "dict": ({"a": 1}, (False, False, False)),
+}
+
+
+@pytest.mark.parametrize("name", NUMBER_ARRAYS)
+def test_is_number_array_verdicts(name):
+    value, verdicts = NUMBER_ARRAYS[name]
+    assert tuple(is_number_array(value, ndim=d) for d in (None, 1, 2)) == verdicts
+
+
+def numpy_divergence(q, pi, i, j, keep=None):
+    """D_+(i, j) on numpy arrays, the reference for the pure-Python
+    divergences; over the k in `keep` alone when given."""
+    q, pi = np.asarray(q, dtype=float), np.asarray(pi, dtype=float)
+    keep = slice(None) if keep is None else list(keep)
+    qi, qj, pi = q[i, keep], q[j, keep], pi[keep]
+    logratio = np.where(qi == qj, 0.0, np.log(qi) - np.log(qj))
+
+    def deriv(t):
+        return np.sum(pi * (qi - qj - qi**t * qj ** (1.0 - t) * logratio))
+
+    if deriv(0.0) <= 0.0:
+        t = 0.0
+    elif deriv(1.0) >= 0.0:
+        t = 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if deriv(mid) > 0.0 else (lo, mid)
+        t = 0.5 * (lo + hi)
+    return float(np.sum(pi * (t * qi + (1.0 - t) * qj - qi**t * qj ** (1.0 - t))))
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 12, 20])
+def test_divergences_match_numpy_reference(r):
+    rng = np.random.default_rng(r)
+    for _ in range(3):
+        q = rng.uniform(0.5, 30.0, size=(r, r))
+        q = 0.5 * (q + q.T)
+        pi = rng.dirichlet([2.0] * r)
+        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+        for k in rng.choice(len(pairs), size=min(len(pairs), 12), replace=False):
+            i, j = pairs[k]
+            numeric, _ = ch_divergence_numeric(q, pi, i, j)
+            assert numeric == pytest.approx(numpy_divergence(q, pi, i, j), rel=1e-12, abs=0)
+            mono = monotone_divergence(q, pi, i, j)
+            assert mono == pytest.approx(numpy_divergence(q, pi, i, j, keep=(i, j)), rel=1e-12, abs=0)
