@@ -42,7 +42,6 @@ _EXPORTS = {
         "Recovery",
         "SolverOptions",
         "centered_partition_matrix",
-        "certified_partition",
         "recover",
         "recover_admm",
     ),

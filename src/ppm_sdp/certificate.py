@@ -16,7 +16,8 @@ Lambda is sparse plus low rank: Lambda = diag(nu) - A + L K^T, with
 L = [omega 1, ...] and K = [1, ...] one column each for omega J and for each
 off-diagonal block of Gamma (`_factors`), at most 1 + r (r - 1) columns.
 Every product with Lambda and every dense form of it goes through these
-factors.  Verification applies Lambda only through the operator
+factors, whose layout no other module reads (`multiplier_matrix`).
+Verification applies Lambda only through the operator
 x -> nu x - A x + L (K^T x), from the edge pairs and the factors: Lanczos
 (`lanczos`) on it, restricted to the orthogonal complement of
 span{1_i - 1_j}, gives the end Ritz values and the least one's Ritz vector;
@@ -228,6 +229,20 @@ def _factors(truth: PartitionLabels, cert: DualCertificate) -> tuple[np.ndarray,
         left[members[i], col] = -cert.R[members[i], j] / cert.T[i, j]
         right[members[j], col] = cert.R[members[j], i]
     return left, right
+
+
+def multiplier_matrix(
+    truth: PartitionLabels, cert: DualCertificate, *, omega_j: bool
+) -> np.ndarray:
+    """diag(nu) - Gamma as a dense n x n array, plus omega J when `omega_j`
+    (Lambda + A): one product of the factors, less their omega J column
+    without `omega_j`, then nu on the diagonal; `sdp.admm_start`'s dual."""
+    left, right = _factors(truth, cert)
+    if not omega_j:
+        left, right = left[:, 1:], right[:, 1:]
+    out = left @ right.T
+    out.flat[:: truth.n + 1] += cert.nu
+    return out
 
 
 def _lambda_operator(g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray):

@@ -5,7 +5,7 @@ builds and verifies the certificate for a spectral candidate partition, and
 when that proves the candidate the unique SDP optimum it reports the
 candidate without running ADMM ("method": "certificate", iterations 0).
 Otherwise it runs ADMM, started from that candidate when `sdp.admm_start`
-accepts it, and rounds ("method": "admm").
+accepts it, and rounds ("method": "admm").  `omega-sweep` does the same.
 
 Exit codes for solve-like commands: 0 on rounded success, 2 on rounding
 failure, 3 on non-convergence.  `certify` exits 0 iff the certificate
@@ -15,7 +15,8 @@ exceeds the graph's n, a --tol that is not finite and positive or a
 --max-iters below 1, a `tails` --trials outside 1..10^7 or a negative
 `tails` --seed, a config whose max_iters, trials, seed_base or n_grid
 entries are not integers or whose tol, p_tilde_grid or q_tilde_grid entries
-are not numbers, a model whose n or r is not an integer or whose p_tilde or
+are not numbers, a p_tilde_grid or q_tilde_grid entry that is not finite and
+above 0, a model whose n or r is not an integer or whose p_tilde or
 q_tilde is not a number (a JSON bool is neither), a config, model or
 adversary base whose pi is not a list of numbers, a rate matrix with an
 entry that is not a number (a string such as "8" or a bool), a pi or rate

@@ -85,8 +85,11 @@ class ExperimentConfig:
         if not all(is_integral(n) for n in self.n_grid):
             raise ParameterError(f"n_grid {self.n_grid} is not all integers")
         for name in ("p_tilde_grid", "q_tilde_grid"):
-            if not all(is_number(x) for x in getattr(self, name)):
-                raise ParameterError(f"{name} {getattr(self, name)} is not all numbers")
+            grid = getattr(self, name)
+            if not all(is_number(x) for x in grid):
+                raise ParameterError(f"{name} {grid} is not all numbers")
+            if not all(0.0 < x < math.inf for x in grid):  # false for NaN
+                raise ParameterError(f"{name} {grid} needs finite entries > 0")
         self.trials, self.seed_base = int(self.trials), int(self.seed_base)
         if not self.cells():
             raise ParameterError("the grid has no cell with p_tilde > q_tilde")
@@ -438,8 +441,8 @@ def omega_sweep(
     omegas,
     opts: sdp.SolverOptions | None = None,
 ) -> list:
-    """Run the unknown-sizes program across a grid of omega values,
-    keeping only solutions that round to genuine partitions.
+    """Run `sdp.recover` (certificate first, as `solve` does) at each omega
+    of a grid, keeping only solutions that round to genuine partitions.
 
     Distinct omega values can surface distinct (e.g. hierarchical)
     partitions.  An omega outside (0, 1) or an r outside [2, n] is bad
@@ -455,7 +458,7 @@ def omega_sweep(
     out = []
     for omega in omegas:
         try:
-            rec = sdp.recover_admm(g, r, omega=omega, opts=opts)
+            rec = sdp.recover(g, r, omega=omega, opts=opts)
         except np.linalg.LinAlgError:
             out.append(OmegaSweepEntry(omega=omega, converged=False, labels=None))
             continue

@@ -18,18 +18,19 @@ outside 1..r, as it is while the iterate's rank is still falling.
 ADMM starts from the spectral candidate's primal-dual pair when it can
 (`admm_start`): Z is the candidate's centered partition matrix X, U is
 (C + Lambda)/rho for its unverified certificate Lambda = diag(nu) + omega J
-- A - Gamma, formed as diag(nu) plus one product of the certificate's
-low-rank factors (`certificate._factors`), and the warm basis spans
+- A - Gamma (`certificate.multiplier_matrix`), and the warm basis spans
 range(X).  The start is used only when the construction is sign-feasible
 (every R entry off a vertex's own community and every T_ij positive), so
-that U lies in the normal cone of C at X; otherwise, or with no candidate, ADMM starts cold from Z = I, U = 0.
+that U lies in the normal cone of C at X; otherwise, or with no candidate,
+ADMM starts cold from Z = I, U = 0.
 When Lambda is PSD the pair is a fixed point: the first projection's
 warm proof holds, and one iteration meets the stop with no full
 eigendecomposition.  The stop itself is the same from either start.
 
-`recover` tries the dual certificate first and falls back to ADMM (build,
-start, solve, round) from the same candidate; with `recover_admm`, which
-always runs ADMM, these are the only graph-to-partition routines.
+`recover`, behind both `solve` and the omega sweep, tries the dual
+certificate first and falls back to ADMM (build, start, solve, round) from
+the same candidate; with `recover_admm`, which always runs ADMM (for the
+harness trial), these are the only graph-to-partition routines.
 Rounding reads the labels off X thresholded at the midpoint between 1 and
 -1/(r-1); its `max_deviation`, X's distance from that pattern, is the
 distance to the labels' centered partition matrix on success and a lower
@@ -453,42 +454,18 @@ def spectral_candidate(
     return labels, certificate.build_certificate(g, labels, params, omega=omega)
 
 
-def certified_partition(
-    g: Graph, r: int, omega: float | None = None, sizes=None
-) -> tuple[PartitionLabels, certificate.CertificateReport] | None:
-    """The `spectral_candidate` partition with its certificate report when
-    the certificate proves it the unique optimum of the SDP, or None.
-
-    The candidate is accepted only when the certificate verifies with a PSD
-    margin above the verifier's tolerance: uniqueness needs Lambda strictly
-    positive on the complement of span{1_i - 1_j}.  Raises ParameterError
-    as `spectral_candidate` does.
-    """
-    return _certified(g, spectral_candidate(g, r, omega=omega, sizes=sizes))
-
-
-def _certified(g: Graph, candidate):
-    """(labels, report) when the candidate's certificate proves it, else None."""
-    if candidate is None:
-        return None
-    labels, cert = candidate
-    report = certificate.verify_certificate(g, labels, cert)
-    return (labels, report) if report.unique_optimum else None
-
-
 def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     """The ADMM start (Z0, U0, basis) that a `spectral_candidate` gives
     `prob`, or None when there is no candidate or its construction is not
     sign-feasible.
 
     Z0 is the candidate's centered partition matrix X and U0 = (C + Lambda)/rho
-    the scaled dual of its certificate Lambda = diag(nu) - A + L K^T, by one
-    product of the certificate's factors (`certificate._factors`): with
-    sizes C = A, and C + Lambda = diag(nu) + L K^T, where omega multiplies
+    the scaled dual of its certificate Lambda = diag(nu) + omega J - A -
+    Gamma, read from `certificate.multiplier_matrix`: with sizes C = A, and
+    C + Lambda = diag(nu) + omega J - Gamma, where omega multiplies
     <J, X> = j_target; without them C = A - omega J, and C + Lambda =
-    diag(nu) - Gamma is the same less the factors' omega J column.  The
-    basis is an orthonormal basis of range(X) = span{1_i - 1_j}, r - 1
-    columns.  Sign-feasible
+    diag(nu) - Gamma.  The basis is an orthonormal basis of range(X) =
+    span{1_i - 1_j}, r - 1 columns.  Sign-feasible
     (`certificate.sign_minima` both positive) means Gamma > 0 off the
     diagonal blocks, so U0 lies in the normal cone of C at X; when Lambda is
     also PSD, (X, U0) is a fixed point of `solve`, and the first projection's
@@ -500,11 +477,7 @@ def admm_start(prob: SdpProblem, candidate) -> tuple | None:
     r_min, t_min = certificate.sign_minima(labels, cert)
     if not (r_min > 0.0 and t_min > 0.0):
         return None
-    left, right = certificate._factors(labels, cert)
-    if prob.j_target is None:  # C = A - omega J: drop the factors' omega J column
-        left, right = left[:, 1:], right[:, 1:]
-    u = left @ right.T
-    u.flat[:: labels.n + 1] += cert.nu
+    u = certificate.multiplier_matrix(labels, cert, omega_j=prob.j_target is not None)
     u /= RHO
     return centered_partition_matrix(labels), u, certificate.span_basis(labels)
 
@@ -557,19 +530,18 @@ def recover(
     g: Graph, r: int, *, sizes=None, omega: float | None = None,
     opts: SolverOptions | None = None,
 ) -> Recovery:
-    """The `spectral_candidate` when its certificate proves it, with its
-    objective in closed form (<A, X> with `sizes`, <A - omega J, X>
-    without); otherwise `recover_admm` with the same arguments, started from
-    that same candidate, computed once."""
+    """The `spectral_candidate` when its certificate proves it the unique
+    optimum, with its objective in closed form (<A, X> with `sizes`,
+    <A - omega J, X> without); otherwise `recover_admm` with the same
+    arguments, started from that same candidate, computed once."""
     if sizes is None:
         _check_omega(omega)
     else:
         _check_sizes(g, sizes, r)
     candidate = spectral_candidate(g, r, omega=omega, sizes=sizes)
-    certified = _certified(g, candidate)
-    if certified is None:
+    if candidate is None or not certificate.verify_certificate(g, *candidate).unique_optimum:
         return _admm(_build(g, r, sizes, omega), opts, candidate)
-    labels, _ = certified
+    labels, _ = candidate
     _, e_ij = certificate.edge_counts(g, labels)
     omega_j = 0.0 if sizes is not None else omega
     objective = certificate.partition_objective(e_ij, labels.sizes(), omega_j)

@@ -820,6 +820,28 @@ class TestUsageErrors:
         line = self.usage_error(capsys, command, *argv)
         assert "finite" in line and {p.name for p in tmp_path.iterdir()} <= {"in.json"}
 
+    @pytest.mark.parametrize("command", ["phase", "robustness"])
+    @pytest.mark.parametrize(
+        "grid", [{"p_tilde_grid": [8, math.nan]}, {"q_tilde_grid": [1, -math.inf]}],
+        ids=["p-nan", "q-minus-inf"],
+    )
+    def test_non_finite_grid_entry(self, tmp_path, capsys, monkeypatch, command, grid):
+        # [8, NaN] once exited 0 with one cell (NaN > q_tilde is false), and
+        # [1, -Infinity] exited 64 only after the first cell had run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(ppm_sdp.harness, "sample_ppm", refuse)
+        monkeypatch.chdir(tmp_path)
+        Path("in.json").write_text(json.dumps({
+            "p_tilde_grid": [8], "q_tilde_grid": [1], "pi": [0.5, 0.5], "n_grid": [60],
+            "trials": 1, "seed_base": 1,
+            "adversary": {"kind": "random_monotone", "params": {"delta_add": 0.1, "delta_rem": 0.1}},
+            **grid,
+        }))
+        line = self.usage_error(capsys, command, "--config", "in.json", "--out", "o.csv")
+        assert "finite" in line and {p.name for p in tmp_path.iterdir()} == {"in.json"}
+
     def test_threshold_model_without_r(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"n": 300, "pi": [0.5, 0.5], "p_tilde": 21, "q_tilde": 2}))
@@ -873,7 +895,7 @@ class TestUsageErrors:
     def test_omega_sweep_checks_every_omega_before_solving(self, capsys, sampled, monkeypatch):
         gp, _ = sampled
         calls = []
-        monkeypatch.setattr(sdp, "recover_admm", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(sdp, "recover", lambda *a, **k: calls.append(1))
         argv = ["omega-sweep", "--graph", str(gp), "--r", "2", "--omegas", "0.2,1.5"]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()

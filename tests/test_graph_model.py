@@ -869,8 +869,8 @@ class TestOneEdgeForm:
             out = apply_adversary(g, truth, AdversarySpec(kind=kind, params=params), 17)
             monotone_diff(g, out, truth)
 
-        _, report = sdp.certified_partition(g, truth.r, sizes=truth.sizes())
-        assert report.verified
+        labels, cert = sdp.spectral_candidate(g, truth.r, sizes=truth.sizes())
+        assert certificate.verify_certificate(g, labels, cert).unique_optimum
         cert = certificate.build_certificate(g, truth, PINNED)
         assert certificate.verify_certificate(g, truth, cert).verified
         argv = ["solve", "--graph", str(path), "--mode", "unknown", "--omega", "0.17", "--r", "3"]

@@ -28,6 +28,7 @@ from ppm_sdp.harness import (
 from ppm_sdp import harness, sdp
 from ppm_sdp.sdp import SolverOptions
 from ppm_sdp.thresholds import ParameterError, compute_omega
+from test_recovery import WEAK
 
 
 def small_config(**overrides):
@@ -80,6 +81,16 @@ class TestConfig:
             small_config(p_tilde_grid=[2.0], q_tilde_grid=[3.0])
         with pytest.raises(ParameterError, match="no cell"):
             small_config(n_grid=[])
+
+    @pytest.mark.parametrize("grid", [
+        {"p_tilde_grid": [8.0, math.nan]}, {"q_tilde_grid": [1.0, -math.inf]},
+        {"p_tilde_grid": [math.inf]}, {"q_tilde_grid": [0.0]}, {"q_tilde_grid": [2.0, -1.0]},
+    ], ids=["p-nan", "q-minus-inf", "p-inf", "q-zero", "q-negative"])
+    def test_rejects_a_grid_entry_that_is_not_finite_and_positive(self, grid):
+        # [8, NaN] once kept only the cell 8, since NaN > q_tilde is false;
+        # the others passed here and failed, if at all, when their cell ran
+        with pytest.raises(ParameterError, match="finite entries > 0"):
+            small_config(**grid)
 
     def test_bad_algorithm(self):
         with pytest.raises(ParameterError):
@@ -419,6 +430,9 @@ class TestTailDemo:
         assert result.events == 0
 
 
+SWEEP_PARAMS = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+
+
 class TestOmegaSweep:
     def test_true_omega_recovers_truth(self):
         par = PlantedPartitionParams(n=150, r=2, pi=(0.5, 0.5), p_tilde=18, q_tilde=2)
@@ -456,6 +470,31 @@ class TestOmegaSweep:
         )
         assert coarse.is_partition and labels_agree(coarse.labels, merged)
 
+    def test_a_certified_omega_runs_no_admm(self, monkeypatch):
+        g, _ = sample_ppm(SWEEP_PARAMS, 401)
+        omega = compute_omega(SWEEP_PARAMS.p, SWEEP_PARAMS.q)
+        rec = sdp.recover(g, 3, omega=omega)
+        assert rec.method == "certificate"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran ADMM on a certified omega")
+
+        monkeypatch.setattr(sdp, "solve", refuse)
+        (entry,) = omega_sweep(g, 3, [omega])
+        assert entry.converged and entry.labels == rec.labels
+
+    @pytest.mark.parametrize("par, seed, omega", [
+        *[(SWEEP_PARAMS, seed, omega) for seed in (401, 402, 403)
+          for omega in (compute_omega(SWEEP_PARAMS.p, SWEEP_PARAMS.q), 0.12, 0.2)],
+        (WEAK, 3, compute_omega(WEAK.p, WEAK.q)),  # no certificate: ADMM runs
+    ])
+    def test_entries_match_recover_admm(self, par, seed, omega):
+        g, _ = sample_ppm(par, seed)
+        opts = SolverOptions(tol=1e-5, max_iters=5000)
+        (entry,) = omega_sweep(g, par.r, [omega], opts)
+        rec = sdp.recover_admm(g, par.r, omega=omega, opts=opts)
+        assert (entry.converged, entry.labels) == (rec.converged, rec.labels)
+
     def test_bad_input_raises_other_failures_are_recorded(self, monkeypatch):
         par = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=14, q_tilde=2)
         g, _ = sample_ppm(par, 0)
@@ -466,7 +505,7 @@ class TestOmegaSweep:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(sdp, "recover_admm", fail)
+        monkeypatch.setattr(sdp, "recover", fail)
         entries = omega_sweep(g, 2, [0.1, 0.2])
         assert [(e.omega, e.converged, e.is_partition) for e in entries] == [
             (0.1, False, False), (0.2, False, False)
@@ -479,6 +518,6 @@ class TestOmegaSweep:
         def bug(*args, **kwargs):
             raise TypeError("solve failed")
 
-        monkeypatch.setattr(sdp, "recover_admm", bug)
+        monkeypatch.setattr(sdp, "recover", bug)
         with pytest.raises(TypeError, match="solve failed"):
             omega_sweep(g, 2, [0.1, 0.2])

@@ -37,8 +37,7 @@ EXPORTS = {
         "DivergenceReport", "ParameterError", "bm_dominates", "ch_divergence_closed_form",
         "ch_divergence_numeric", "compute_omega", "feasibility_report",
         "monotone_divergence", "ppm_rate_matrix", "rate_constant_tau",
-        "Recovery", "SolverOptions", "centered_partition_matrix", "certified_partition",
-        "recover", "recover_admm",
+        "Recovery", "SolverOptions", "centered_partition_matrix", "recover", "recover_admm",
         "CertificateReport", "build_certificate", "verify_certificate",
         "MleResult", "loglikelihood", "mle_known_sizes", "mle_unknown_sizes",
 }
@@ -134,7 +133,7 @@ class TestRecover:
 
         monkeypatch.setattr(sdp, "solve", refuse)
         monkeypatch.setattr(sdp, "_top_eigenpairs", refuse)
-        for call in (sdp.recover, sdp.recover_admm, sdp.certified_partition):
+        for call in (sdp.recover, sdp.recover_admm, sdp.spectral_candidate):
             with pytest.raises(ParameterError, match="disagrees"):
                 call(g, 3, sizes=(60, 60))
             with pytest.raises(ParameterError, match="disagrees"):
@@ -152,7 +151,7 @@ class TestRecover:
         monkeypatch.setattr(Graph, "adjacency", refuse)
         # (60.5, 60.4) once passed as [60, 60]; (60.5, 59.5) even sums to n
         for sizes in ((60.5, 60.4), (60.5, 59.5), (60, math.nan), (60, math.inf)):
-            for call in (sdp.recover, sdp.recover_admm, sdp.certified_partition):
+            for call in (sdp.recover, sdp.recover_admm, sdp.spectral_candidate):
                 with pytest.raises(ParameterError, match="integers"):
                     call(g, 2, sizes=sizes)
             with pytest.raises(ParameterError, match="integers"):
@@ -243,9 +242,10 @@ def rel(value):
 
 
 class TestPinnedAdmmOutputs:
-    """ADMM-path outputs of the CLI, the harness trial and the omega sweep,
-    which share `recover_admm`: exit codes and flags as recorded before they
-    shared it, iterations and objectives as the two-block solver gives them."""
+    """ADMM-path outputs of the CLI and the harness trial, which share
+    `recover_admm`, and the omega sweep's entry: exit codes and flags as
+    recorded before they shared it, iterations and objectives as the
+    two-block solver gives them."""
 
     @pytest.mark.parametrize(
         "mode, code, pinned",

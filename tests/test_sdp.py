@@ -24,11 +24,11 @@ from ppm_sdp.sdp import (
     _labels_from_components,
     build_unknown_sizes,
     centered_partition_matrix,
-    certified_partition,
     j_constraint_target,
     objective_value,
     round_to_partition,
     solve,
+    spectral_candidate,
 )
 from ppm_sdp.thresholds import ParameterError, compute_omega
 
@@ -474,9 +474,8 @@ class TestSolutionAccuracy:
             ({"omega": omega}, build_unknown_sizes(g, 3, omega), omega),
             ({"sizes": truth.sizes()}, build_known_sizes(g, truth.sizes()), 0.0),
         ):
-            certified = certified_partition(g, 3, **kwargs)
-            assert certified is not None
-            labels, _ = certified
+            labels, cert = spectral_candidate(g, 3, **kwargs)
+            assert certificate.verify_certificate(g, labels, cert).unique_optimum
             _, e_ij = certificate.edge_counts(g, labels)
             optimum = certificate.partition_objective(e_ij, labels.sizes(), omega_j)
             sol = solve(prob, self.OPTS)
@@ -630,33 +629,34 @@ class TestCertifiedPartition:
         g, truth = sample_ppm(self.PARAMS, 1)
         omega = compute_omega(self.PARAMS.p, self.PARAMS.q)
         for kwargs in ({"omega": omega}, {"sizes": truth.sizes()}):
-            labels, report = certified_partition(g, 3, **kwargs)
+            labels, cert = spectral_candidate(g, 3, **kwargs)
+            report = certificate.verify_certificate(g, labels, cert)
             assert labels_agree(labels, truth)
             assert report.verified and report.psd_margin > report.psd_tol
 
     def test_sizes_the_candidate_cannot_match(self):
         g, _ = sample_ppm(self.PARAMS, 1)
-        assert certified_partition(g, 3, sizes=(100, 100, 100)) is None
+        assert spectral_candidate(g, 3, sizes=(100, 100, 100)) is None
 
     def test_no_candidate_on_the_empty_graph(self):
         g = Graph(n=8, edges=frozenset())
-        assert certified_partition(g, 2, omega=0.3) is None
-        assert certified_partition(g, 2, sizes=(4, 4)) is None
+        assert spectral_candidate(g, 2, omega=0.3) is None
+        assert spectral_candidate(g, 2, sizes=(4, 4)) is None
 
     def test_singleton_communities_give_no_density(self):
         g, _ = two_triangles()
-        assert certified_partition(g, 6, sizes=(1,) * 6) is None
+        assert spectral_candidate(g, 6, sizes=(1,) * 6) is None
 
     def test_bad_inputs_raise_as_the_builders_do(self):
         g, _ = two_triangles()
         with pytest.raises(ParameterError, match="do not sum"):
-            certified_partition(g, 2, sizes=(2, 2))
+            spectral_candidate(g, 2, sizes=(2, 2))
         with pytest.raises(ParameterError, match="omega"):
-            certified_partition(g, 2, omega=1.5)
+            spectral_candidate(g, 2, omega=1.5)
         with pytest.raises(ParameterError, match="r >= 2"):
-            certified_partition(g, 1, omega=0.3)
+            spectral_candidate(g, 1, omega=0.3)
         with pytest.raises(ParameterError, match="r <= n"):
-            certified_partition(g, 7, omega=0.3)
+            spectral_candidate(g, 7, omega=0.3)
 
 
 MATRIX_FREE_TOP = sdp._top_eigenpairs  # saved: certified_both_ways patches sdp's name
@@ -680,13 +680,15 @@ def candidates(g, r, w):
 
 
 def certified_both_ways(g, r, monkeypatch, **kwargs):
-    """(labels, report JSON) or None from `certified_partition`, with the
-    matrix-free eigenpairs and then with the dense reference."""
+    """(labels, report JSON) or None from `spectral_candidate` and the
+    verified certificate, with the matrix-free eigenpairs and then with the
+    dense reference."""
     out = []
     for top in (MATRIX_FREE_TOP, dense_top_eigenpairs):
         monkeypatch.setattr(sdp, "_top_eigenpairs", top)
-        got = certified_partition(g, r, **kwargs)
-        out.append(got and (got[0].labels, json.dumps(got[1].to_dict())))
+        got = spectral_candidate(g, r, **kwargs)
+        report = got and certificate.verify_certificate(g, *got)
+        out.append(got and (got[0].labels, json.dumps(report.to_dict())))
     return out
 
 
@@ -767,7 +769,8 @@ class TestMatrixFreeCandidate:
             raise AssertionError("the candidate built the dense adjacency")
 
         monkeypatch.setattr(Graph, "adjacency", refuse)
-        labels, report = certified_partition(g, 3)
+        labels, cert = spectral_candidate(g, 3)
+        report = certificate.verify_certificate(g, labels, cert)
         assert labels_agree(labels, truth) and report.unique_optimum
 
 
