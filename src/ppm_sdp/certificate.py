@@ -1,9 +1,10 @@
 """Dual certificate construction and verification.
 
-Given a graph, the true partition, and the regularizer omega, builds the
-dual pair (nu, Gamma) whose induced matrix Lambda = diag(nu) + omega J - A -
-Gamma certifies, when it passes verification, that the true centered
-partition matrix is the unique optimum of both semidefinite programs.
+Given a graph, a partition, the edge probabilities p and q and the
+regularizer omega (omega(p, q) by default), and no model, builds the dual
+pair (nu, Gamma) whose induced matrix Lambda = diag(nu) + omega J - A -
+Gamma certifies, when it passes verification, that the partition's
+centered matrix is the unique optimum of both semidefinite programs.
 
 The construction follows complementary slackness: per-vertex values gamma_v
 are chosen inside data-dependent intervals [alpha_v, beta_v], corrected so
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import lanczos
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams
+from .graph_model import Graph, PartitionLabels
 from .thresholds import ParameterError, compute_omega
 
 
@@ -127,7 +128,7 @@ def edge_counts(g: Graph, truth: PartitionLabels) -> tuple[np.ndarray, np.ndarra
     return e_vj, e_ij
 
 
-def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
+def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2):
     """(certificate, delta): one construction pass and its per-community
     additive corrections delta_i."""
     lab = truth.as_array()
@@ -143,8 +144,7 @@ def _construct(truth, omega, p, q, e_vj, e_ij, eps1, eps2, c):
     beta_v = other.min(axis=1) - eps2
 
     sorted_sizes = np.sort(sizes)
-    if c is None:
-        c = 0.5 * (omega - q) * sorted_sizes[0] * sorted_sizes[1]
+    c = 0.5 * (omega - q) * sorted_sizes[0] * sorted_sizes[1]
     smin_other = np.array(
         [min(sizes[j] for j in range(r) if j != i) for i in range(r)]
     )
@@ -302,34 +302,34 @@ def _assemble(
 
 
 def build_certificate(
-    g: Graph,
-    truth: PartitionLabels,
-    params: PlantedPartitionParams,
-    omega: float | None = None,
-    c: float | None = None,
+    g: Graph, truth: PartitionLabels, p: float, q: float | None = None, omega: float | None = None
 ) -> DualCertificate:
-    """Deterministic two-pass construction of the dual certificate.
+    """Deterministic two-pass construction of the dual certificate from the
+    edge probabilities p and q, which set alpha_bar, beta_bar, c and the
+    default omega(p, q); no model is read, but one in place of p, with q
+    left out, stands for (p.p, p.q), as benchmarks/test_checks.py calls it.
 
     The error terms eps1, eps2 depend on the per-community corrections
     delta_i, which in turn depend on eps1, eps2; the first pass uses the
     delta-free baselines, the second re-runs with max |delta_i| folded in.
     Gamma stays factored as (R, T); nothing here is n x n.
     """
+    if q is None:
+        p, q = p.p, p.q
     if truth.r < 2:
         raise ParameterError("need at least two communities")
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
     if omega is None:
-        omega = compute_omega(params.p, params.q)
+        omega = compute_omega(p, q)
     if not math.isfinite(omega):
         raise ParameterError(f"need a finite omega, got {omega}")
     n = g.n
     base = math.log(n) / math.log(math.log(n))
     e_vj, e_ij = edge_counts(g, truth)
-    p, q = params.p, params.q
-    _, delta = _construct(truth, omega, p, q, e_vj, e_ij, omega + base, 1.0, c)
+    _, delta = _construct(truth, omega, p, q, e_vj, e_ij, omega + base, 1.0)
     dmax = float(np.max(np.abs(delta)))
-    return _construct(truth, omega, p, q, e_vj, e_ij, dmax + omega + base, dmax + 1.0, c)[0]
+    return _construct(truth, omega, p, q, e_vj, e_ij, dmax + omega + base, dmax + 1.0)[0]
 
 
 def span_basis(truth: PartitionLabels) -> np.ndarray:

@@ -217,10 +217,11 @@ def cmd_certify(args) -> int:
     g = read_graph(args.graph)
     truth = read_labels(args.labels)
     pi = tuple((truth.sizes() / truth.n).tolist())
+    # the model checks the outside input; the certificate reads only p and q
     params = PlantedPartitionParams(
         n=g.n, r=truth.r, pi=pi, p_tilde=args.p_tilde, q_tilde=args.q_tilde
     )
-    cert = certificate.build_certificate(g, truth, params, omega=args.omega)
+    cert = certificate.build_certificate(g, truth, params.p, params.q, omega=args.omega)
     report = certificate.verify_certificate(g, truth, cert)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.verified else EXIT_NOT_VERIFIED

@@ -128,8 +128,9 @@ class Graph:
     `Graph(n, edges)` takes n >= 0 and integer (u, v) pairs or an (m, 2)
     integer array; repeats collapse, and a negative n, a non-integer id (a
     bool is none) or the first pair outside 0 <= u < v < n raises
-    ParameterError.  `edges` and `sorted_edges()` are tuple views built on
-    each call, for callers outside the program.
+    ParameterError.  `edges` is a frozenset of tuples built on each call,
+    for callers outside the program, from `sorted_edges()`, the sorted list
+    that benchmarks/test_checks.py reads.
     """
 
     n: int

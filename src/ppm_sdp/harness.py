@@ -176,7 +176,7 @@ def run_trial(
         result["iterations"] = rec.iterations
         result["recovered"] = rec.labels is not None and labels_agree(rec.labels, truth)
     if cfg.certify:
-        cert = certificate.build_certificate(g, truth, params)
+        cert = certificate.build_certificate(g, truth, params.p, params.q)
         report = certificate.verify_certificate(g, truth, cert)
         result.update(verified=report.verified, certified=report.unique_optimum)
         if cfg.algorithm == "certify-only":

@@ -38,7 +38,8 @@ bound on the distance to every one on failure.  The certificate's candidate
 partition is computed from the edge pairs: the top r-1 eigenpairs of
 A - w J come from block Lanczos (`lanczos`) on r + 1 columns, with A
 applied by `Graph.matvec`, so a certified solve builds no n x n array
-before the certificate.
+before the certificate, which takes the candidate's p_hat and q_hat: no
+model is made here.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certificate, lanczos
-from .graph_model import Graph, PartitionLabels, PlantedPartitionParams, check_sizes
-from .thresholds import ParameterError, compute_omega, is_integral, is_number
+from .graph_model import Graph, PartitionLabels, check_sizes
+from .thresholds import ParameterError, is_integral, is_number
 
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
@@ -414,8 +415,9 @@ def spectral_candidate(
     computed from the edge pairs (`_top_eigenpairs`), with no n x n array.
     With `sizes` (known sizes) the candidate must have those sizes.  The
     edge densities p_hat, q_hat within and across its communities must
-    satisfy 0 < q_hat < p_hat < 1; without `omega` the construction uses
-    omega(p_hat, q_hat), the free multiplier of <J, X> with known sizes.
+    satisfy 0 < q_hat < p_hat < 1; the construction gets them and `omega`
+    as they are, no model (without `omega`, omega(p_hat, q_hat), the free
+    multiplier of <J, X> with known sizes).
 
     Raises ParameterError on the inputs build_known_sizes and
     build_unknown_sizes reject, and when r is not the number of sizes; a
@@ -444,14 +446,7 @@ def spectral_candidate(
     q_hat = (float(np.sum(e_ij)) / 2.0 - within) / across_pairs
     if not (0.0 < q_hat < p_hat < 1.0):
         return None
-    scale = n / math.log(n)
-    params = PlantedPartitionParams(
-        n=n, r=r, pi=tuple((cand / n).tolist()),
-        p_tilde=p_hat * scale, q_tilde=q_hat * scale,
-    )
-    if omega is None:
-        omega = compute_omega(p_hat, q_hat)
-    return labels, certificate.build_certificate(g, labels, params, omega=omega)
+    return labels, certificate.build_certificate(g, labels, p_hat, q_hat, omega=omega)
 
 
 def admm_start(prob: SdpProblem, candidate) -> tuple | None:
@@ -536,8 +531,6 @@ def recover(
     arguments, started from that same candidate, computed once."""
     if sizes is None:
         _check_omega(omega)
-    else:
-        _check_sizes(g, sizes, r)
     candidate = spectral_candidate(g, r, omega=omega, sizes=sizes)
     if candidate is None or not certificate.verify_certificate(g, *candidate).unique_optimum:
         return _admm(_build(g, r, sizes, omega), opts, candidate)

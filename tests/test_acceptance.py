@@ -82,7 +82,7 @@ def desk_runs():
             "known": certified_labels(g, truth.r, sizes=truth.sizes()),
             "unknown": certified_labels(g, truth.r, omega=omega),
         }
-        report = verify_certificate(g, truth, build_certificate(g, truth, DESK_PARAMS))
+        report = verify_certificate(g, truth, build_certificate(g, truth, DESK_PARAMS.p, DESK_PARAMS.q))
         out["verified"], out["proved"] = report.verified, report.unique_optimum
         runs.append(out)
     return runs
@@ -140,7 +140,7 @@ def test_criterion_3_certificate_identities():
         qt = float(rng.uniform(1.0, 4.0))
         par = PlantedPartitionParams(n=200, r=r, pi=pi, p_tilde=pt, q_tilde=qt)
         g, truth = sample_ppm(par, int(rng.integers(0, 2**31)))
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         suite = {x[0]: x[1:] for x in algebraic_identity_suite(cert, g, truth)}
         for name in ("y_quadratic_form", "lambda_y_prime"):
             lhs, rhs, passed = suite[name]
@@ -172,7 +172,7 @@ def test_criterion_4_oracle_equivalence():
         rounding = round_to_partition(sol, r)
         if not (sol.converged and rounding.success):
             continue
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         if not verify_certificate(g, truth, cert).verified:
             continue
         checked += 1
@@ -258,7 +258,7 @@ def test_criterion_7_monotone_objective_arithmetic():
         for u, v in itertools.combinations(range(g.n), 2)
         if lab[u] == lab[v] and (u, v) not in g.edges
     )
-    inter_edge = next((u, v) for u, v in g.sorted_edges() if lab[u] != lab[v])
+    inter_edge = next((u, v) for u, v in sorted(g.edges) if lab[u] != lab[v])
     g_add = Graph(n=g.n, edges=g.edges | {intra_missing})
     g_rem = Graph(n=g.n, edges=g.edges - {inter_edge})
     gain_add = objective_value(g_add, x_hat, omega) - objective_value(g, x_hat, omega)

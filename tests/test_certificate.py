@@ -49,7 +49,7 @@ def interval_margins(g, truth, params, omega=None):
     """Per-vertex interval endpoints (alpha_v, beta_v) and the worst margin
     min_v(beta_v - alpha_v); a positive margin is the high-probability event
     linking the certificate to the divergence condition."""
-    cert = build_certificate(g, truth, params, omega=omega)
+    cert = build_certificate(g, truth, params.p, params.q, omega=omega)
     return cert.alpha_v, cert.beta_v, float(np.min(cert.beta_v - cert.alpha_v))
 
 
@@ -280,7 +280,7 @@ PI_8 = (0.2, 0.16, 0.14, 0.12, 0.11, 0.1, 0.09, 0.08)
 @pytest.fixture(scope="module")
 def strong_instance():
     g, truth = sample_ppm(STRONG, 0)
-    cert = build_certificate(g, truth, STRONG)
+    cert = build_certificate(g, truth, STRONG.p, STRONG.q)
     return g, truth, cert
 
 
@@ -309,7 +309,7 @@ class TestConstruction:
         g = complete_blocks([0, 1, 2, 3], [4, 5, 6, 7])
         truth = PartitionLabels(labels=(0,) * 4 + (1,) * 4, r=2)
         par = SimpleNamespace(p=1 - 1e-9, q=1e-9)
-        cert = build_certificate(g, truth, par, omega=0.5)
+        cert = build_certificate(g, truth, par.p, par.q, omega=0.5)
         # symmetry forces identical gamma' within each community
         for i in range(2):
             assert np.ptp(cert.gamma_prime[truth.members(i)]) == 0.0
@@ -320,7 +320,7 @@ class TestConstruction:
         g = complete_blocks([0, 1, 2, 3], [4, 5, 6, 7])
         truth = PartitionLabels(labels=(0,) * 4 + (1,) * 4, r=2)
         par = SimpleNamespace(p=1 - 1e-9, q=1e-9)
-        cert = build_certificate(g, truth, par, omega=0.5)
+        cert = build_certificate(g, truth, par.p, par.q, omega=0.5)
         alpha, beta, margin = interval_margins(g, truth, par, omega=0.5)
         # E(v,j)=0 across, E(v,i)=s_i-1 within
         expected = 0.5 * 4 - cert.eps2 - (0.5 * 3 - 3 + cert.eps1)
@@ -337,7 +337,7 @@ class TestConstruction:
         ):
             par = dataclasses.replace(STRONG, r=len(pi), pi=pi)
             g, truth = case_instance(par, 0, labels)
-            cert = build_certificate(g, truth, par, omega=par.q / 2 if low_omega else None)
+            cert = build_certificate(g, truth, par.p, par.q, omega=par.q / 2 if low_omega else None)
             assert np.all(cert.T[np.triu_indices(truth.r, 1)] > 0) != low_omega
             expected = dense_lambda(g, cert, dense_gamma(truth, cert))
             assert np.array_equal(expected, expected.T)
@@ -362,7 +362,7 @@ class TestConstruction:
         ):
             par = dataclasses.replace(STRONG, r=len(pi), pi=pi)
             g, truth = case_instance(par, 0, labels)
-            cert = build_certificate(g, truth, par, omega=par.q / 2 if low_omega else None)
+            cert = build_certificate(g, truth, par.p, par.q, omega=par.q / 2 if low_omega else None)
             # U0 = (C + Lambda) / rho: diag(nu) - Gamma, plus omega J with sizes
             dual = np.diag(cert.nu) - dense_gamma(truth, cert)
             for prob, omega in (
@@ -383,7 +383,7 @@ class TestConstruction:
 
     def test_low_omega_flagged_not_raised(self):
         g, truth = sample_ppm(STRONG, 0)
-        cert = build_certificate(g, truth, STRONG, omega=STRONG.q / 2)
+        cert = build_certificate(g, truth, STRONG.p, STRONG.q, omega=STRONG.q / 2)
         report = verify_certificate(g, truth, cert)
         assert not report.verified
         assert not (report.t_positive and report.r_positive)
@@ -392,15 +392,7 @@ class TestConstruction:
         g = Graph(n=4, edges=frozenset())
         truth = PartitionLabels(labels=(0, 0, 0, 0), r=1)
         with pytest.raises(ParameterError):
-            build_certificate(g, truth, SimpleNamespace(p=0.5, q=0.1), omega=0.3)
-
-    def test_custom_c(self):
-        g, truth = sample_ppm(STRONG, 0)
-        cert = build_certificate(g, truth, STRONG, c=400.0)
-        assert cert.c == 400.0
-        lab = truth.as_array()
-        for i in range(truth.r):
-            assert float(cert.gamma_v[lab == i].sum()) == pytest.approx(400.0)
+            build_certificate(g, truth, 0.5, 0.1, omega=0.3)
 
 
 class TestVerification:
@@ -450,7 +442,7 @@ class TestVerification:
         g, truth = sample_ppm(STRONG, 0)
         truth = swap_two(truth) if case == "swapped" else truth
         omega = STRONG.q / 2 if case == "half-q omega" else None
-        report = verify_certificate(g, truth, build_certificate(g, truth, STRONG, omega=omega))
+        report = verify_certificate(g, truth, build_certificate(g, truth, STRONG.p, STRONG.q, omega=omega))
         d = report.to_dict()
         assert list(d) == [f.name for f in dataclasses.fields(CertificateReport)]
         assert d == report.__dict__ and "construction_ok" not in d
@@ -466,7 +458,7 @@ class TestVerification:
         with pytest.raises(ParameterError, match="disagree on n"):
             verify_certificate(g, other, cert)
         with pytest.raises(ParameterError, match="disagree on n"):
-            build_certificate(g, other, STRONG)
+            build_certificate(g, other, STRONG.p, STRONG.q)
 
     @pytest.mark.parametrize("case", ["r=2", "r=1", "n=301"])
     def test_certificate_of_other_labels_raises(self, strong_instance, case):
@@ -487,7 +479,7 @@ class TestVerification:
         # empty reduction in sign_minima
         par = PlantedPartitionParams(n=60, r=2, pi=(0.5, 0.5), p_tilde=8, q_tilde=1)
         g, truth = sample_ppm(par, 1)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         one = PartitionLabels(labels=(0,) * g.n, r=1)
         cut = dataclasses.replace(cert, R=cert.R[:, :1], T=cert.T[:1, :1])
         with pytest.raises(ParameterError, match="at least two communities"):
@@ -499,7 +491,7 @@ class TestCompressedPsd:
     def test_spectrum_matches_helmert_reference(self, pi, monkeypatch):
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         lam = assemble_lambda(g, truth, cert)
         # a symmetric perturbation that does not vanish on span{1_i - 1_j},
         # so the compression itself, not the kernel property, is exercised
@@ -599,14 +591,14 @@ class TestDenseReference:
             monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", 31)
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         report = self.assert_same_verdicts(g, truth, cert)
         assert report.verified == (labels == "planted")
 
     def test_failed_construction_matches(self):
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
-        cert = build_certificate(g, truth, par, omega=par.q / 2)
+        cert = build_certificate(g, truth, par.p, par.q, omega=par.q / 2)
         report = self.assert_same_verdicts(g, truth, cert)
         assert not report.t_positive
         assert report.gamma_off_min <= 0.0 and not report.verified
@@ -620,7 +612,7 @@ class TestLowerStore:
     def test_verifies_without_the_dense_adjacency(self, pi, labels, monkeypatch):
         par = PlantedPartitionParams(n=300, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
 
         def refuse(self):
             raise AssertionError("verification built the dense adjacency")
@@ -683,7 +675,7 @@ class TestLambdaOperator:
     def test_matches_the_store_and_the_dense_reference(self, pi, case):
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, "swapped" if case == "swapped" else "planted")
-        cert = build_certificate(g, truth, par, omega=par.q / 2 if case == "half-q omega" else None)
+        cert = build_certificate(g, truth, par.p, par.q, omega=par.q / 2 if case == "half-q omega" else None)
         if case == "one T <= 0":  # only the block pair (0, 1) loses its Gamma
             t = cert.T.copy()
             t[0, 1] = t[1, 0] = -t[0, 1]
@@ -746,7 +738,7 @@ class TestPsdProof:
             truth = swap_two(truth)
         calls = self.count_fallbacks(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        report = verify_certificate(g, truth, build_certificate(g, truth, par))
+        report = verify_certificate(g, truth, build_certificate(g, truth, par.p, par.q))
         assert not calls
         assert report.verified == (labels == "planted")
 
@@ -759,7 +751,7 @@ class TestPsdProof:
         m = (q * ev) @ q.T
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
-        certs = [(t, build_certificate(g, t, par)) for t in (truth, swap_two(truth))]
+        certs = [(t, build_certificate(g, t, par.p, par.q)) for t in (truth, swap_two(truth))]
         monkeypatch.setattr(np.linalg, "svd", None)
         theta, _ = lanczos.extreme_pairs(lambda x: m @ x, n, 1, [0, -1])
         assert np.max(np.abs(theta - ev[[0, -1]])) <= 1e-9
@@ -771,7 +763,7 @@ class TestPsdProof:
         # the certificate's own call: one column, deflated by span{1_i - 1_j}
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         calls, ritz = [], lanczos.extreme_pairs
 
         def record(*args, **kwargs):
@@ -799,7 +791,7 @@ class TestPsdProof:
         # Lambda U, like the Lanczos steps, are made before the store exists
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         events, operator, assemble = [], certificate._lambda_operator, _assemble
 
         def record_operator(*args):
@@ -829,7 +821,7 @@ class TestPsdProof:
         g, truth = sample_ppm(par, seed)
         if labels == "swapped":
             truth = swap_two(truth)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         calls = self.count_fallbacks(monkeypatch)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         report = verify_certificate(g, truth, cert)
@@ -850,7 +842,7 @@ class TestPsdProof:
 
         monkeypatch.setattr(lanczos, "extreme_pairs", missed)
         calls = self.count_fallbacks(monkeypatch)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         TestDenseReference.assert_same_verdicts(g, truth, cert)
         # the swapped labels' witness takes its quotient from the Ritz
         # vector, not the raised value, and needs no proof to fall back from
@@ -865,7 +857,7 @@ class TestPsdProof:
         # check passes against max |nu + omega|: no store, proof or eigvalsh
         par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, seed, "swapped")
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         for name in ("_assemble", "_cholesky_in_place", "_exact_ends"):
             monkeypatch.setattr(certificate, name, None)
         report = TestDenseReference.assert_same_verdicts(g, truth, cert)
@@ -877,7 +869,7 @@ class TestPsdProof:
         # the kernel check needs no largest entry of Lambda from the store
         par = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 5, "swapped")
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         nu = cert.nu.copy()
         nu[0] += 1.0
 
@@ -894,7 +886,7 @@ class TestPsdProof:
         # witness does not apply and one Cholesky proves the margin
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         lam = assemble_lambda(g, truth, cert)
         basis = complement_basis(truth)
         lo, hi = np.linalg.eigvalsh(basis.T @ lam @ basis)[[0, -1]]
@@ -920,7 +912,7 @@ class TestPsdProof:
         # dimension and stops there
         par = PlantedPartitionParams(n=n, r=len(pi), pi=pi, p_tilde=2.5, q_tilde=1)
         g, truth = sample_ppm(par, 7)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         lam = assemble_lambda(g, truth, cert)
         noise = np.random.default_rng(0).normal(size=lam.shape)
         basis = complement_basis(truth)
@@ -958,9 +950,9 @@ class TestMemory:
         par = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 3)
         warm = dataclasses.replace(par, n=100)  # first calls import lazily
-        verify_certificate(*sample_ppm(warm, 3), build_certificate(*sample_ppm(warm, 3), warm))
-        assert peak_units(lambda: build_certificate(g, truth, par), g.n) <= 0.5
-        cert = build_certificate(g, truth, par)
+        verify_certificate(*sample_ppm(warm, 3), build_certificate(*sample_ppm(warm, 3), warm.p, warm.q))
+        assert peak_units(lambda: build_certificate(g, truth, par.p, par.q), g.n) <= 0.5
+        cert = build_certificate(g, truth, par.p, par.q)
         # measured 0.686: the store plus the Lanczos basis; bound 20 % above
         assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 0.82
 
@@ -1019,7 +1011,7 @@ class TestAsymptoticSigns:
                 n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2
             )
             g, truth = sample_ppm(par, 42)
-            cert = build_certificate(g, truth, par)
+            cert = build_certificate(g, truth, par.p, par.q)
             assert np.all(cert.alpha_bar < 0)
             assert 0 < cert.c
             assert np.all(cert.c < cert.beta_bar)
@@ -1056,7 +1048,7 @@ class TestTransport:
     def test_dense_lambda_on_the_changed_graph(self, spec, n, seed):
         par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, seed)
-        cert = build_certificate(g, truth, par)
+        cert = build_certificate(g, truth, par.p, par.q)
         report = verify_certificate(g, truth, cert)
         assert report.unique_optimum
         g2 = apply_adversary(g, truth, spec, seed)

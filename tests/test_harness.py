@@ -252,7 +252,7 @@ class TestRobustness:
         [(params, [seed])] = harness._sweep(cfg)
         g, truth = sample_ppm(params, seed)
         g2 = harness.apply_adversary(g, truth, spec, trial_seed(seed, "adv", 0))
-        assert not verify_certificate(g2, truth, build_certificate(g2, truth, params)).unique_optimum
+        assert not verify_certificate(g2, truth, build_certificate(g2, truth, params.p, params.q)).unique_optimum
         [row] = run_robustness_suite(cfg).rows
         assert (row["clean_recovered"], row["clean_certified"]) == (1, 1)
         assert (row["adversarial_recovered"], row["adversarial_certified"]) == (1, 1)
@@ -352,7 +352,7 @@ class TestRunTrial:
         for p_tilde in (4.0, 14.0):
             params = PlantedPartitionParams(n=100, r=2, pi=(0.5, 0.5), p_tilde=p_tilde, q_tilde=2.0)
             g, truth = sample_ppm(params, 5)
-            report = verify_certificate(g, truth, build_certificate(g, truth, params))
+            report = verify_certificate(g, truth, build_certificate(g, truth, params.p, params.q))
             out = run_trial(cfg, params, g, truth)
             assert out["recovered"] == (report.verified and report.psd_margin > report.psd_tol)
             assert out["verified"] == report.verified

@@ -124,7 +124,7 @@ class TestObjectiveValue:
         x = centered_partition_matrix(truth)
         base = objective_value(g, x)
         lab = truth.as_array()
-        u, v = next((u, v) for u, v in g.sorted_edges() if lab[u] != lab[v])
+        u, v = next((u, v) for u, v in sorted(g.edges) if lab[u] != lab[v])
         g2 = Graph(n=g.n, edges=g.edges - {(u, v)})
         assert objective_value(g2, x) - base == pytest.approx(1.0, abs=1e-12)
 
@@ -622,7 +622,7 @@ class TestLabelsFromComponents:
         assert labels_by_component_loop(same, 2) is None
 
 
-class TestCertifiedPartition:
+class TestSpectralCandidate:
     PARAMS = PlantedPartitionParams(n=300, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
 
     def test_both_modes_certify_the_planted_partition(self):
@@ -646,6 +646,32 @@ class TestCertifiedPartition:
     def test_singleton_communities_give_no_density(self):
         g, _ = two_triangles()
         assert spectral_candidate(g, 6, sizes=(1,) * 6) is None
+
+    def test_hands_the_certificate_its_own_densities(self, monkeypatch):
+        """No model is made: the construction gets the candidate's p_hat and
+        q_hat from `edge_counts`, and `omega` as it was given."""
+
+        def refuse(_):
+            raise AssertionError("spectral_candidate built a model")
+
+        def spy(g, labels, p, q, omega=None):
+            seen.append((p, q, omega))
+            return build(g, labels, p, q, omega=omega)
+
+        seen, build = [], certificate.build_certificate
+        g, truth = sample_ppm(self.PARAMS, 1)
+        monkeypatch.setattr(PlantedPartitionParams, "__post_init__", refuse)
+        monkeypatch.setattr(certificate, "build_certificate", spy)
+        for kwargs in ({"omega": 0.15}, {"sizes": truth.sizes()}):
+            labels, cert = spectral_candidate(g, 3, **kwargs)
+            sizes = labels.sizes()
+            _, e_ij = certificate.edge_counts(g, labels)
+            within = float(np.trace(e_ij)) / 2.0
+            p_hat = within / (float(np.sum(sizes * (sizes - 1))) / 2.0)
+            across = float(np.sum(e_ij)) / 2.0 - within
+            q_hat = across / ((g.n**2 - float(np.sum(sizes**2))) / 2.0)
+            assert seen.pop() == (p_hat, q_hat, kwargs.get("omega"))
+            assert cert.omega == kwargs.get("omega", compute_omega(p_hat, q_hat))
 
     def test_bad_inputs_raise_as_the_builders_do(self):
         g, _ = two_triangles()
@@ -763,7 +789,7 @@ class TestMatrixFreeCandidate:
             assert labels.labels == tuple(cliques.tolist())
 
     def test_no_adjacency_is_built(self, monkeypatch):
-        g, truth = sample_ppm(TestCertifiedPartition.PARAMS, 1)
+        g, truth = sample_ppm(TestSpectralCandidate.PARAMS, 1)
 
         def refuse(self):
             raise AssertionError("the candidate built the dense adjacency")
