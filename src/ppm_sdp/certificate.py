@@ -26,17 +26,19 @@ it also gives the kernel product and Lambda U, U a basis of the span.  The
 Rayleigh quotient rho of that vector, projected onto the complement,
 settles a negative margin at once: when rho < -psd_tol the vector witnesses
 that Lambda is not PSD there, the margin reported is rho, and nothing is
-stored.  Otherwise the store is written once, as the matrix the proof
-factors: its lower triangle in row blocks of _CHOLESKY_BLOCK rows, about
+stored.  Otherwise the store is written as the matrix the proof factors:
+its lower triangle in row blocks of _CHOLESKY_BLOCK rows, about
 n (n + 128) / 2 doubles, the one large array of a verification, never live
 beside an operator product.  The compression onto the complement adds
 2 (r - 1) columns to the factors (`_compressed`), and one product of the
 factors writes each row block in place, before the edges and the shifted
 diagonal (`_assemble`); one in-place Cholesky factorization then proves the
-least Ritz value a lower bound.  Only when the factorization fails is the
-matrix written again, unshifted, and expanded to a dense matrix for an
-exact eigvalsh.  A poor Ritz value can therefore only send a verification
-down that dense route; it cannot change a verdict.
+least Ritz value a lower bound.  A floating-point Cholesky factorization of
+M - sigma I proves that no eigenvalue of M lies below sigma (Rump, BIT 46,
+2006); when Lanczos missed the bottom of the spectrum and that one fails,
+one more at +psd_tol or -psd_tol, one store at a time, settles the verdict.
+So psd_margin is an upper bound on the least compressed eigenvalue, and
+each PSD verdict is backed by a factorization or by the witness.
 """
 
 from __future__ import annotations
@@ -72,13 +74,12 @@ class DualCertificate:
 class CertificateReport:
     """What `verify_certificate` found, Python floats and bools only.
 
-    psd_margin is the least eigenvalue of Lambda compressed onto the
-    orthogonal complement of span{1_i - 1_j}, as a Ritz value: an upper
-    bound, and when psd_ok holds also proven from below to within psd_tol.
-    When psd_ok is false it is the Rayleigh quotient of a witness vector in
-    that complement (or, rarely, the least Ritz or exact eigenvalue): an
-    upper bound on the least compressed eigenvalue, below -psd_tol, and no
-    more.
+    psd_margin is an upper bound on the least eigenvalue of Lambda
+    compressed onto the orthogonal complement of span{1_i - 1_j}: the least
+    Ritz value, the Rayleigh quotient of a witness vector in that
+    complement, or, when Lanczos missed the bottom, the decision shift
+    +-psd_tol that bounds it.  psd_ok and unique_optimum are each backed
+    by a Cholesky factorization or by the witness.
     """
 
     intervals_nonempty: bool  # interval_margin >= 0
@@ -203,8 +204,8 @@ class _LowerBlocks:
 
     def lower_dense(self) -> np.ndarray:
         """A dense n x n copy whose lower triangle is the stored one and whose
-        strict upper triangle is zero outside the diagonal blocks; enough for
-        eigvalsh, which reads only the lower triangle."""
+        strict upper triangle is zero outside the diagonal blocks; the tests
+        read the store through it."""
         dense = np.zeros((self.n, self.n))
         for k0, k1, blk in self.blocks:
             dense[k0:k1, :k1] = blk
@@ -339,15 +340,6 @@ def span_basis(truth: PartitionLabels) -> np.ndarray:
     return np.linalg.qr(ind[:, :-1] - ind[:, -1:])[0]
 
 
-def _exact_ends(g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[float, float]:
-    """(least, largest) eigenvalue of Lambda compressed onto the orthogonal
-    complement of span{1_i - 1_j}: the ends of one dense eigvalsh of M, from
-    its factors (`_compressed`, s inside those ends), with no shift."""
-    lam = _assemble(g, nu, left, right, 0.0)
-    lo, hi = np.linalg.eigvalsh(lam.lower_dense())[[0, -1]].tolist()
-    return lo, hi
-
-
 def _cholesky_in_place(a: _LowerBlocks) -> _LowerBlocks:
     """The lower Cholesky factor of the symmetric positive definite `a`,
     written over its store; only the lower triangle is read, and the strict
@@ -371,6 +363,17 @@ def _cholesky_in_place(a: _LowerBlocks) -> _LowerBlocks:
         for _, _, bk in blocks[j + 1 :]:
             bk[:, j0:j1] = bk[:, j0:j1] @ inv_t
     return a
+
+
+def _cholesky_at(g: Graph, nu: np.ndarray, left: np.ndarray, right: np.ndarray, shift: float) -> bool:
+    """Whether M - shift I, from M's factors (`_compressed`), has a Cholesky
+    factorization: a proof that no eigenvalue of M lies below `shift`.  The
+    store is written, factored and freed within the call."""
+    try:
+        _cholesky_in_place(_assemble(g, nu, left, right, shift))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _psd_tol(lam_2: float) -> float:
@@ -425,10 +428,12 @@ def verify_certificate(
     Lambda's diagonal.  The PSD check takes one of two routes.  When the
     Rayleigh quotient rho of the least Ritz vector, projected onto the
     complement of span{1_i - 1_j}, is below -psd_tol, that vector refutes
-    PSD-ness: psd_ok is false, psd_margin is rho, and nothing is stored, so
-    no Cholesky or eigvalsh runs.  Otherwise the store is written and the
-    least Ritz value is proven from below by its Cholesky factorization,
-    with the exact eigvalsh as the fallback.
+    PSD-ness: psd_ok is false, psd_margin is rho, and nothing is stored.
+    Otherwise the store is written and one Cholesky factorization proves
+    the least Ritz value lo to within psd_tol; if it fails, one more at
+    +psd_tol or -psd_tol settles the verdict.  So psd_margin is an upper
+    bound on the least compressed eigenvalue, and each verdict is backed by
+    a factorization or by the witness.
     """
     if truth.n != g.n:
         raise ParameterError("labels and graph disagree on n")
@@ -479,28 +484,22 @@ def verify_certificate(
     # nu_v + omega is Lambda's diagonal, so this scale is at most max |Lambda|
     kernel_ok = kernel_residual <= 1e-8 * (1.0 + float(np.max(np.abs(cert.nu + cert.omega))))
     lo, hi = ritz
-    if rho < -_psd_tol(max(abs(rho), abs(hi))):
-        ends = rho, hi  # x refutes PSD-ness: there is nothing to prove
+    # scaled by the compressed spectral norm as the ends at hand give it, <= ||Lambda||_2
+    psd_tol = _psd_tol(max(abs(rho), abs(hi)))
+    if rho < -psd_tol:
+        psd_margin = rho  # x refutes PSD-ness: there is nothing to prove
     else:
-        # a Cholesky factorization of M - (lo - tol) I proves in floating
-        # point that no compressed eigenvalue lies below lo - tol (the r - 1
-        # copies of s = hi sit at hi - lo + tol > 0); it fails only when
-        # Lanczos missed the bottom of the spectrum
-        left, right = _compressed(left, right, u, lam_u, hi)
-        lam = _assemble(g, cert.nu, left, right, lo - _psd_tol(max(abs(lo), abs(hi))))
-        try:
-            _cholesky_in_place(lam)
-            proven = True
-        except np.linalg.LinAlgError:
-            proven = False
-        # freed, outside the except block and its traceback, before the
-        # exact, dense route writes a fresh matrix
-        del lam
-        ends = ritz if proven else _exact_ends(g, cert.nu, left, right)
-    psd_margin = ends[0]
-    # the compressed spectral norm, at most ||Lambda||_2 by interlacing
-    lam_2 = max(abs(ends[0]), abs(ends[1]))
-    psd_tol = _psd_tol(lam_2)
+        # each shift is below lo <= hi = s, so the r - 1 copies of s decide no
+        # factorization; lo - tol fails only when Lanczos missed the bottom,
+        # and then +tol decides unique_optimum and -tol decides psd_ok
+        psd_tol = _psd_tol(max(abs(lo), abs(hi)))
+        m = (g, cert.nu, *_compressed(left, right, u, lam_u, hi))
+        if _cholesky_at(*m, lo - psd_tol) or (lo > psd_tol and _cholesky_at(*m, psd_tol)):
+            psd_margin = lo
+        elif lo > -psd_tol and _cholesky_at(*m, -psd_tol):
+            psd_margin = min(lo, psd_tol)
+        else:
+            psd_margin = min(lo, math.nextafter(-psd_tol, -math.inf))
     psd_ok = psd_margin >= -psd_tol
 
     _, e_ij = edge_counts(g, truth)

@@ -146,12 +146,10 @@ def trial_seed(base: int, cell_key: str, trial: int) -> int:
 
 
 def labels_agree(a: PartitionLabels, b: PartitionLabels) -> bool:
-    """True when two labelings induce the same partition up to relabeling."""
-    if a.n != b.n or a.r != b.r:
-        return False
-    blocks_a = {frozenset(a.members(i).tolist()) for i in range(a.r)}
-    blocks_b = {frozenset(b.members(i).tolist()) for i in range(b.r)}
-    return blocks_a == blocks_b
+    """True when two labelings induce the same partition up to relabeling:
+    no community is empty, so r distinct label pairs are a bijection
+    between the two labelings' communities."""
+    return a.n == b.n and a.r == b.r and len(set(zip(a.labels, b.labels))) == a.r
 
 
 def run_trial(

@@ -14,7 +14,6 @@ from ppm_sdp.certificate import (
     CertificateReport,
     _assemble,
     _cholesky_in_place,
-    _exact_ends,
     _factors,
     _LowerBlocks,
     build_certificate,
@@ -198,6 +197,29 @@ def inject(monkeypatch, g, m):
     monkeypatch.setattr(certificate, "_factors", lambda truth, cert: factors_of(g, cert.nu, m))
 
 
+def miss_the_bottom(monkeypatch):
+    """Raise the least Ritz value of verification's Lanczos by 1.0, as if it
+    had missed the bottom of the compressed spectrum; the Ritz vector, and
+    so the Rayleigh quotient rho, is kept."""
+    ritz = certificate._margin_ritz
+
+    def missed(*args):
+        (lo, hi), x = ritz(*args)
+        return (lo + 1.0, hi), x
+
+    monkeypatch.setattr(certificate, "_margin_ritz", missed)
+
+
+def dense_psd_reference(truth, m):
+    """(least, psd_tol): the least eigenvalue of the symmetric m compressed
+    onto the complement of span{1_i - 1_j}, from the Helmert basis, and the
+    PSD tolerance of that compressed spectrum."""
+    basis = complement_basis(truth)
+    reduced = basis.T @ m @ basis
+    spectrum = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    return float(spectrum[0]), 1e-8 * max(float(np.max(np.abs(spectrum))), 1.0)
+
+
 def dense_reference_report(g, truth, cert):
     """(factored report, dense reference report).  The reference is the
     dense verifier the factored one replaced: Gamma and Lambda as n x n
@@ -246,6 +268,17 @@ def dense_reference_report(g, truth, cert):
         and ref.slackness_ok
     )
     return report, ref
+
+
+def shifted_on_the_complement(g, truth, cert, fraction):
+    """Lambda less a multiple of the projector onto the complement of
+    span{1_i - 1_j}, so that its least compressed eigenvalue is about
+    -fraction psd_tol; symmetric."""
+    lam = assemble_lambda(g, truth, cert)
+    basis = complement_basis(truth)
+    lo, hi = np.linalg.eigvalsh(basis.T @ lam @ basis)[[0, -1]]
+    m = lam - (lo + fraction * 1e-8 * (hi - lo)) * (basis @ basis.T)
+    return 0.5 * (m + m.T)
 
 
 def swap_two(truth):
@@ -502,11 +535,11 @@ class TestCompressedPsd:
             reduced = basis.T @ m @ basis
             expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[[0, -1]]
             scale = max(1.0, float(np.max(np.abs(expected))))
-            # the exact route's ends hold for any shift s between them
+            # the compressed matrix keeps those ends for any shift s between them
             (lo, hi), _ = certificate._margin_ritz(m.__matmul__, g.n, u)
             for s in (lo, hi, 0.5 * (lo + hi)):
                 factors = certificate._compressed(*factors_of(g, cert.nu, m), u, m @ u, s)
-                ends = _exact_ends(g, cert.nu, *factors)
+                ends = np.linalg.eigvalsh(_assemble(g, cert.nu, *factors, 0.0).lower_dense())[[0, -1]]
                 assert np.max(np.abs(np.subtract(ends, expected))) <= 1e-9 * scale
             inject(monkeypatch, g, m)
             report = verify_certificate(g, truth, cert)
@@ -584,11 +617,11 @@ class TestDenseReference:
         assert abs(report.slackness_gap - ref.slackness_gap) <= 1e-9 * slack_scale
         return report
 
-    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("block", [None, 31])
     @pytest.mark.parametrize("pi, labels", CASES)
-    def test_verdicts_match(self, pi, labels, chunk, monkeypatch):
-        if chunk is not None:  # 31-row blocks: the store spans several row blocks
-            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", 31)
+    def test_verdicts_match(self, pi, labels, block, monkeypatch):
+        if block is not None:  # 31-row blocks: the store spans several row blocks
+            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", block)
         par = PlantedPartitionParams(n=200, r=len(pi), pi=pi, p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, 7, labels)
         cert = build_certificate(g, truth, par.p, par.q)
@@ -698,13 +731,14 @@ class TestLambdaOperator:
 
 class TestPsdProof:
     """The PSD margin is a Lanczos Ritz value, proven from below by one
-    Cholesky factorization; the exact eigvalsh route is the fallback."""
+    Cholesky factorization; when Lanczos missed the bottom, factorizations
+    at +-psd_tol settle the verdicts, and no eigensolver runs."""
 
-    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize("block", [None, 31])
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
-    def test_cholesky_matches_numpy(self, n, chunk, monkeypatch):
-        if chunk is not None:  # 31-row blocks: many panels, a short last one
-            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", 31)
+    def test_cholesky_matches_numpy(self, n, block, monkeypatch):
+        if block is not None:  # 31-row blocks: many panels, a short last one
+            monkeypatch.setattr(certificate, "_CHOLESKY_BLOCK", block)
         x = np.random.default_rng(n).normal(size=(n, n))
         a = x @ x.T / n + np.eye(n)
         expected = np.linalg.cholesky(a)
@@ -724,11 +758,25 @@ class TestPsdProof:
             _cholesky_in_place(pack(0.5 * (a + a.T)))
 
     @staticmethod
-    def count_fallbacks(monkeypatch):
-        calls = []
-        exact = certificate._exact_ends
-        monkeypatch.setattr(certificate, "_exact_ends", lambda *a: calls.append(1) or exact(*a))
-        return calls
+    def factorizations(monkeypatch):
+        """The (shift, factored) pair of each Cholesky factorization that
+        verification tries, in order."""
+        tried, cholesky_at = [], certificate._cholesky_at
+
+        def record(*args):
+            tried.append((args[-1], cholesky_at(*args)))
+            return tried[-1][1]
+
+        monkeypatch.setattr(certificate, "_cholesky_at", record)
+        return tried
+
+    @classmethod
+    def verify_without_eigvalsh(cls, monkeypatch, g, truth, cert):
+        """(report, factorizations) of one verification with
+        np.linalg.eigvalsh gone."""
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        tried = cls.factorizations(monkeypatch)
+        return verify_certificate(g, truth, cert), tried
 
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
     def test_proof_needs_no_eigvalsh(self, labels, monkeypatch):
@@ -736,10 +784,9 @@ class TestPsdProof:
         g, truth = sample_ppm(par, 7)
         if labels == "swapped":
             truth = swap_two(truth)
-        calls = self.count_fallbacks(monkeypatch)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        report = verify_certificate(g, truth, build_certificate(g, truth, par.p, par.q))
-        assert not calls
+        cert = build_certificate(g, truth, par.p, par.q)
+        report, tried = self.verify_without_eigvalsh(monkeypatch, g, truth, cert)
+        assert [ok for _, ok in tried] == [True] * (labels == "planted")
         assert report.verified == (labels == "planted")
 
     def test_one_column_lanczos_runs_no_svd(self, monkeypatch):
@@ -802,9 +849,8 @@ class TestPsdProof:
         monkeypatch.setattr(
             certificate, "_assemble", lambda *a: events.append("store") or assemble(*a)
         )
-        calls = self.count_fallbacks(monkeypatch)
         report = verify_certificate(g, truth, cert)
-        assert not calls and report.verified == (labels == "planted")
+        assert report.verified == (labels == "planted")
         # a witness vector refutes the swapped labels: they need no store
         assert events.count("store") == (labels == "planted")
         products = [e for e in events if e != "store"]
@@ -816,37 +862,80 @@ class TestPsdProof:
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
     def test_certify_large_needs_no_eigvalsh(self, labels, seed, monkeypatch):
         # the benchmark's certify-large pair: Lanczos must converge tightly
-        # enough that the Cholesky proof holds without the dense fallback
+        # enough that the first Cholesky factorization proves the margin
         par = PlantedPartitionParams(n=2000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, seed)
         if labels == "swapped":
             truth = swap_two(truth)
         cert = build_certificate(g, truth, par.p, par.q)
-        calls = self.count_fallbacks(monkeypatch)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        report = verify_certificate(g, truth, cert)
-        assert not calls
+        report, tried = self.verify_without_eigvalsh(monkeypatch, g, truth, cert)
+        assert [ok for _, ok in tried] == [True] * (labels == "planted")
         assert report.verified == report.unique_optimum == (labels == "planted")
 
     @pytest.mark.parametrize("labels", ["planted", "swapped"])
-    def test_missed_bottom_falls_back_to_eigvalsh(self, labels, monkeypatch):
+    def test_missed_bottom_is_settled_at_a_decision_shift(self, labels, monkeypatch):
+        par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+        g, truth = case_instance(par, 7, labels)
+        cert = build_certificate(g, truth, par.p, par.q)
+        miss_the_bottom(monkeypatch)
+        _, ref = dense_reference_report(g, truth, cert)
+        report, tried = self.verify_without_eigvalsh(monkeypatch, g, truth, cert)
+        for name, value in ref.__dict__.items():
+            if isinstance(value, bool):
+                assert getattr(report, name) == value, name
+        assert report.unique_optimum == ref.unique_optimum == (labels == "planted")
+        # an upper bound, to rounding: the witness's quotient is the least eigenvalue
+        assert report.psd_margin >= ref.psd_margin - 1e-9 * max(1.0, ref.psd_tol / 1e-8)
+        if labels == "planted":  # lo - tol fails, +tol proves the margin positive
+            tol = report.psd_tol
+            assert tried == [(report.psd_margin - tol, False), (tol, True)]
+        else:  # the witness takes its quotient from the Ritz vector, not the raised value
+            assert tried == []
+
+    def test_missed_bottom_within_minus_tol_is_psd_and_not_unique(self, monkeypatch):
+        # least compressed eigenvalue -0.3 psd_tol: +tol fails, -tol factors
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
-        if labels == "swapped":
-            truth = swap_two(truth)
-        ritz = lanczos.extreme_pairs
-
-        def missed(*args, **kwargs):  # a Ritz value 1.0 above the least eigenvalue
-            theta, v = ritz(*args, **kwargs)
-            return theta + [1.0, 0.0], v
-
-        monkeypatch.setattr(lanczos, "extreme_pairs", missed)
-        calls = self.count_fallbacks(monkeypatch)
         cert = build_certificate(g, truth, par.p, par.q)
-        TestDenseReference.assert_same_verdicts(g, truth, cert)
-        # the swapped labels' witness takes its quotient from the Ritz
-        # vector, not the raised value, and needs no proof to fall back from
-        assert calls == ([1] if labels == "planted" else [])
+        m = shifted_on_the_complement(g, truth, cert, 0.3)
+        least, tol = dense_psd_reference(truth, m)
+        inject(monkeypatch, g, m)
+        miss_the_bottom(monkeypatch)
+        report, tried = self.verify_without_eigvalsh(monkeypatch, g, truth, cert)
+        assert -tol < least < 0.0
+        assert [ok for _, ok in tried] == [False, False, True]
+        assert tried[2][0] == -report.psd_tol
+        assert report.psd_margin == report.psd_tol >= least
+        assert report.psd_ok == (least >= -tol) and report.verified
+        assert not report.unique_optimum and least <= tol
+
+    def test_missed_bottom_below_minus_tol_factors_at_no_shift(self, strong_instance, monkeypatch):
+        # a direction at -1 in the complement, and a Ritz pair whose quotient
+        # is positive in its place, so that no witness fires
+        g, truth, cert = strong_instance
+        w = np.zeros(g.n)
+        a, b = truth.members(0)[:2]
+        w[a], w[b] = 1.0, -1.0
+        w /= np.linalg.norm(w)
+        lam = assemble_lambda(g, truth, cert)
+        lam -= (float(w @ lam @ w) + 1.0) * np.outer(w, w)
+        least, _ = dense_psd_reference(truth, lam)
+        y = complement_basis(truth)[:, -1:]  # orthogonal to w
+        quotient = float((y.T @ lam @ y).item())
+        ritz = certificate._margin_ritz
+
+        def positive(*args):
+            (_, hi), _ = ritz(*args)
+            return (quotient, hi), y.copy()
+
+        inject(monkeypatch, g, lam)
+        monkeypatch.setattr(certificate, "_margin_ritz", positive)
+        report, tried = self.verify_without_eigvalsh(monkeypatch, g, truth, cert)
+        assert least <= -1.0 + 1e-9 and quotient > report.psd_tol
+        tol = report.psd_tol
+        assert tried == [(quotient - tol, False), (tol, False), (-tol, False)]
+        assert least <= report.psd_margin < -tol
+        assert not report.psd_ok and not report.verified and not report.unique_optimum
 
     @pytest.mark.parametrize("n, seed", [
         (300, 1), (300, 2), (300, 7),
@@ -854,11 +943,11 @@ class TestPsdProof:
     ])
     def test_swapped_labels_are_refuted_by_a_witness(self, n, seed, monkeypatch):
         # the least Ritz vector's quotient is below -psd_tol, and the kernel
-        # check passes against max |nu + omega|: no store, proof or eigvalsh
+        # check passes against max |nu + omega|: no store or proof
         par = PlantedPartitionParams(n=n, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = case_instance(par, seed, "swapped")
         cert = build_certificate(g, truth, par.p, par.q)
-        for name in ("_assemble", "_cholesky_in_place", "_exact_ends"):
+        for name in ("_assemble", "_cholesky_in_place"):
             monkeypatch.setattr(certificate, name, None)
         report = TestDenseReference.assert_same_verdicts(g, truth, cert)
         assert report.kernel_ok and not report.psd_ok and not report.verified
@@ -887,20 +976,10 @@ class TestPsdProof:
         par = PlantedPartitionParams(n=200, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
         g, truth = sample_ppm(par, 7)
         cert = build_certificate(g, truth, par.p, par.q)
-        lam = assemble_lambda(g, truth, cert)
-        basis = complement_basis(truth)
-        lo, hi = np.linalg.eigvalsh(basis.T @ lam @ basis)[[0, -1]]
-        shift = lo + 0.3e-8 * (hi - lo)
-        m = lam - shift * (basis @ basis.T)
-        m = 0.5 * (m + m.T)
-        calls = self.count_fallbacks(monkeypatch)
-        factored, cholesky = [], _cholesky_in_place
-        monkeypatch.setattr(
-            certificate, "_cholesky_in_place", lambda a: factored.append(1) or cholesky(a)
-        )
-        inject(monkeypatch, g, m)
+        tried = self.factorizations(monkeypatch)
+        inject(monkeypatch, g, shifted_on_the_complement(g, truth, cert, 0.3))
         report = verify_certificate(g, truth, cert)
-        assert factored == [1] and not calls
+        assert [ok for _, ok in tried] == [True]
         assert -report.psd_tol < report.psd_margin < 0.0
         assert report.psd_ok and report.verified and not report.unique_optimum
 
@@ -916,7 +995,7 @@ class TestPsdProof:
         lam = assemble_lambda(g, truth, cert)
         noise = np.random.default_rng(0).normal(size=lam.shape)
         basis = complement_basis(truth)
-        calls = self.count_fallbacks(monkeypatch)
+        tried = self.factorizations(monkeypatch)
         for m in (lam, lam + noise + noise.T):
             reduced = basis.T @ m @ basis
             expected = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
@@ -926,7 +1005,7 @@ class TestPsdProof:
             assert abs(report.psd_margin - expected[0]) <= 1e-9 * scale
             assert abs(report.psd_tol - 1e-8 * scale) <= 1e-9 * 1e-8 * scale
             assert report.psd_ok == (expected[0] >= -1e-8 * scale)
-        assert not calls
+        assert all(ok for _, ok in tried)
 
 
 def peak_units(fn, n):
@@ -943,18 +1022,35 @@ def peak_units(fn, n):
 class TestMemory:
     """Nothing is n x n.  Verification holds Lambda as its lower triangle in
     row blocks, n (n + 128) / 2 doubles (0.56 of a dense matrix at n = 1000),
-    written once as the compressed, shifted matrix its PSD check factors in
-    place."""
+    written as the compressed, shifted matrix its PSD check factors in
+    place, one store at a time."""
 
-    def test_build_and_verify_peaks(self):
-        par = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
-        g, truth = sample_ppm(par, 3)
-        warm = dataclasses.replace(par, n=100)  # first calls import lazily
+    PAR = PlantedPartitionParams(n=1000, r=3, pi=(0.5, 0.3, 0.2), p_tilde=21, q_tilde=2)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        warm = dataclasses.replace(self.PAR, n=100)  # first calls import lazily
         verify_certificate(*sample_ppm(warm, 3), build_certificate(*sample_ppm(warm, 3), warm.p, warm.q))
+        return sample_ppm(self.PAR, 3)
+
+    def test_build_and_verify_peaks(self, instance):
+        g, truth = instance
+        par = self.PAR
         assert peak_units(lambda: build_certificate(g, truth, par.p, par.q), g.n) <= 0.5
         cert = build_certificate(g, truth, par.p, par.q)
         # measured 0.686: the store plus the Lanczos basis; bound 20 % above
         assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 0.82
+
+    def test_a_missed_bottom_writes_one_store_at_a_time(self, instance, monkeypatch):
+        # the factorization at +psd_tol writes its store after the failed
+        # one is freed: measured 0.67, where a dense eigvalsh of the
+        # compressed matrix peaked at 1.59
+        g, truth = instance
+        cert = build_certificate(g, truth, self.PAR.p, self.PAR.q)
+        miss_the_bottom(monkeypatch)
+        tried = TestPsdProof.factorizations(monkeypatch)
+        assert peak_units(lambda: verify_certificate(g, truth, cert), g.n) <= 0.82
+        assert [ok for _, ok in tried] == [False, True]
 
 
 class TestAlgebraicIdentities:

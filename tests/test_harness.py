@@ -144,6 +144,18 @@ class TestLabelsAgree:
         assert labels_agree(a, b)
         assert not labels_agree(a, c)
 
+    @pytest.mark.parametrize("other, agree", [
+        ((2, 2, 0, 0, 1, 1), True),  # a relabelling
+        ((2, 0, 0, 0, 1, 1), False),  # one vertex moved
+        ((0, 0, 1, 1, 1, 1), False),  # r = 2
+        ((2, 2, 0, 0, 1), False),  # n = 5
+        ((1, 1, 0, 0, 2, 2, 2), False),  # n = 7
+    ])
+    def test_agrees_only_on_the_same_partition(self, other, agree):
+        a = PartitionLabels(labels=(0, 0, 1, 1, 2, 2), r=3)
+        b = PartitionLabels(labels=other, r=max(other) + 1)
+        assert labels_agree(a, b) == labels_agree(b, a) == agree
+
 
 class TestPhaseDiagram:
     def test_single_cell_csv(self, tmp_path):
