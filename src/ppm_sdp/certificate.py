@@ -287,18 +287,15 @@ def _assemble(
     L[k0:k1] K[:k1]^T; then 1 is subtracted at its edges, from the graph's
     neighbour index, and nu - shift is added on its diagonal.  Nothing else
     is n x n, and nothing else is O(n r^2) beside the factors."""
-    nbr = g._neighbours[0]
-    degree = np.bincount(g.pairs.ravel(), minlength=g.n)
-    ptr = np.append(0, np.cumsum(degree))  # vertex v's run of nbr is [ptr[v], ptr[v + 1])
-    diagonal = nu - shift
+    nbr, ptr = g.neighbours  # vertex v's run of nbr is [ptr[v], ptr[v + 1])
     store = _LowerBlocks(g.n)
     for k0, k1, blk in store.blocks:
         np.matmul(left[k0:k1], right[:k1].T, out=blk)
         flat = blk.reshape(-1)
         cols = nbr[ptr[k0] : ptr[k1]]
-        row_starts = np.repeat(np.arange(k1 - k0) * k1, degree[k0:k1])
+        row_starts = np.repeat(np.arange(k1 - k0) * k1, np.diff(ptr[k0 : k1 + 1]))
         flat[(row_starts + cols)[cols < k1]] -= 1.0
-        flat[k0 :: k1 + 1] += diagonal[k0:k1]
+        flat[k0 :: k1 + 1] += nu[k0:k1] - shift
     return store
 
 

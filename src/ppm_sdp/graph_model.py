@@ -195,13 +195,12 @@ class Graph:
         return list(zip(*self.pairs.T.tolist()))
 
     @cached_property
-    def _neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nbr, rows, starts): every vertex's neighbours in ascending order,
-        vertex after vertex, as one int64 array, built once from `pairs`;
-        the vertices with at least one neighbour; and where each of their
-        runs begins.  Vertex w's run holds its lower neighbours (pairs
-        (u, w), by a stable sort on v) and then its higher ones (pairs
-        (w, v), already grouped), each placed by a prefix sum of degrees."""
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nbr, ptr): every vertex's neighbours in ascending order, vertex
+        after vertex, as one int64 array built once from `pairs`; vertex w's
+        run nbr[ptr[w] : ptr[w + 1]] holds its lower neighbours (pairs (u, w),
+        by a stable sort on v), then its higher ones (pairs (w, v), already
+        grouped), each placed by a prefix sum of degrees."""
         u, v = self.pairs.T
         down, up = np.bincount(v, minlength=self.n), np.bincount(u, minlength=self.n)
         nbr = np.empty(2 * len(u), dtype=np.int64)
@@ -209,16 +208,20 @@ class Graph:
         nbr[k + np.cumsum(down)[u]] = v
         order = np.argsort(v, kind="stable")
         nbr[k + (np.cumsum(up) - up)[v[order]]] = u[order]
-        degree = down + up
-        rows = np.flatnonzero(degree)
-        return nbr, rows, (np.cumsum(degree) - degree)[rows]
+        return nbr, np.append(0, np.cumsum(down + up))
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, starts): the vertices with a neighbour and their runs' starts."""
+        rows = np.flatnonzero(np.diff(self.neighbours[1]))
+        return rows, self.neighbours[1][rows]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for an (n, k) block x, one column at a time: each row sums
         its run of the cached neighbour index by np.add.reduceat, over the
         column gathered into one buffer reused across columns.  O(m + n k)
         memory, no dense adjacency; a vertex without neighbours gets 0."""
-        nbr, rows, starts = self._neighbours
+        nbr, (rows, starts) = self.neighbours[0], self._runs
         cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
         out = np.zeros(cols.shape)
         if len(nbr):  # reduceat needs a non-empty array
@@ -646,7 +649,6 @@ def _edges_by_line(body: list, n: int) -> set:
 
 
 _PLAIN = b"0123456789 \t\r\n"  # the bytes write_graph writes, tabs and CRLF line ends
-_SCAN_BYTES = 1 << 16  # bytes per chunk of the layout scan
 
 
 def _plain(chunk: bytes) -> bool:
@@ -656,37 +658,30 @@ def _plain(chunk: bytes) -> bool:
 
 def _read_plain(path) -> Graph | None:
     """The graph in a file of `_plain` bytes, a header line and exactly m
-    edge lines, as write_graph writes it: one np.loadtxt streams the body
-    from the open file.  None for any other file, and for a body the graph
+    edge lines, as write_graph writes it: the body is read whole and parsed
+    by one np.loadtxt.  None for any other file, and for a body the graph
     constructor rejects or whose pairs repeat, so that `_read_by_line`
     reads or rejects it."""
     with open(path, "rb") as f:
-        head = f.readline()
-        if not _plain(head):
-            return None
-        try:
-            n, m = (int(x) for x in head.split())
-        except ValueError:
-            return None
-        # the body's lines as str.splitlines counts them; loadtxt skips blank ones
-        lines, last = 0, b"\n"
-        for chunk in iter(lambda: f.read(_SCAN_BYTES), b""):
-            if chunk.endswith(b"\r"):  # keep a CRLF pair in one chunk
-                chunk += f.read(1)
-            if not _plain(chunk):
-                return None
-            lines += chunk.count(b"\n")
-            last = chunk[-1:]
-        if lines + (last != b"\n") != m:
-            return None
-        if not m:  # loadtxt would warn of no data
-            return Graph(n)
-        f.seek(len(head))
-        body = io.TextIOWrapper(f, encoding="ascii")  # loadtxt parses str faster than bytes
-        try:
-            g = Graph(n, np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2))
-        except ValueError:  # ParameterError included
-            return None
+        head, body = f.readline(), f.read()
+    if not (_plain(head) and _plain(body)):
+        return None
+    try:
+        n, m = (int(x) for x in head.split())
+    except ValueError:
+        return None
+    # the body's lines as str.splitlines counts them; loadtxt skips blank ones
+    if body.count(b"\n") + (body[-1:] not in (b"", b"\n")) != m:
+        return None
+    if not m:  # loadtxt would warn of no data
+        return Graph(n)
+    # loadtxt parses str faster than bytes; the wrapper decodes as it reads,
+    # where a str of the whole body would hold 4 bytes a character
+    text = io.TextIOWrapper(io.BytesIO(body), encoding="ascii")
+    try:
+        g = Graph(n, np.loadtxt(text, dtype=np.int64, comments=None, ndmin=2))
+    except ValueError:  # ParameterError included
+        return None
     return g if g.m == m else None
 
 

@@ -449,9 +449,9 @@ def omega_sweep(
     (LinAlgError) is recorded as not converged; any other exception is raised.
     """
     omegas = [float(w) for w in omegas]
-    sdp._check_r(r, g.n)
+    sdp.check_r(r, g.n)
     for omega in omegas:
-        sdp._check_omega(omega)
+        sdp.check_omega(omega)
     opts = opts or sdp.SolverOptions(tol=1e-5, max_iters=5000)
     out = []
     for omega in omegas:

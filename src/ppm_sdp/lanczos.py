@@ -10,7 +10,6 @@ from .graph_model import pair_uniforms
 
 RTOL = 1e-7  # a wanted Ritz pair's residual bound, relative to the largest |Ritz value|
 CHECK = 10  # steps between convergence checks
-BASIS_ROWS = 32  # basis vectors per row chunk of the basis
 SEED = 0  # the fixed start block: results are reproducible
 
 
@@ -33,7 +32,8 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None):
     block is empty: the basis then spans an invariant subspace (at most the
     whole complement) and the pairs are exact.  A Ritz value is a Rayleigh
     quotient: the least bounds the least eigenvalue from above only.  The
-    basis is kept in zero-filled (BASIS_ROWS, n) row chunks; T grows with it.
+    basis is kept as the rows of one array that doubles when full, and T
+    grows with it; each pass is one product with the whole basis.
     """
     u = np.zeros((n, 0)) if deflate is None else deflate
     cap = n - u.shape[1]
@@ -43,22 +43,20 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None):
     for _ in range(2):
         q -= u @ (u.T @ q)
     q = np.linalg.qr(q)[0]
-    basis, size, steps = [], 0, 0
+    basis, size, steps = np.zeros((0, n)), 0, 0
     t, coupling, t_max = np.zeros((0, 0)), np.zeros((b, 0)), 0.0
     while True:
         start, size, steps = size, size + q.shape[1], steps + 1
-        while len(basis) * BASIS_ROWS < size:
-            basis.append(np.zeros((BASIS_ROWS, n)))
-            t = np.pad(t, (0, BASIS_ROWS))
-        for j, col in enumerate(q.T, start):
-            basis[j // BASIS_ROWS][j % BASIS_ROWS] = col
+        if size > len(basis):  # full: double it, within the complement
+            grow = min(max(size, 2 * len(basis)), cap) - len(basis)
+            basis, t = np.concatenate((basis, np.zeros((grow, n)))), np.pad(t, (0, grow))
+        basis[start:size] = q.T
         t[start:size, start - coupling.shape[1] : start] = coupling
         w = op(q)
         t[start:size, start:size] = q.T @ w
         for _ in range(2):
             w -= u @ (u.T @ w)
-            for chunk in basis:
-                w -= chunk.T @ (chunk @ w)
+            w -= basis[:size].T @ (basis[:size] @ w)
         if w.shape[1] == 1:  # its SVD is w / |w|, |w|, 1
             s = np.linalg.norm(w, axis=0)
         else:
@@ -75,8 +73,4 @@ def extreme_pairs(op, n: int, block: int, wanted, deflate=None):
             q, coupling = w / s[0], s[:, None]
         else:
             q, coupling = left[:, :keep], s[:keep, None] * right[:keep]
-    v = np.zeros((n, len(wanted)))
-    for i, chunk in enumerate(basis):
-        rows = y[i * BASIS_ROWS : (i + 1) * BASIS_ROWS, wanted]
-        v += chunk[: len(rows)].T @ rows
-    return theta[wanted], v
+    return theta[wanted], basis[:size].T @ y[:, wanted]

